@@ -285,7 +285,7 @@ def arrows(instance: ArrowInstance, workers: int = 1) -> ArrowResult:
 
 
 def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
-               budget: Budget = NO_BUDGET, workers: int = 1,
+               budget: Budget = NO_BUDGET,
                instance: Optional[ArrowInstance] = None) -> ExtendResult:
     if partial.q != q:
         raise GraphError("partial coloring has wrong color count")

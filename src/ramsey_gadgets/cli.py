@@ -2,9 +2,10 @@
 
 Exit codes: 0 = claim verified / construction succeeded, 1 = claim
 refuted (counterexample in the report), 2 = budget exhausted / unknown,
-3 = usage or I/O error.  A JSON report is printed on 0/1/2 and can also
-be written to a file with --report.  Timing is deliberately left out of
-reports so fixed-seed single-worker runs are byte-identical.
+3 = usage or I/O error, 4 = internal error (traceback on stderr).  A
+JSON report is printed on 0/1/2 and can also be written to a file with
+--report.  Timing is deliberately left out of reports so single-worker
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from . import __version__, graph6
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +149,7 @@ def cmd_extend(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
     partial = EdgeColoring.from_json(args.q, _load_json(args.partial))
-    res = extendable(host, partial, target, args.q, _budget(args),
-                     args.workers)
+    res = extendable(host, partial, target, args.q, _budget(args))
     payload = {"verdict": res.verdict, "nodes": res.stats.nodes}
     if res.witness is not None:
         payload["witness"] = res.witness.to_json()
@@ -354,8 +356,7 @@ def cmd_verify_robust(args) -> int:
     g = _load_graph(args.graph)
     inner = [int(v) for v in args.inner.split(",") if v != ""]
     report = check_robust(g, inner, _load_graph(args.target),
-                          trials=args.trials, s_max=args.s_max,
-                          seed=args.seed)
+                          s_max=args.s_max)
     _emit(args, "verify robust", report.to_json())
     return _report_exit(report)
 
@@ -400,11 +401,13 @@ def cmd_star_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", help="write the JSON report here too")
-    common.add_argument("--out", help="artifact output path")
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--max-nodes", type=int, default=None)
     common.add_argument("--max-seconds", type=float, default=None)
-    common.add_argument("--seed", type=int, default=0)
+    # only on the commands that use them
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="artifact output path")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=1)
 
     build = argparse.ArgumentParser(add_help=False)
     build.add_argument("--senders", default="stub",
@@ -424,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
         return sp
 
-    sp = cmd("arrow", cmd_arrow, [common])
+    sp = cmd("arrow", cmd_arrow, [common, workers])
     sp.add_argument("--host", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--dimacs-out")
 
-    sp = cmd("color", cmd_color, [common])
+    sp = cmd("color", cmd_color, [common, workers])
     sp.add_argument("--host", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--q", type=int, default=2)
@@ -442,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--partial", required=True,
                     help="inline JSON [[edge,color],...] or a file path")
 
-    for name, fn in (("minimalize", cmd_minimalize),
-                     ("check-minimal", cmd_check_minimal)):
-        sp = cmd(name, fn, [common])
+    for name, fn, extra in (("minimalize", cmd_minimalize, [out]),
+                            ("check-minimal", cmd_check_minimal, [])):
+        sp = cmd(name, fn, [common, workers] + extra)
         sp.add_argument("--host", required=True)
         sp.add_argument("--target", required=True)
         sp.add_argument("--q", type=int, default=2)
@@ -462,16 +465,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
         return sp
 
-    sp = ccmd("cycle", cmd_construct_cycle, [common, build])
+    sp = ccmd("cycle", cmd_construct_cycle, [common, out, build])
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
 
-    sp = ccmd("ktk2", cmd_construct_ktk2, [common, build])
+    sp = ccmd("ktk2", cmd_construct_ktk2, [common, out, build])
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
 
-    sp = ccmd("3conn", cmd_construct_3conn, [common, build])
+    sp = ccmd("3conn", cmd_construct_3conn, [common, out, build])
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--graph", help="seed graph (defaults to a built-in one)")
     sp.add_argument("--vertex", type=int, default=0)
@@ -479,11 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", default="P3")
     sp.add_argument("--q", type=int, default=2)
 
-    sp = ccmd("clique", cmd_construct_clique, [common, build])
+    sp = ccmd("clique", cmd_construct_clique, [common, out, build])
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--q", type=int, default=2)
 
-    sp = ccmd("p4", cmd_construct_p4, [common])
+    sp = ccmd("p4", cmd_construct_p4, [common, out])
     sp.add_argument("--k", type=int, required=True)
 
     for name, fn in (("phi", cmd_construct_phi), ("psi", cmd_construct_psi)):
@@ -491,14 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=int, required=True)
         sp.add_argument("--t", type=int, required=True)
 
-    sp = ccmd("indicator", cmd_construct_indicator, [common, build])
+    sp = ccmd("indicator", cmd_construct_indicator, [common, out, build])
     sp.add_argument("--target", required=True)
     sp.add_argument("--subgraph", required=True)
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--polarity", choices=["positive", "negative"],
                     default="positive")
 
-    sp = ccmd("gni", cmd_construct_gni, [common, build])
+    sp = ccmd("gni", cmd_construct_gni, [common, out, build])
     sp.add_argument("--target", required=True)
     sp.add_argument("--subgraph", required=True)
     sp.add_argument("--classes-graph", required=True)
@@ -506,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inline JSON [[edge ids]...] or a file path")
     sp.add_argument("--q", type=int, default=2)
 
-    sp = ccmd("pattern-gadget", cmd_construct_pattern_gadget, [common, build])
+    sp = ccmd("pattern-gadget", cmd_construct_pattern_gadget,
+              [common, out, build])
     sp.add_argument("--target", required=True)
     sp.add_argument("--base", required=True)
     sp.add_argument("--patterns", required=True,
@@ -517,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify")
     vsub = pv.add_subparsers(dest="kind", required=True)
 
-    sp = vsub.add_parser("sender", parents=[common])
+    sp = vsub.add_parser("sender", parents=[common, workers])
     sp.set_defaults(func=cmd_verify_sender)
     sp.add_argument("--spec", help="JSON spec (inline or file)")
     sp.add_argument("--graph")
@@ -542,10 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inner", required=True,
                     help="comma-separated vertex ids of the inner subgraph")
     sp.add_argument("--target", required=True)
-    sp.add_argument("--trials", type=int, default=10000)
     sp.add_argument("--s-max", type=int, default=3)
 
-    sp = cmd("search-sender", cmd_search_sender, [common])
+    sp = cmd("search-sender", cmd_search_sender, [common, out])
     sp.add_argument("--target", required=True)
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--d", type=int, default=1)
@@ -553,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="positive")
     sp.add_argument("--max-order", type=int, default=6)
 
-    sp = cmd("star-check", cmd_star_check, [common])
+    sp = cmd("star-check", cmd_star_check, [common, workers])
     sp.add_argument("--graph", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--q", type=int, default=2)
@@ -574,6 +577,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GraphError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a crash must not read as a refutation (exit 1)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

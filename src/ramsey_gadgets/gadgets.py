@@ -9,9 +9,8 @@ piece counts) or semantically (exhaustive coloring searches).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass, field, replace
+from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import Optional, Protocol, Sequence
 
@@ -51,7 +50,7 @@ def _worst_status(statuses) -> str:
 class PropertyResult:
     name: str
     outcome: str                     # pass / fail / skipped_stub / budget_exhausted
-    method: str                      # structural / exhaustive / search / randomized
+    method: str                      # structural / exhaustive / search
     detail: str = ""
     counterexample: Optional[dict] = None
 
@@ -190,10 +189,6 @@ def string_senders(senders: Sequence[SenderSpec]) -> SenderSpec:
                       sum(s.d for s in senders), status)
 
 
-def _extend_outcome(res) -> str:
-    return UNKNOWN if res.verdict == UNKNOWN else res.verdict
-
-
 def verify_sender(spec: SenderSpec, budget: Budget = NO_BUDGET,
                   workers: int = 1) -> VerificationReport:
     results = []
@@ -203,11 +198,8 @@ def verify_sender(spec: SenderSpec, budget: Budget = NO_BUDGET,
         f"signal distance {dist}, required {spec.d}"))
 
     if spec.status == STATUS_STUB:
-        results.append(PropertyResult("S1", SKIPPED_STUB, "structural",
-                                      "stub sender: semantics not claimed"))
-        results.append(PropertyResult("S2", SKIPPED_STUB, "structural",
-                                      "stub sender: semantics not claimed"))
-        return VerificationReport("sender", tuple(results))
+        return _stub_report("sender", results, ("S1", "S2"),
+                            "stub sender: semantics not claimed")
 
     inst = ArrowInstance.create(spec.graph, spec.h, spec.q, budget)
     res = arrows(inst, workers)
@@ -221,21 +213,10 @@ def verify_sender(spec: SenderSpec, budget: Budget = NO_BUDGET,
                                       "graph forces a monochromatic target"))
 
     # a violating coloring can be color-permuted to fixed colors on e, f
-    if spec.polarity == POSITIVE:
-        bad = {spec.e: 1, spec.f: 2}
-    else:
-        bad = {spec.e: 1, spec.f: 1}
-    ext = extendable(spec.graph, EdgeColoring.from_map(spec.q, bad),
-                     spec.h, spec.q, budget, instance=inst)
-    if ext.verdict == UNKNOWN:
-        results.append(PropertyResult("S2", EXHAUSTED, "search"))
-    elif ext.verdict == "extendable":
-        results.append(PropertyResult(
-            "S2", FAIL, "search", "free coloring violating the signal relation",
-            {"coloring": ext.witness.to_json()}))
-    else:
-        results.append(PropertyResult("S2", PASS, "search",
-                                      "no violating free coloring exists"))
+    bad = {spec.e: 1, spec.f: 2 if spec.polarity == POSITIVE else 1}
+    results.append(_check_cases(
+        "S2", inst, [(bad, "free coloring violating the signal relation")],
+        False, "no violating free coloring exists"))
     return VerificationReport("sender", tuple(results))
 
 
@@ -545,10 +526,57 @@ def _structural_indicator_ok(spec: IndicatorSpec) -> bool:
         edge_distance(spec.graph, spec.f_eids, [spec.e]) >= spec.d
 
 
-def _run_extendable(graph: Graph, partial: dict[int, int], h: Graph, q: int,
-                    budget: Budget, inst: Optional[ArrowInstance] = None):
-    return extendable(graph, EdgeColoring.from_map(q, partial), h, q,
-                      budget, instance=inst)
+_STUB_SKIP = "built from stub senders: coloring semantics not claimed"
+
+
+def _stub_report(subject: str, results: list, names: Sequence[str],
+                 detail: str = _STUB_SKIP) -> VerificationReport:
+    """The structural results so far plus a skip for each coloring-level
+    property, which stub senders do not claim."""
+    return VerificationReport(subject, tuple(results) + tuple(
+        PropertyResult(name, SKIPPED_STUB, "structural", detail)
+        for name in names))
+
+
+def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
+                 pass_detail: str = "", max_cases: Optional[int] = None,
+                 witnesses: Optional[list] = None) -> PropertyResult:
+    """Decide one property by running `extendable` on each case, in order,
+    against the shared instance and its budget.
+
+    `cases` yields (partial coloring as {edge: color}, failure detail).
+    The property holds when every case extends to a target-free coloring
+    (`want_extendable`) or when none does.  The first case that says
+    otherwise is a FAIL, with the extension as a "coloring"
+    counterexample or the stuck case as a "partial" one.  An unknown case
+    does not stop the loop; with no failure it makes the result
+    budget_exhausted, as does stopping after `max_cases` cases (then
+    `cases` must be sized, and the detail counts the cases covered).  The
+    witness of each extending case is appended to `witnesses` if given.
+    """
+    total = len(cases) if max_cases is not None else None
+    covered = 0
+    unknown = False
+    for partial, fail_detail in cases:
+        if max_cases is not None and covered >= max_cases:
+            break
+        covered += 1
+        ext = extendable(inst.host, EdgeColoring.from_map(inst.q, partial),
+                         inst.target, inst.q, instance=inst)
+        if ext.verdict == UNKNOWN:
+            unknown = True
+        elif ext.extendable != want_extendable:
+            if ext.extendable:
+                cex = {"coloring": ext.witness.to_json()}
+            else:
+                cex = {"partial": [[e, c] for e, c in partial.items()]}
+            return PropertyResult(name, FAIL, "search", fail_detail, cex)
+        elif ext.extendable and witnesses is not None:
+            witnesses.append(ext.witness)
+    if unknown or (total is not None and covered < total):
+        detail = "" if total is None else f"covered {covered} of {total} cases"
+        return PropertyResult(name, EXHAUSTED, "search", detail)
+    return PropertyResult(name, PASS, "search", pass_detail)
 
 
 def verify_indicator(spec: IndicatorSpec, budget: Budget = NO_BUDGET,
@@ -561,77 +589,30 @@ def verify_indicator(spec: IndicatorSpec, budget: Budget = NO_BUDGET,
         f"induced subgraph and distance {dist} >= {spec.d}"))
 
     if spec.senders_status == STATUS_STUB:
-        for name in ("I2", "I3", "I4"):
-            results.append(PropertyResult(
-                name, SKIPPED_STUB, "structural",
-                "built from stub senders: coloring semantics not claimed"))
-        return VerificationReport("indicator", tuple(results))
+        return _stub_report("indicator", results, ("I2", "I3", "I4"))
 
     q = spec.q
     inst = ArrowInstance.create(spec.graph, spec.h, q, budget)
-
     mono = {eid: 1 for eid in spec.f_eids}
-    ext = _run_extendable(spec.graph, mono, spec.h, q, budget, inst)
-    if ext.verdict == UNKNOWN:
-        results.append(PropertyResult("I2", EXHAUSTED, "search"))
-    elif ext.extendable:
-        results.append(PropertyResult("I2", PASS, "search",
-                                      "free coloring with monochromatic subgraph"))
-    else:
-        results.append(PropertyResult("I2", FAIL, "search",
-                                      "no free coloring keeps the subgraph monochromatic"))
+    results.append(_check_cases(
+        "I2", inst,
+        [(mono, "no free coloring keeps the subgraph monochromatic")],
+        True, "free coloring with monochromatic subgraph"))
 
     # violation: subgraph monochromatic but the indicator edge disobeys
-    bad_e = 2 if spec.polarity == POSITIVE else 1
-    bad = dict(mono)
-    bad[spec.e] = bad_e
-    ext = _run_extendable(spec.graph, bad, spec.h, q, budget, inst)
-    if ext.verdict == UNKNOWN:
-        results.append(PropertyResult("I3", EXHAUSTED, "search"))
-    elif ext.extendable:
-        results.append(PropertyResult(
-            "I3", FAIL, "search", "indicator edge can disobey the subgraph color",
-            {"coloring": ext.witness.to_json()}))
-    else:
-        results.append(PropertyResult("I3", PASS, "search"))
+    bad = {**mono, spec.e: 2 if spec.polarity == POSITIVE else 1}
+    results.append(_check_cases(
+        "I3", inst, [(bad, "indicator edge can disobey the subgraph color")],
+        False))
 
     # every non-constant subgraph coloring leaves the edge free
-    cases = []
-    for assign in product(range(1, q + 1), repeat=len(spec.f_eids)):
-        if len(set(assign)) > 1:
-            cases.append(assign)
-    total = len(cases) * q
-    covered = 0
-    failure = None
-    unknown = False
-    for assign in cases:
-        for k in range(1, q + 1):
-            if covered >= max_cases:
-                break
-            covered += 1
-            part = dict(zip(spec.f_eids, assign))
-            part[spec.e] = k
-            ext = _run_extendable(spec.graph, part, spec.h, q, budget, inst)
-            if ext.verdict == UNKNOWN:
-                unknown = True
-            elif not ext.extendable:
-                failure = (assign, k)
-                break
-        if failure or covered >= max_cases:
-            break
-    if failure:
-        assign, k = failure
-        results.append(PropertyResult(
-            "I4", FAIL, "search",
-            f"subgraph colors {assign} block edge color {k}",
-            {"partial": [[e, c] for e, c in zip(spec.f_eids, assign)]
-             + [[spec.e, k]]}))
-    elif unknown or covered < total:
-        results.append(PropertyResult(
-            "I4", EXHAUSTED, "search", f"covered {covered} of {total} cases"))
-    else:
-        results.append(PropertyResult("I4", PASS, "search",
-                                      f"all {total} cases extend"))
+    cases = [({**dict(zip(spec.f_eids, assign)), spec.e: k},
+              f"subgraph colors {assign} block edge color {k}")
+             for assign in product(range(1, q + 1), repeat=len(spec.f_eids))
+             if len(set(assign)) > 1
+             for k in range(1, q + 1)]
+    results.append(_check_cases("I4", inst, cases, True,
+                                f"all {len(cases)} cases extend", max_cases))
     return VerificationReport("indicator", tuple(results))
 
 
@@ -849,74 +830,28 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
         f"induced subgraphs and distance {dist} >= {spec.d}"))
 
     if spec.senders_status == STATUS_STUB:
-        for name in ("GI2", "GI3", "GI4"):
-            results.append(PropertyResult(
-                name, SKIPPED_STUB, "structural",
-                "built from stub senders: coloring semantics not claimed"))
-        return VerificationReport("generalized_negative_indicator", tuple(results))
+        return _stub_report("generalized_negative_indicator", results,
+                            ("GI2", "GI3", "GI4"))
 
     q = spec.q
     inst = ArrowInstance.create(spec.graph, spec.h, q, budget)
     mono = {eid: 1 for eid in spec.f_eids}
-
-    ext = _run_extendable(spec.graph, mono, spec.h, q, budget, inst)
-    if ext.verdict == UNKNOWN:
-        results.append(PropertyResult("GI2", EXHAUSTED, "search"))
-    elif ext.extendable:
-        results.append(PropertyResult("GI2", PASS, "search"))
-    else:
-        results.append(PropertyResult("GI2", FAIL, "search",
-                                      "no free coloring keeps the subgraph monochromatic"))
+    results.append(_check_cases(
+        "GI2", inst,
+        [(mono, "no free coloring keeps the subgraph monochromatic")], True))
 
     # GI3 violations: subgraph mono (color 1 wlog) while either some class
     # is split or the class colors fail to use the remaining palette
-    failure = None
-    unknown = False
-    for gamma in product(range(1, q + 1), repeat=q - 1):
-        if {1, *gamma} == set(range(1, q + 1)):
-            continue
-        part = dict(mono)
-        for cls, c in zip(spec.g_classes, gamma):
-            for e in cls:
-                part[e] = c
-        ext = _run_extendable(spec.graph, part, spec.h, q, budget, inst)
-        if ext.verdict == UNKNOWN:
-            unknown = True
-        elif ext.extendable:
-            failure = PropertyResult(
-                "GI3", FAIL, "search",
-                f"monochromatic classes colored {gamma} extend",
-                {"coloring": ext.witness.to_json()})
-            break
-    if failure is None:
-        for k, cls in enumerate(spec.g_classes):
-            for e1, e2 in combinations(cls, 2):
-                for a, b in product(range(1, q + 1), repeat=2):
-                    if a == b:
-                        continue
-                    part = dict(mono)
-                    part[e1] = a
-                    part[e2] = b
-                    ext = _run_extendable(spec.graph, part, spec.h, q,
-                                          budget, inst)
-                    if ext.verdict == UNKNOWN:
-                        unknown = True
-                    elif ext.extendable:
-                        failure = PropertyResult(
-                            "GI3", FAIL, "search",
-                            f"class {k + 1} can be split {a}/{b}",
-                            {"coloring": ext.witness.to_json()})
-                        break
-                if failure:
-                    break
-            if failure:
-                break
-    if failure is not None:
-        results.append(failure)
-    elif unknown:
-        results.append(PropertyResult("GI3", EXHAUSTED, "search"))
-    else:
-        results.append(PropertyResult("GI3", PASS, "search"))
+    palettes = (({**mono, **{e: c for cls, c in zip(spec.g_classes, gamma)
+                             for e in cls}},
+                 f"monochromatic classes colored {gamma} extend")
+                for gamma in product(range(1, q + 1), repeat=q - 1)
+                if {1, *gamma} != set(range(1, q + 1)))
+    splits = (({**mono, e1: a, e2: b}, f"class {k + 1} can be split {a}/{b}")
+              for k, cls in enumerate(spec.g_classes)
+              for e1, e2 in combinations(cls, 2)
+              for a, b in permutations(range(1, q + 1), 2))
+    results.append(_check_cases("GI3", inst, chain(palettes, splits), False))
 
     # GI4: any non-constant subgraph coloring + any target-free coloring
     # of g extends
@@ -934,37 +869,13 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
             if not verify_witness(g_sub_inst, wit):
                 continue
         phi_gs.append(a)
-    total = len(phi_fs) * len(phi_gs)
-    covered = 0
-    failure = None
-    unknown = False
-    for phi_f in phi_fs:
-        for phi_g in phi_gs:
-            if covered >= max_cases:
-                break
-            covered += 1
-            part = dict(zip(spec.f_eids, phi_f))
-            for e in g_eids:
-                part[e] = phi_g[pos_of[e]]
-            ext = _run_extendable(spec.graph, part, spec.h, q, budget, inst)
-            if ext.verdict == UNKNOWN:
-                unknown = True
-            elif not ext.extendable:
-                failure = (phi_f, phi_g)
-                break
-        if failure or covered >= max_cases:
-            break
-    if failure:
-        results.append(PropertyResult(
-            "GI4", FAIL, "search",
-            f"subgraph colors {failure[0]} with class coloring {failure[1]} "
-            "do not extend"))
-    elif unknown or covered < total:
-        results.append(PropertyResult(
-            "GI4", EXHAUSTED, "search", f"covered {covered} of {total} cases"))
-    else:
-        results.append(PropertyResult("GI4", PASS, "search",
-                                      f"all {total} cases extend"))
+    cases = [({**dict(zip(spec.f_eids, phi_f)),
+               **{e: phi_g[pos_of[e]] for e in g_eids}},
+              f"subgraph colors {phi_f} with class coloring {phi_g} "
+              "do not extend")
+             for phi_f in phi_fs for phi_g in phi_gs]
+    results.append(_check_cases("GI4", inst, cases, True,
+                                f"all {len(cases)} cases extend", max_cases))
     return VerificationReport("generalized_negative_indicator", tuple(results))
 
 
@@ -1147,11 +1058,7 @@ def verify_pattern_gadget(spec: PatternGadgetSpec,
         f"base graph induced; matching distance {dist} >= {spec.d}"))
 
     if spec.senders_status == STATUS_STUB:
-        for name in ("P2", "P3"):
-            results.append(PropertyResult(
-                name, SKIPPED_STUB, "structural",
-                "built from stub senders: coloring semantics not claimed"))
-        return VerificationReport("pattern_gadget", tuple(results))
+        return _stub_report("pattern_gadget", results, ("P2", "P3"))
 
     q = spec.q
     inst = ArrowInstance.create(spec.graph, spec.h, q, budget)
@@ -1159,60 +1066,28 @@ def verify_pattern_gadget(spec: PatternGadgetSpec,
     base = spec.family.base
 
     # P2: no free coloring may induce a pattern outside the family
-    failure = None
-    unknown = False
-    for assign in product(range(1, q + 1), repeat=len(g_eids)):
-        local = EdgeColoring.from_map(q, dict(enumerate(assign)))
-        pattern = pattern_of(base, local)
-        if spec.family.contains(pattern):
-            continue
-        part = {e: c for e, c in zip(g_eids, assign)}
-        ext = _run_extendable(spec.graph, part, spec.h, q, budget, inst)
-        if ext.verdict == UNKNOWN:
-            unknown = True
-        elif ext.extendable:
-            failure = PropertyResult(
-                "P2", FAIL, "search",
-                f"pattern {assign} outside the family extends",
-                {"coloring": ext.witness.to_json()})
-            break
-    if failure is not None:
-        results.append(failure)
-    elif unknown:
-        results.append(PropertyResult("P2", EXHAUSTED, "search"))
-    else:
-        results.append(PropertyResult("P2", PASS, "search",
-                                      "no outside pattern extends"))
+    outside = ((dict(zip(g_eids, assign)),
+                f"pattern {assign} outside the family extends")
+               for assign in product(range(1, q + 1), repeat=len(g_eids))
+               if not spec.family.contains(pattern_of(
+                   base, EdgeColoring.from_map(q, dict(enumerate(assign))))))
+    results.append(_check_cases("P2", inst, outside, False,
+                                "no outside pattern extends"))
 
     # P3: every family pattern extends
-    failure = None
-    unknown = False
-    special = _is_clique_pendant(spec.h)
-    special_ok = True
-    for idx, member in enumerate(spec.family.members):
-        part = {}
-        for ci, cls in enumerate(member.classes):
-            for e_local in cls:
-                part[g_eids[e_local]] = ci + 1
-        ext = _run_extendable(spec.graph, part, spec.h, q, budget, inst)
-        if ext.verdict == UNKNOWN:
-            unknown = True
-        elif not ext.extendable:
-            failure = PropertyResult("P3", FAIL, "search",
-                                     f"family pattern {idx} does not extend")
-            break
-        elif special and not _special_witness_ok(spec, ext.witness):
-            special_ok = False
-    if failure is not None:
-        results.append(failure)
-    elif unknown:
-        results.append(PropertyResult("P3", EXHAUSTED, "search"))
-    else:
-        detail = "all family patterns extend"
-        if special:
-            detail += "; clique-copy containment flag " + \
-                ("holds" if special_ok else "NOT satisfied by found witnesses")
-        results.append(PropertyResult("P3", PASS, "search", detail))
+    members = (({g_eids[e_local]: ci + 1
+                 for ci, cls in enumerate(member.classes) for e_local in cls},
+                f"family pattern {idx} does not extend")
+               for idx, member in enumerate(spec.family.members))
+    witnesses: list[EdgeColoring] = []
+    p3 = _check_cases("P3", inst, members, True, "all family patterns extend",
+                      witnesses=witnesses)
+    if p3.outcome == PASS and _is_clique_pendant(spec.h):
+        special_ok = all(_special_witness_ok(spec, w) for w in witnesses)
+        p3 = replace(p3, detail=p3.detail + "; clique-copy containment flag "
+                     + ("holds" if special_ok
+                        else "NOT satisfied by found witnesses"))
+    results.append(p3)
     return VerificationReport("pattern_gadget", tuple(results))
 
 
@@ -1243,103 +1118,78 @@ def _special_witness_ok(spec: PatternGadgetSpec,
 
 
 # ---------------------------------------------------------------------------
-# robustness probing
+# robustness
 
 def check_robust(outer: Graph, inner_vertices: Sequence[int], h: Graph,
-                 trials: int = 10000, s_max: int = 3, seed: int = 0,
-                 edge_prob: float = 0.5) -> VerificationReport:
-    """Randomized refutation probe of the containment dichotomy: after
-    adding new vertices S and edges within S plus the inner vertex set,
-    every copy of the target must lie inside the original graph or
-    inside the subgraph induced by S and the inner vertices.
+                 trials: int = 10000, s_max: int = 3,
+                 seed: int = 0) -> VerificationReport:
+    """Exact check of the containment dichotomy: after adding at most
+    s_max new vertices S and any edges within S plus the inner vertex set,
+    every copy of the target must lie inside the original graph or inside
+    the subgraph induced by S and the inner vertices.
 
-    Only copies through an added edge can violate this, so the search
-    is anchored at added edges.
+    A violating copy uses an added edge and a vertex outside the inner
+    vertices and S.  Adding more edges keeps such a copy, and the new
+    vertices are interchangeable, so one search of the complete
+    augmentation on the inner vertices plus min(s_max, v(h) - 1) new
+    vertices decides the property: a violating copy keeps a vertex
+    outside, so it needs at most v(h) - 1 new vertices.  A counterexample
+    gives the copy's vertices and the added edges it uses, with its new
+    vertices numbered from outer.n.
+
+    `trials` and `seed` are accepted and ignored; they belonged to the
+    randomized probe this check replaced.
     """
+    if s_max < 0:
+        raise GraphError("s_max must be non-negative")
     inner = sorted(set(inner_vertices))
     for v in inner:
         if not (0 <= v < outer.n):
             raise GraphError(f"inner vertex {v} out of range")
-    # For a connected pattern every straddling copy stays within distance
-    # v(pattern)-1 of the inner vertices, so the probe can run on that
-    # ball's induced subgraph without losing any violation.
-    orig_n = outer.n
-    to_orig = list(range(outer.n))
-    if h.is_connected() and h.n >= 2:
-        ball = set(inner)
-        frontier = set(inner)
-        for _ in range(h.n - 1):
-            frontier = {w for v in frontier for w in outer.neighbors(v)} - ball
-            if not frontier:
-                break
-            ball |= frontier
-        if len(ball) < outer.n:
-            to_orig = sorted(ball)
-            pos = {v: i for i, v in enumerate(to_orig)}
-            outer = outer.induced(to_orig)
-            inner = sorted(pos[v] for v in inner)
-    rng = random.Random(seed)
-    inner_set = set(inner)
-    pat_edges = h.edges
-    pat_deg = h.degrees()
-
-    violation = None
-    for trial in range(trials):
-        s_count = rng.randint(0, s_max)
-        n_aug = outer.n + s_count
-        pool = inner + list(range(outer.n, n_aug))
-        adj = list(outer.adj) + [0] * s_count
-        added: list[tuple[int, int]] = []
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                u, v = pool[i], pool[j]
-                if (adj[u] >> v) & 1:
-                    continue
-                if rng.random() < edge_prob:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                    added.append((u, v))
-        if not added:
-            continue
-        allowed = inner_set | set(range(outer.n, n_aug))
-        emb = _anchored_copy(adj, n_aug, pat_edges, pat_deg, added, allowed)
-        if emb is not None:
-            def back(v: int) -> int:
-                return to_orig[v] if v < outer.n else orig_n + (v - outer.n)
-            violation = {
-                "trial": trial,
-                "new_vertices": s_count,
-                "added_edges": [[back(u), back(v)] for u, v in added],
-                "copy_vertices": sorted(back(v) for v in emb),
-            }
-            break
-
-    if violation is None:
+    n = outer.n + min(s_max, h.n - 1)
+    pool = inner + list(range(outer.n, n))
+    adj = list(outer.adj) + [0] * (n - outer.n)
+    added: list[tuple[int, int]] = []
+    for u, v in combinations(pool, 2):
+        if not (adj[u] >> v) & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            added.append((u, v))
+    image = _anchored_copy(adj, n, h.edges, h.degrees(), added, set(pool))
+    if image is None:
         return VerificationReport("robustness", (PropertyResult(
-            "robust", PASS, "randomized",
-            f"no violation in {trials} trials (seed {seed})"),))
+            "robust", PASS, "exhaustive",
+            f"no copy straddles an augmentation with at most {s_max} "
+            "new vertices"),))
+
+    new = sorted(v for v in image.values() if v >= outer.n)
+    renumber = dict(zip(new, range(outer.n, outer.n + len(new))))
+    copy_edges = {tuple(sorted((image[a], image[b]))) for a, b in h.edges}
+    violation = {
+        "new_vertices": len(new),
+        "added_edges": sorted([renumber.get(u, u), renumber.get(v, v)]
+                              for u, v in copy_edges & set(added)),
+        "copy_vertices": sorted(renumber.get(v, v) for v in image.values()),
+    }
     return VerificationReport("robustness", (PropertyResult(
-        "robust", FAIL, "randomized",
+        "robust", FAIL, "exhaustive",
         "copy straddles the augmentation and the host", violation),))
 
 
 def _anchored_copy(adj: list[int], n: int, pat_edges, pat_deg, added,
-                   allowed: set[int]) -> Optional[set[int]]:
+                   allowed: set[int]) -> Optional[dict[int, int]]:
     """A copy of the pattern using an added edge and a vertex outside
-    `allowed`, or None."""
+    `allowed`, as a map from pattern vertices to host vertices, or None."""
     np = len(pat_deg)
-    deg = [bin(a).count("1") for a in adj]
+    deg = [a.bit_count() for a in adj]
     pat_adj: list[list[int]] = [[] for _ in range(np)]
     for (u, v) in pat_edges:
         pat_adj[u].append(v)
         pat_adj[v].append(u)
 
-    def complete(image: dict[int, int]) -> Optional[set[int]]:
+    def complete(image: dict[int, int]) -> Optional[dict[int, int]]:
         if len(image) == np:
-            verts = set(image.values())
-            if verts <= allowed:
-                return None
-            return verts
+            return None if set(image.values()) <= allowed else dict(image)
         # next unmapped pattern vertex adjacent to a mapped one if possible
         nxt = None
         for pv in range(np):

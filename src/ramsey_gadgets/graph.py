@@ -448,19 +448,6 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
     return extend(0)
 
 
-def is_induced_subgraph_at(host: Graph, vertices: Sequence[int],
-                           expected_edges: Iterable[tuple[int, int]]) -> bool:
-    """Check that the host vertices induce exactly the expected edges
-    (given in host coordinates)."""
-    vset = sorted(set(vertices))
-    want = {_norm_edge(u, v) for u, v in expected_edges}
-    have = set()
-    for u, v in combinations(vset, 2):
-        if host.has_edge(u, v):
-            have.add(_norm_edge(u, v))
-    return have == want
-
-
 # ---------------------------------------------------------------------------
 # composition
 

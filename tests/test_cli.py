@@ -2,6 +2,7 @@ import json
 
 from ramsey_gadgets import (ArrowInstance, EdgeColoring, complete_graph,
                             make_stub_sender, read_graph_file, verify_witness)
+from ramsey_gadgets import cli
 from ramsey_gadgets.cli import main
 from ramsey_gadgets.gadgets import POSITIVE, SenderSpec
 
@@ -47,9 +48,29 @@ def test_usage_errors(capsys):
     assert main(["no-such-command"]) == 3
 
 
+def test_flags_only_where_they_act(capsys):
+    for argv in (["color", "--host", "K5", "--target", "K3", "--seed", "1"],
+                 ["extend", "--host", "K5", "--target", "K3",
+                  "--partial", "[]", "--workers", "2"],
+                 ["arrow", "--host", "K5", "--target", "K3", "--out", "x.g6"],
+                 ["verify", "robust", "--graph", "C5", "--inner", "0,1",
+                  "--target", "K3", "--trials", "50"]):
+        assert main(argv) == 3, argv
+
+
+def test_crash_exits_internal_not_refuted(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_arrow", crash)
+    assert main(["arrow", "--host", "K5", "--target", "K3"]) == \
+        cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 def test_reports_are_deterministic(capsys):
-    a = run(capsys, "color", "--host", "K5", "--target", "K3", "--seed", "1")
-    b = run(capsys, "color", "--host", "K5", "--target", "K3", "--seed", "1")
+    a = run(capsys, "color", "--host", "K5", "--target", "K3")
+    b = run(capsys, "color", "--host", "K5", "--target", "K3")
     assert a == b
 
 
@@ -170,9 +191,9 @@ def test_construct_recipes_smoke(tmp_path, capsys):
 
 def test_verify_robust_cli(capsys):
     code, _ = run(capsys, "verify", "robust", "--graph", "C5",
-                  "--inner", "0,1", "--target", "K3", "--trials", "50")
+                  "--inner", "0,1", "--target", "K3")
     assert code == 0
     code, report = run(capsys, "verify", "robust", "--graph", "P3",
-                       "--inner", "0,2", "--target", "K3", "--trials", "500")
+                       "--inner", "0,2", "--target", "K3")
     assert code == 1
     assert any(r["outcome"] == "fail" for r in report["results"])
