@@ -27,8 +27,8 @@ from .gadgets import (NEGATIVE, POSITIVE, FixedSenderProvider, GNISpec,
                       gni_expected_counts, make_stub_sender, search_sender,
                       string_senders, verify_gni, verify_indicator,
                       verify_pattern_gadget, verify_sender)
-from .graph import (Graph, GraphError, ComposeError, Embedding, compose,
-                    complete_graph, cycle_graph, clique_with_pendant,
+from .graph import (Graph, GraphError, ComposeError, Embedding, InternalError,
+                    compose, complete_graph, cycle_graph, clique_with_pendant,
                     disjoint_union, distance, edge_distance, enumerate_copies,
                     from_edges, girth, graph_from_name, graphs_isomorphic,
                     is_k_connected, matching_graph, path_graph, single_edge,

@@ -1,22 +1,26 @@
 """Arrowing engine.
 
 Decides whether every q-coloring of a host graph's edges contains a
-monochromatic copy of a target graph.  The search is backtracking over
-edges with copy-list propagation: each copy of the target is a
-constraint "not all edges one color".  Budgets (node count, wall time)
-turn into an explicit unknown verdict, never a wrong one.
+monochromatic copy of a target graph.  Each copy of the target is a
+constraint "not all edges one color".  One search core, `_solve`,
+serves `arrows`, `extendable`, minimality and every gadget verifier: an
+iterative backtracking search over per-edge color domains with unit
+propagation on those constraints, smallest-domain-first edge choice
+and first-use color symmetry breaking.  It has no recursion, so host
+size has no depth limit.  Budgets (decisions, wall time) turn into an
+explicit unknown verdict, never a wrong one, and every
+`does_not_arrow` witness is re-verified before it is returned.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
 from .coloring import EdgeColoring
-from .graph import Graph, GraphError, enumerate_copies
+from .graph import Graph, GraphError, InternalError, enumerate_copies
 
 ARROWS = "arrows"
 DOES_NOT_ARROW = "does_not_arrow"
@@ -28,6 +32,7 @@ NOT_MINIMAL = "not_minimal"
 
 @dataclass(frozen=True)
 class Budget:
+    """Bounds on one search: decisions (`max_nodes`) and wall time."""
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
@@ -45,7 +50,6 @@ NO_BUDGET = Budget()
 class SearchStats:
     nodes: int
     elapsed: float
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -103,127 +107,177 @@ NOT_EXTENDABLE = "not_extendable"
 
 
 # ---------------------------------------------------------------------------
-# core search, on plain data so worker processes can pickle the arguments
-
-def _static_order(num_edges: int, edge_copies: list[list[int]],
-                  skip: set[int]) -> list[int]:
-    # most-constrained first: descending copy membership, then edge id
-    return sorted((e for e in range(num_edges) if e not in skip),
-                  key=lambda e: (-len(edge_copies[e]), e))
-
-
-def _edge_copies_of(num_edges: int, copy_list) -> list[list[int]]:
-    ec: list[list[int]] = [[] for _ in range(num_edges)]
-    for ci, es in enumerate(copy_list):
-        for e in es:
-            ec[e].append(ci)
-    return ec
-
+# core search
 
 def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
-           symmetry: bool, max_nodes: Optional[int],
-           max_seconds: Optional[float]):
+           max_nodes: Optional[int], max_seconds: Optional[float]):
     """Search for a total coloring with no monochromatic copy.
 
-    Returns (status, payload, nodes): status True with an assignment
-    dict, False with an optional certificate copy (when the fixed part
-    is already monochromatic on it), or None on budget exhaustion.
+    Each edge has a domain of colors (a bitmask, bit c for color c).
+    Every copy gives, for each color c, the clause "not all edges color
+    c".  Unit propagation: when a copy has all edges but one colored c,
+    c leaves the last edge's domain; an empty domain is a conflict, and
+    a one-color domain is assigned at once.  Each clause watches two of
+    its edges not colored c and is looked at only when one of them
+    takes c, so undoing an assignment touches no clause.
+
+    A decision picks the unassigned edge with the smallest domain, then
+    the most copies, then the lowest id, and tries its colors in
+    increasing order, but only up to one above the largest color used so
+    far (fixed colors count as used): propagation removes only used
+    colors, so the unused ones stay interchangeable.  The search runs on
+    an explicit stack of decisions over a trail of assignments and
+    removals.  Edges in no copy are not searched and get color 1 unless
+    fixed.
+
+    Returns (status, assignment, nodes): status True with a total
+    assignment dict, False when no coloring exists, or None on budget
+    exhaustion.  `nodes` counts decisions; `max_nodes` bounds them.
     """
     deadline = time.monotonic() + max_seconds if max_seconds else None
-    edge_copies = _edge_copies_of(num_edges, copy_list)
-    size = [len(es) for es in copy_list]
-    uncol = list(size)
-    counts = [[0] * (q + 1) for _ in copy_list]
+    q1 = q + 1
+    full = (1 << q1) - 2                      # bits 1..q
+    if any(len(es) == 1 for es in copy_list):
+        return False, None, 0                 # a one-edge copy forbids all colors
+    num_copies = [0] * num_edges
+    for es in copy_list:
+        for e in es:
+            num_copies[e] += 1
+    # clause (copy ci, color c) watches edges watch[c][2ci], watch[c][2ci+1];
+    # watched[c][e] lists the 2ci of the clauses of color c watching e
+    pair = [es for es in copy_list for _ in (0, 1)]
+    watch = [[], *([e for es in copy_list for e in es[:2]]
+                   for _ in range(q))]
+    watched = [[]]
+    for c in range(1, q1):
+        lists: list[list[int]] = [[] for _ in range(num_edges)]
+        for k in range(0, len(pair), 2):
+            lists[pair[k][0]].append(k)
+            lists[pair[k][1]].append(k)
+        watched.append(lists)
     color = [0] * num_edges
+    dom = [full] * num_edges
+    trail: list[int] = []           # e: assigned; ~(e*q1+c): c removed
+    queue: list[int] = []           # unassigned edges with one color left
+    reduced: set[int] = set()       # edges that lost a color (q >= 3)
+    max_used = 0
 
-    def apply(e: int, c: int):
+    def remove(f: int, c: int) -> bool:
+        d = dom[f]
+        if not d >> c & 1:
+            return True
+        dom[f] = d ^ (1 << c)
+        trail.append(~(f * q1 + c))
+        if d == full and q > 2:
+            reduced.add(f)
+        d ^= 1 << c
+        if d & (d - 1) == 0:
+            if not d:
+                return False
+            queue.append(f)
+        return True
+
+    def assign(e: int, c: int) -> bool:
+        nonlocal max_used
         color[e] = c
-        for ci in edge_copies[e]:
-            uncol[ci] -= 1
-            counts[ci][c] += 1
+        trail.append(e)
+        if c > max_used:
+            max_used = c
+        wc, wl = watch[c], watched[c]
+        clauses = wl[e]
+        keep = []
+        for i, k in enumerate(clauses):
+            if wc[k] == e:
+                other = wc[k + 1]
+                slot = k
+            else:
+                other = wc[k]
+                slot = k + 1
+            oc = color[other]
+            if oc and oc != c:              # satisfied by the other watch
+                keep.append(k)
+                continue
+            for f in pair[k]:
+                if color[f] != c and f != other and f != e:
+                    wc[slot] = f
+                    wl[f].append(k)
+                    break
+            else:
+                keep.append(k)
+                # all edges but `other` are colored c
+                if oc or not remove(other, c):
+                    keep.extend(clauses[i + 1:])
+                    wl[e] = keep
+                    return False
+        wl[e] = keep
+        return True
 
-    def undo(e: int, c: int):
-        color[e] = 0
-        for ci in edge_copies[e]:
-            uncol[ci] += 1
-            counts[ci][c] -= 1
+    def propagate() -> bool:
+        while queue:
+            f = queue.pop()
+            if not assign(f, dom[f].bit_length() - 1):
+                queue.clear()
+                return False
+        return True
+
+    def undo(length: int) -> None:
+        while len(trail) > length:
+            t = trail.pop()
+            if t >= 0:
+                color[t] = 0
+            else:
+                f, c = divmod(~t, q1)
+                dom[f] |= 1 << c
+                if dom[f] == full:
+                    reduced.discard(f)
 
     for e, c in fixed.items():
-        apply(e, c)
-    for ci, es in enumerate(copy_list):
-        if uncol[ci] == 0:
-            c0 = color[es[0]]
-            if counts[ci][c0] == size[ci]:
-                return False, tuple(es), 0
+        dom[e] = 1 << c
+        queue.append(e)
+    if not propagate():
+        return False, None, 0
 
-    order = _static_order(num_edges, edge_copies, set(fixed))
-    start_used = max(fixed.values(), default=0)
+    order = sorted((e for e in range(num_edges)
+                    if num_copies[e] and e not in fixed),
+                   key=lambda e: (-num_copies[e], e))
+    rank = [0] * num_edges
+    for i, e in enumerate(order):
+        rank[e] = i
+    pos = 0                                   # order[:pos] is assigned
+    stack: list[tuple[int, list[int], int, int, int]] = []
     nodes = 0
-    overflow = False
-
-    def rec(idx: int, max_used: int) -> bool:
-        nonlocal nodes, overflow
-        if idx == len(order):
-            return True
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            overflow = True
-            return False
-        if deadline is not None and nodes % 256 == 0 \
-                and time.monotonic() > deadline:
-            overflow = True
-            return False
-        e = order[idx]
-        top = min(q, max_used + 1) if symmetry else q
-        for c in range(1, top + 1):
-            blocked = False
-            for ci in edge_copies[e]:
-                # last uncolored edge of an otherwise monochromatic copy
-                if uncol[ci] == 1 and counts[ci][c] == size[ci] - 1:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            apply(e, c)
-            if rec(idx + 1, max(max_used, c)):
-                return True
-            undo(e, c)
-            if overflow:
-                return False
-        return False
-
-    if rec(0, start_used):
-        assignment = dict(fixed)
-        for e in order:
-            assignment[e] = color[e]
-        return True, assignment, nodes
-    if overflow:
-        return None, None, nodes
-    return False, None, nodes
-
-
-def _solve_task(args):
-    return _solve(*args)
-
-
-def _enumerate_prefixes(num_edges: int, q: int, copy_list,
-                        target_count: int) -> list[dict[int, int]]:
-    """Partial assignments along the static edge order, respecting the
-    color-symmetry breaking, used to partition the search for workers."""
-    edge_copies = _edge_copies_of(num_edges, copy_list)
-    order = _static_order(num_edges, edge_copies, set())
-    prefixes: list[dict[int, int]] = [{}]
-    depth = 0
-    while len(prefixes) < target_count and depth < len(order):
-        e = order[depth]
-        nxt = []
-        for pre in prefixes:
-            max_used = max(pre.values(), default=0)
-            for c in range(1, min(q, max_used + 1) + 1):
-                nxt.append({**pre, e: c})
-        prefixes = nxt
-        depth += 1
-    return prefixes
+    ok = True
+    while True:
+        if ok:
+            e = -1
+            if reduced:
+                cand = [(dom[f].bit_count(), rank[f], f)
+                        for f in reduced if not color[f]]
+                if cand:
+                    e = min(cand)[2]
+            if e < 0:
+                while pos < len(order) and color[order[pos]]:
+                    pos += 1
+                if pos == len(order):
+                    return True, {f: color[f] or 1
+                                  for f in range(num_edges)}, nodes
+                e = order[pos]
+            if max_nodes is not None and nodes >= max_nodes:
+                return None, None, nodes
+            nodes += 1
+            if deadline is not None and nodes % 256 == 0 \
+                    and time.monotonic() > deadline:
+                return None, None, nodes
+            top = min(q, max_used + 1)
+            colors = [c for c in range(top, 0, -1) if dom[e] >> c & 1]
+            stack.append((e, colors, len(trail), pos, max_used))
+        while stack and not stack[-1][1]:
+            stack.pop()
+        if not stack:
+            return False, None, nodes
+        e, colors, length, pos, max_used = stack[-1]
+        undo(length)
+        ok = assign(e, colors.pop()) and propagate()
 
 
 def _mono_copy(copy_list, coloring: EdgeColoring) -> Optional[tuple[int, ...]]:
@@ -245,39 +299,17 @@ def verify_witness(instance: ArrowInstance, coloring: EdgeColoring) -> bool:
 # ---------------------------------------------------------------------------
 # public operations
 
-def arrows(instance: ArrowInstance, workers: int = 1) -> ArrowResult:
+def arrows(instance: ArrowInstance) -> ArrowResult:
     start = time.monotonic()
     m, q = instance.host.num_edges, instance.q
-    if not instance.copies:
-        witness = EdgeColoring.from_map(q, {e: 1 for e in range(m)})
-        return ArrowResult(DOES_NOT_ARROW, witness,
-                           SearchStats(0, time.monotonic() - start, 1))
-
     budget = instance.budget
-    if workers <= 1:
-        status, payload, nodes = _solve(
-            m, q, instance.copies, {}, True,
-            budget.max_nodes, budget.max_seconds)
-    else:
-        prefixes = _enumerate_prefixes(m, q, instance.copies, 2 * workers)
-        tasks = [(m, q, instance.copies, pre, True,
-                  budget.max_nodes, budget.max_seconds) for pre in prefixes]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_task, tasks))
-        nodes = sum(r[2] for r in results)
-        status, payload = False, None
-        for st, pl, _ in results:          # deterministic merge, task order
-            if st is True:
-                status, payload = True, pl
-                break
-            if st is None:
-                status = None
-
-    stats = SearchStats(nodes, time.monotonic() - start, max(1, workers))
+    status, payload, nodes = _solve(m, q, instance.copies, {},
+                                    budget.max_nodes, budget.max_seconds)
+    stats = SearchStats(nodes, time.monotonic() - start)
     if status is True:
         witness = EdgeColoring.from_map(q, payload)
         if not verify_witness(instance, witness):
-            raise GraphError("internal error: witness failed re-verification")
+            raise InternalError("witness failed re-verification")
         return ArrowResult(DOES_NOT_ARROW, witness, stats)
     if status is None:
         return ArrowResult(UNKNOWN, None, stats)
@@ -295,31 +327,23 @@ def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
     start = time.monotonic()
     if instance is None:
         instance = ArrowInstance.create(host, target, q, budget)
-    fixed = partial.as_dict()
-
-    if not instance.copies:
-        full = {e: fixed.get(e, 1) for e in range(host.num_edges)}
-        return ExtendResult(EXTENDABLE, EdgeColoring.from_map(q, full), None,
-                            SearchStats(0, time.monotonic() - start, 1))
-
     cert = _mono_copy(instance.copies, partial)
     if cert is not None:
         return ExtendResult(NOT_EXTENDABLE, None, cert,
-                            SearchStats(0, time.monotonic() - start, 1))
+                            SearchStats(0, time.monotonic() - start))
 
-    # pre-assigned colors are distinguishable, so no symmetry breaking
     status, payload, nodes = _solve(
-        host.num_edges, q, instance.copies, fixed, not fixed,
+        host.num_edges, q, instance.copies, partial.as_dict(),
         instance.budget.max_nodes, instance.budget.max_seconds)
-    stats = SearchStats(nodes, time.monotonic() - start, 1)
+    stats = SearchStats(nodes, time.monotonic() - start)
     if status is True:
         witness = EdgeColoring.from_map(q, payload)
         if not verify_witness(instance, witness):
-            raise GraphError("internal error: witness failed re-verification")
+            raise InternalError("witness failed re-verification")
         return ExtendResult(EXTENDABLE, witness, None, stats)
     if status is None:
         return ExtendResult(UNKNOWN, None, None, stats)
-    return ExtendResult(NOT_EXTENDABLE, None, payload, stats)
+    return ExtendResult(NOT_EXTENDABLE, None, None, stats)
 
 
 @dataclass(frozen=True)
@@ -334,24 +358,23 @@ class MinimalityResult:
         return self.verdict == MINIMAL
 
 
-def _arrows_sub(sub: Graph, target: Graph, q: int, budget: Budget,
-                workers: int) -> str:
+def _arrows_sub(sub: Graph, target: Graph, q: int, budget: Budget) -> str:
     if sub.num_edges < target.num_edges:
         return DOES_NOT_ARROW
-    return arrows(ArrowInstance.create(sub, target, q, budget), workers).verdict
+    return arrows(ArrowInstance.create(sub, target, q, budget)).verdict
 
 
-def is_minimal(g: Graph, target: Graph, q: int, budget: Budget = NO_BUDGET,
-               workers: int = 1) -> MinimalityResult:
+def is_minimal(g: Graph, target: Graph, q: int,
+               budget: Budget = NO_BUDGET) -> MinimalityResult:
     """Arrows, and no single-edge-deleted subgraph does (isolated
     vertices are dropped since they never affect arrowing)."""
-    base = _arrows_sub(g, target, q, budget, workers)
+    base = _arrows_sub(g, target, q, budget)
     if base == UNKNOWN:
         return MinimalityResult(UNKNOWN, detail="base arrowing unknown")
     if base == DOES_NOT_ARROW:
         return MinimalityResult(NOT_MINIMAL, detail="graph does not arrow")
     for eid in range(g.num_edges):
-        verdict = _arrows_sub(g.delete_edge(eid), target, q, budget, workers)
+        verdict = _arrows_sub(g.delete_edge(eid), target, q, budget)
         if verdict == UNKNOWN:
             return MinimalityResult(UNKNOWN, eid, "subgraph arrowing unknown")
         if verdict == ARROWS:
@@ -360,19 +383,19 @@ def is_minimal(g: Graph, target: Graph, q: int, budget: Budget = NO_BUDGET,
     return MinimalityResult(MINIMAL)
 
 
-def minimalize(g: Graph, target: Graph, q: int, budget: Budget = NO_BUDGET,
-               workers: int = 1) -> tuple[Graph, str]:
+def minimalize(g: Graph, target: Graph, q: int,
+               budget: Budget = NO_BUDGET) -> tuple[Graph, str]:
     """Greedily delete removable edges, lowest edge id first, until the
     graph is minimal.  Returns (graph, verdict); verdict is unknown if
     a budget ran out mid-way (the partial result is still arrowing)."""
-    base = _arrows_sub(g, target, q, budget, workers)
+    base = _arrows_sub(g, target, q, budget)
     if base == UNKNOWN:
         return g, UNKNOWN
     if base == DOES_NOT_ARROW:
         raise GraphError("minimalize requires an arrowing graph")
     i = 0
     while i < g.num_edges:
-        verdict = _arrows_sub(g.delete_edge(i), target, q, budget, workers)
+        verdict = _arrows_sub(g.delete_edge(i), target, q, budget)
         if verdict == UNKNOWN:
             return g.without_isolated(), UNKNOWN
         if verdict == ARROWS:

@@ -4,8 +4,9 @@ Exit codes: 0 = claim verified / construction succeeded, 1 = claim
 refuted (counterexample in the report), 2 = budget exhausted / unknown,
 3 = usage or I/O error, 4 = internal error (traceback on stderr).  A
 JSON report is printed on 0/1/2 and can also be written to a file with
---report.  Timing is deliberately left out of reports so single-worker
-runs are byte-identical.
+--report.  Timing is deliberately left out of reports so runs are
+byte-identical.  The budget flags --max-nodes and --max-seconds are
+accepted only by the commands that search.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def cmd_arrow(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
     inst = ArrowInstance.create(host, target, args.q, _budget(args))
-    res = arrows(inst, args.workers)
+    res = arrows(inst)
     payload = {"verdict": res.verdict, "nodes": res.stats.nodes,
                "copies": len(inst.copies)}
     if res.witness is not None:
@@ -137,7 +138,7 @@ def cmd_color(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
     inst = ArrowInstance.create(host, target, args.q, _budget(args))
-    res = arrows(inst, args.workers)
+    res = arrows(inst)
     payload = {"verdict": res.verdict, "nodes": res.stats.nodes}
     if res.witness is not None:
         payload["coloring"] = res.witness.to_json()
@@ -162,7 +163,7 @@ def cmd_extend(args) -> int:
 def cmd_minimalize(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
-    g, verdict = minimalize(host, target, args.q, _budget(args), args.workers)
+    g, verdict = minimalize(host, target, args.q, _budget(args))
     stats = min_degree_stats(g)
     payload = {"verdict": verdict, "graph": graph6.write_auto(g),
                "vertices": g.n, "edges": g.num_edges,
@@ -176,7 +177,7 @@ def cmd_minimalize(args) -> int:
 def cmd_check_minimal(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
-    res = is_minimal(host, target, args.q, _budget(args), args.workers)
+    res = is_minimal(host, target, args.q, _budget(args))
     payload = {"verdict": res.verdict, "detail": res.detail}
     if res.removable_edge is not None:
         payload["edge"] = res.removable_edge
@@ -326,7 +327,7 @@ def cmd_verify_sender(args) -> int:
         spec = SenderSpec(_load_graph(args.graph), args.e, args.f,
                           args.polarity, _load_graph(args.target), args.q,
                           args.d)
-    report = verify_sender(spec, _budget(args), args.workers)
+    report = verify_sender(spec, _budget(args))
     _emit(args, "verify sender", report.to_json())
     return _report_exit(report)
 
@@ -380,7 +381,7 @@ def cmd_star_check(args) -> int:
     if not args.predicate_only:
         from .graph import star_graph
         res = arrows(ArrowInstance.create(g, star_graph(args.m), 2,
-                                          _budget(args)), args.workers)
+                                          _budget(args)))
         payload["engine"] = res.verdict
         if res.verdict == UNKNOWN:
             code = EXIT_UNKNOWN
@@ -401,15 +402,15 @@ def cmd_star_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", help="write the JSON report here too")
-    common.add_argument("--max-nodes", type=int, default=None)
-    common.add_argument("--max-seconds", type=float, default=None)
     # only on the commands that use them
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--max-nodes", type=int, default=None)
+    budget.add_argument("--max-seconds", type=float, default=None)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="artifact output path")
-    workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, default=1)
 
-    build = argparse.ArgumentParser(add_help=False)
+    # sender search (--senders search) runs under the budget flags
+    build = argparse.ArgumentParser(add_help=False, parents=[budget])
     build.add_argument("--senders", default="stub",
                        help="stub | search | path to a sender JSON list")
     build.add_argument("--max-order", type=int, default=6,
@@ -427,18 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
         return sp
 
-    sp = cmd("arrow", cmd_arrow, [common, workers])
+    sp = cmd("arrow", cmd_arrow, [common, budget])
     sp.add_argument("--host", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--dimacs-out")
 
-    sp = cmd("color", cmd_color, [common, workers])
+    sp = cmd("color", cmd_color, [common, budget])
     sp.add_argument("--host", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--q", type=int, default=2)
 
-    sp = cmd("extend", cmd_extend, [common])
+    sp = cmd("extend", cmd_extend, [common, budget])
     sp.add_argument("--host", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--q", type=int, default=2)
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, extra in (("minimalize", cmd_minimalize, [out]),
                             ("check-minimal", cmd_check_minimal, [])):
-        sp = cmd(name, fn, [common, workers] + extra)
+        sp = cmd(name, fn, [common, budget] + extra)
         sp.add_argument("--host", required=True)
         sp.add_argument("--target", required=True)
         sp.add_argument("--q", type=int, default=2)
@@ -521,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify")
     vsub = pv.add_subparsers(dest="kind", required=True)
 
-    sp = vsub.add_parser("sender", parents=[common, workers])
+    sp = vsub.add_parser("sender", parents=[common, budget])
     sp.set_defaults(func=cmd_verify_sender)
     sp.add_argument("--spec", help="JSON spec (inline or file)")
     sp.add_argument("--graph")
@@ -536,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("indicator", cmd_verify_indicator),
                      ("gni", cmd_verify_gni),
                      ("pattern-gadget", cmd_verify_pattern_gadget)):
-        sp = vsub.add_parser(name, parents=[common])
+        sp = vsub.add_parser(name, parents=[common, budget])
         sp.set_defaults(func=fn)
         sp.add_argument("--spec", required=True)
 
@@ -548,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", required=True)
     sp.add_argument("--s-max", type=int, default=3)
 
-    sp = cmd("search-sender", cmd_search_sender, [common, out])
+    sp = cmd("search-sender", cmd_search_sender, [common, budget, out])
     sp.add_argument("--target", required=True)
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--d", type=int, default=1)
@@ -556,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="positive")
     sp.add_argument("--max-order", type=int, default=6)
 
-    sp = cmd("star-check", cmd_star_check, [common, workers])
+    sp = cmd("star-check", cmd_star_check, [common, budget])
     sp.add_argument("--graph", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--q", type=int, default=2)

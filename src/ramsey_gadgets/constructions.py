@@ -20,10 +20,11 @@ from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
 from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
                       _attach_sender, _worst_status, build_pattern_gadget)
-from .graph import (Graph, GraphError, clique_with_pendant, complete_graph,
-                    cycle_graph, disjoint_union, distance, enumerate_copies,
-                    from_edges, graphs_isomorphic, is_k_connected,
-                    matching_graph, path_graph, single_edge, star_graph)
+from .graph import (Graph, GraphError, InternalError, clique_with_pendant,
+                    complete_graph, cycle_graph, disjoint_union, distance,
+                    enumerate_copies, from_edges, graphs_isomorphic,
+                    is_k_connected, matching_graph, path_graph, single_edge,
+                    star_graph)
 from .manifest import ConstructionManifest, ManifestBuilder
 
 
@@ -301,7 +302,7 @@ def build_cycle_abundant(q: int, t: int, k: int, provider: SenderProvider,
     f1, f2 = _cycle_patterns(q, f, pair_paths)
     for p in (f1, f2):
         if not p.is_h_free(h):
-            raise GraphError("internal error: base pattern is not target-free")
+            raise InternalError("base pattern is not target-free")
 
     g = _blocks_graph(f, k)
     members = tuple(_block_pattern(g, f.num_edges, k, i, f1, f2)
@@ -348,11 +349,11 @@ def build_ktk2_abundant(t: int, k: int, provider: SenderProvider,
     f2 = pattern_of(f, EdgeColoring.from_map(q, c2))
     for p in (f1, f2):
         if not p.is_h_free(h):
-            raise GraphError("internal error: base pattern is not target-free")
+            raise InternalError("base pattern is not target-free")
 
     g = _blocks_graph(f, k)
     if enumerate_copies(g, h):
-        raise GraphError("internal error: block graph contains the target")
+        raise InternalError("block graph contains the target")
     members = tuple(_block_pattern(g, f.num_edges, k, i, f1, f2)
                     for i in range(k))
     family = PatternFamily(g, members, EXACT)
@@ -499,8 +500,8 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
             if ext.verdict == UNKNOWN:
                 raise GraphError("extension re-check undecided within budget")
             if ext.extendable != expect:
-                raise GraphError(
-                    "internal error: derived coloring fails its extension "
+                raise InternalError(
+                    "derived coloring fails its extension "
                     f"contract for edge {g_eid}")
         specials.append(local_pattern(part_seed))
     f2 = local_pattern({eid: witnesses[he][eid] for eid in keep})
@@ -626,8 +627,8 @@ def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
                     builder.graph.edge_vertices(m_eids))
     counts["dist_v_matching"] = dist
     if dist <= t:
-        raise GraphError("internal error: low-degree vertex too close to "
-                         "the signal matching")
+        raise InternalError("low-degree vertex too close to the signal "
+                            "matching")
 
     return CliqueGtildeSpec(builder.graph, t, q, tuple(range(base.n)),
                             base_pattern, m_eids, v,

@@ -189,8 +189,8 @@ def string_senders(senders: Sequence[SenderSpec]) -> SenderSpec:
                       sum(s.d for s in senders), status)
 
 
-def verify_sender(spec: SenderSpec, budget: Budget = NO_BUDGET,
-                  workers: int = 1) -> VerificationReport:
+def verify_sender(spec: SenderSpec,
+                  budget: Budget = NO_BUDGET) -> VerificationReport:
     results = []
     dist = spec.signal_distance()
     results.append(PropertyResult(
@@ -202,7 +202,7 @@ def verify_sender(spec: SenderSpec, budget: Budget = NO_BUDGET,
                             "stub sender: semantics not claimed")
 
     inst = ArrowInstance.create(spec.graph, spec.h, spec.q, budget)
-    res = arrows(inst, workers)
+    res = arrows(inst)
     if res.verdict == UNKNOWN:
         results.append(PropertyResult("S1", EXHAUSTED, "search"))
     elif res.verdict == DOES_NOT_ARROW:

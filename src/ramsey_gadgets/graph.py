@@ -20,6 +20,10 @@ class GraphError(ValueError):
     pass
 
 
+class InternalError(Exception):
+    """A result failed its own re-check: a bug, never bad input."""
+
+
 class ComposeError(GraphError):
     pass
 

@@ -1,8 +1,11 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_arrows
+from conftest import naive_arrows, nx_copies
 from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             NO_BUDGET, UNKNOWN, ArrowInstance, Budget,
                             EdgeColoring, GraphError, arrows, complete_graph,
@@ -12,8 +15,8 @@ from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             to_dimacs, verify_witness)
 
 
-def run(host, target, q=2, budget=NO_BUDGET, workers=1):
-    return arrows(ArrowInstance.create(host, target, q, budget), workers)
+def run(host, target, q=2, budget=NO_BUDGET):
+    return arrows(ArrowInstance.create(host, target, q, budget))
 
 
 # classic ground truth, frozen: R(3,3) = 6
@@ -67,12 +70,39 @@ def test_budget_exhaustion_is_first_class():
     assert res.witness is None
 
 
-def test_parallel_agrees_with_serial():
-    for workers in (1, 2):
-        assert run(complete_graph(6), complete_graph(3),
-                   workers=workers).verdict == ARROWS
-        assert run(complete_graph(5), complete_graph(3),
-                   workers=workers).verdict == DOES_NOT_ARROW
+def test_budgets_bound_the_search():
+    # K9 ->2 C5 takes thousands of decisions
+    for n in (1, 10, 100):
+        res = run(complete_graph(9), cycle_graph(5),
+                  budget=Budget(max_nodes=n))
+        assert res.verdict == UNKNOWN
+        assert res.stats.nodes <= n
+    # R(4,4) = 18: K13 has a K4-free 2-coloring that is out of reach here
+    start = time.monotonic()
+    res = run(complete_graph(13), complete_graph(4),
+              budget=Budget(max_seconds=0.5))
+    assert res.verdict == UNKNOWN
+    assert time.monotonic() - start < 2
+
+
+@pytest.mark.parametrize("n,q,verdict", [
+    (5, 4, ARROWS), (5, 5, DOES_NOT_ARROW),   # odd K_n needs n edge colors
+    (7, 6, ARROWS), (7, 7, DOES_NOT_ARROW),
+])
+def test_decisions_reach_every_color(n, q, verdict):
+    # a P3-free coloring is a proper edge coloring
+    res = run(complete_graph(n), path_graph(3), q)
+    assert res.verdict == verdict
+    if verdict == DOES_NOT_ARROW:
+        assert len(set(res.witness.as_dict().values())) == q
+
+
+def test_k8_has_a_k3_free_3_coloring():
+    # R(3,3,3) = 17; K8 needs the third color
+    host, k3 = complete_graph(8), complete_graph(3)
+    res = run(host, k3, 3)
+    assert res.verdict == DOES_NOT_ARROW
+    assert verify_witness(ArrowInstance.create(host, k3, 3), res.witness)
 
 
 def test_extendable():
@@ -146,8 +176,6 @@ def test_dimacs_export():
 
 def test_dimacs_satisfiable_iff_not_arrowing():
     # brute-force the CNF for a tiny arrowing instance
-    import itertools
-
     def sat(inst):
         text = to_dimacs(inst)
         clauses = [[int(x) for x in l.split()[:-1]]
@@ -176,3 +204,86 @@ def test_random_hosts_match_oracle(data):
     host = from_edges(n, chosen)
     target = data.draw(st.sampled_from([path_graph(3), complete_graph(3)]))
     assert run(host, target, 2).verdict == naive_arrows(host, target, 2)
+
+
+TARGETS = [path_graph(3), path_graph(4), complete_graph(3), cycle_graph(4),
+           star_graph(3)]
+
+
+def small_host(data, q):
+    """At most 7 vertices and 14 edges for 2 colors, 8 for 3."""
+    n = data.draw(st.integers(3, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.sets(st.sampled_from(pairs), min_size=1,
+                               max_size=14 if q == 2 else 8))
+    return from_edges(n, sorted(chosen))
+
+
+def free_of(coloring, copies):
+    return not any(len({coloring[e] for e in copy}) == 1 for copy in copies)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arrows_matches_naive_oracle(data):
+    q = data.draw(st.sampled_from([2, 3]))
+    host = small_host(data, q)
+    target = data.draw(st.sampled_from(TARGETS))
+    inst = ArrowInstance.create(host, target, q)
+    res = arrows(inst)
+    assert res.verdict == naive_arrows(host, target, q)
+    if res.verdict == DOES_NOT_ARROW:
+        assert verify_witness(inst, res.witness)
+        assert free_of(res.witness.as_dict(), nx_copies(host, target))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extendable_matches_brute_force(data):
+    q = data.draw(st.sampled_from([2, 3]))
+    host = small_host(data, q)
+    target = data.draw(st.sampled_from(TARGETS))
+    fixed = data.draw(st.dictionaries(
+        st.integers(0, host.num_edges - 1), st.integers(1, q)))
+    copies = nx_copies(host, target)
+    free = [e for e in range(host.num_edges) if e not in fixed]
+    truth = any(free_of({**fixed, **dict(zip(free, colors))}, copies)
+                for colors in itertools.product(range(1, q + 1),
+                                                repeat=len(free)))
+    res = extendable(host, EdgeColoring.from_map(q, fixed), target, q)
+    assert res.extendable == truth
+    if truth:
+        witness = res.witness.as_dict()
+        assert all(witness[e] == c for e, c in fixed.items())
+        assert free_of(witness, copies)
+    elif res.certificate is not None:
+        assert frozenset(res.certificate) in copies
+        assert len({fixed.get(e) for e in res.certificate}) == 1
+        assert set(res.certificate) <= set(fixed)
+
+
+def test_long_cycles_have_no_recursion_limit():
+    assert run(cycle_graph(1001), path_graph(3)).verdict == ARROWS
+    host = cycle_graph(1000)
+    res = run(host, path_graph(3))
+    assert res.verdict == DOES_NOT_ARROW
+    assert verify_witness(ArrowInstance.create(host, path_graph(3), 2),
+                          res.witness)
+    # a P3-free 2-coloring of an even cycle alternates
+    colors = res.witness.as_dict()
+    assert all(colors[e] != colors[(e + 1) % 1000] for e in range(1000))
+
+
+def test_host_with_5200_edges():
+    # 520 disjoint copies of K5: 2600 decisions deep
+    edges = [(5 * i + u, 5 * i + v) for i in range(520)
+             for u, v in itertools.combinations(range(5), 2)]
+    host = from_edges(2600, edges)
+    res = run(host, complete_graph(3))
+    assert res.verdict == DOES_NOT_ARROW
+    colors = res.witness.as_dict()
+    for u, v, w in ((5 * i + a, 5 * i + b, 5 * i + c) for i in range(520)
+                    for a, b, c in itertools.combinations(range(5), 3)):
+        tri = {colors[host.edge_id(u, v)], colors[host.edge_id(u, w)],
+               colors[host.edge_id(v, w)]}
+        assert len(tri) == 2

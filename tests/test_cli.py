@@ -2,7 +2,7 @@ import json
 
 from ramsey_gadgets import (ArrowInstance, EdgeColoring, complete_graph,
                             make_stub_sender, read_graph_file, verify_witness)
-from ramsey_gadgets import cli
+from ramsey_gadgets import arrowing, cli
 from ramsey_gadgets.cli import main
 from ramsey_gadgets.gadgets import POSITIVE, SenderSpec
 
@@ -54,7 +54,14 @@ def test_flags_only_where_they_act(capsys):
                   "--partial", "[]", "--workers", "2"],
                  ["arrow", "--host", "K5", "--target", "K3", "--out", "x.g6"],
                  ["verify", "robust", "--graph", "C5", "--inner", "0,1",
-                  "--target", "K3", "--trials", "50"]):
+                  "--target", "K3", "--trials", "50"],
+                 ["arrow", "--host", "K5", "--target", "K3", "--workers", "2"],
+                 ["verify", "robust", "--graph", "C5", "--inner", "0,1",
+                  "--target", "K3", "--max-nodes", "1"],
+                 ["stats", "--graph", "K5", "--max-nodes", "1"],
+                 ["construct", "p4", "--k", "3", "--max-seconds", "1"],
+                 ["construct", "phi", "--q", "2", "--t", "3",
+                  "--max-nodes", "1"]):
         assert main(argv) == 3, argv
 
 
@@ -66,6 +73,15 @@ def test_crash_exits_internal_not_refuted(monkeypatch, capsys):
         cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_failed_witness_check_exits_internal(monkeypatch, capsys):
+    # a witness that fails its re-check is a bug, not a usage error (3)
+    # and not a refutation (1)
+    monkeypatch.setattr(arrowing, "verify_witness", lambda inst, col: False)
+    assert main(["arrow", "--host", "K5", "--target", "K3"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "InternalError" in err
 
 
 def test_reports_are_deterministic(capsys):

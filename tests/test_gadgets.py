@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -417,11 +418,11 @@ def test_check_robust_matches_exhaustive_oracle(data):
 # Nine of criterion 7's stub builds, declared as built from unverified
 # senders so that every coloring-level property runs.  Stubs do not have
 # the coloring semantics, so the reports mix passes and refutations with
-# counterexamples; a small node budget turns every search property into
-# budget_exhausted, and max_cases caps the two largest case loops (I4 with
-# 72 cases, GI4 with 54).  The expected reports were recorded before the
-# verifiers shared one case loop.  `pattern q=3 family=2` is left out: its
-# 3894-vertex graph is deeper than the recursive search can go.
+# counterexamples; a one-decision node budget turns every search property
+# into budget_exhausted, and max_cases caps the two largest case loops (I4
+# with 72 cases, GI4 with 54).  The expected reports were recorded before
+# the verifiers shared one case loop and before the search propagated.
+# `pattern q=3 family=2` is checked on its own below.
 
 PINNED_REPORTS = Path(__file__).with_name("verifier_reports.json")
 
@@ -448,7 +449,7 @@ def pinned_reports() -> dict:
     for key, spec, verify in _pinned_builds():
         spec.senders_status = "unverified"
         out[key] = verify(spec).to_json()
-        out[f"{key} max_nodes=3"] = verify(spec, Budget(max_nodes=3)).to_json()
+        out[f"{key} max_nodes=1"] = verify(spec, Budget(max_nodes=1)).to_json()
         if key in ("indicator q=3 F=P4", "gni q=3"):
             out[f"{key} max_cases=10"] = verify(spec, max_cases=10).to_json()
     return json.loads(json.dumps(out))
@@ -460,3 +461,23 @@ def test_verifier_reports_are_pinned():
     assert list(got) == list(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+def test_verify_large_pattern_gadget():
+    # 3894 vertices: once out of reach of a recursive search
+    c4, family = family_c4(3)
+    family = PatternFamily(c4, family.members[:2], EXACT)
+    spec = build_pattern_gadget(K3, c4, family, 3, STUB)
+    spec.senders_status = "unverified"
+    assert spec.graph.n == 3894
+    start = time.monotonic()
+    report = verify_pattern_gadget(spec)
+    assert time.monotonic() - start < 5
+    assert [(r.name, r.outcome) for r in report.results] == \
+        [("P1", PASS), ("P2", FAIL), ("P3", PASS)]
+    coloring = EdgeColoring.from_json(
+        3, report.results[1].counterexample["coloring"])
+    assert verify_witness(ArrowInstance.create(spec.graph, K3, 3), coloring)
+    induced = pattern_of(c4, EdgeColoring.from_map(
+        3, {i: coloring.color_of(e) for i, e in enumerate(spec.g_eids)}))
+    assert not family.contains(induced)
