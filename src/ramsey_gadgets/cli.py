@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import traceback
+from pathlib import Path
 from typing import Optional
 
 from . import __version__, graph6
@@ -33,7 +34,7 @@ from .gadgets import (EXHAUSTED, FixedSenderProvider, GNISpec, IndicatorSpec,
                       build_indicator, build_pattern_gadget, check_robust,
                       search_sender, verify_gni, verify_indicator,
                       verify_pattern_gadget, verify_sender)
-from .graph import Graph, GraphError, graph_from_name
+from .graph import Graph, GraphError, decode_json, graph_from_name
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -59,10 +60,11 @@ def _load_graph(token: str) -> Graph:
 def _load_json(token: str):
     """Inline JSON or a path to a JSON file."""
     token = token.strip()
-    if token.startswith("[") or token.startswith("{"):
-        return json.loads(token)
-    with open(token) as fh:
-        return json.load(fh)
+    try:
+        return json.loads(token if token.startswith(("[", "{"))
+                          else Path(token).read_text())
+    except ValueError as exc:        # bad JSON or bad text encoding
+        raise GraphError(f"cannot read JSON from {token[:40]!r}: {exc}") from None
 
 
 def _budget(args) -> Budget:
@@ -77,9 +79,8 @@ def _provider(args, budget: Budget):
     if token == "search":
         return SearchSenderProvider(getattr(args, "max_order", 6) or 6,
                                     budget=budget)
-    with open(token) as fh:
-        data = json.load(fh)
-    return FixedSenderProvider([SenderSpec.from_json(s) for s in data])
+    return FixedSenderProvider(decode_json(
+        tuple[SenderSpec, ...], _load_json(token), "--senders"))
 
 
 def _emit(args, command: str, payload: dict) -> None:
@@ -96,9 +97,17 @@ def _emit(args, command: str, payload: dict) -> None:
             fh.write(text + "\n")
 
 
-def _write_out(args, graph: Graph) -> None:
-    if getattr(args, "out", None):
-        graph6.write_graph_file(args.out, [graph])
+def _write_artifacts(args, artifact, manifest=None) -> None:
+    """--out gets a graph as a .g6 file or a spec's JSON form;
+    --manifest-out gets the build recipe."""
+    path = getattr(args, "out", None)
+    if path and isinstance(artifact, Graph):
+        graph6.write_graph_file(path, [artifact])
+    elif path:
+        with open(path, "w") as fh:
+            json.dump(artifact, fh, indent=1)
+    if getattr(args, "manifest_out", None):
+        manifest.save(args.manifest_out)
 
 
 def _report_exit(report: VerificationReport) -> int:
@@ -165,11 +174,11 @@ def cmd_minimalize(args) -> int:
     target = _load_graph(args.target)
     g, verdict = minimalize(host, target, args.q, _budget(args))
     stats = min_degree_stats(g)
-    payload = {"verdict": verdict, "graph": graph6.write_auto(g),
+    payload = {"verdict": verdict, "graph": g.to_json(),
                "vertices": g.n, "edges": g.num_edges,
                "min_degree": stats.min_degree,
                "min_degree_count": stats.min_count}
-    _write_out(args, g)
+    _write_artifacts(args, g)
     _emit(args, "minimalize", payload)
     return EXIT_OK if verdict == MINIMAL else EXIT_UNKNOWN
 
@@ -205,11 +214,12 @@ def cmd_stats(args) -> int:
 # ---------------------------------------------------------------------------
 # construct commands
 
-def _emit_recipe(args, name: str, recipe) -> int:
-    payload = recipe.to_json()
-    _write_out(args, recipe.graph)
-    if getattr(args, "manifest_out", None):
-        recipe.manifest.save(args.manifest_out)
+def _emit_built(args, name: str, built, artifact=None) -> int:
+    """Report a construction; --out gets `artifact` if given, else the
+    JSON form of what was built."""
+    payload = built.to_json()
+    _write_artifacts(args, payload if artifact is None else artifact,
+                     built.manifest)
     _emit(args, name, payload)
     ok = payload.get("degrees_ok", True)
     return EXIT_OK if ok else EXIT_REFUTED
@@ -219,14 +229,14 @@ def cmd_construct_cycle(args) -> int:
     recipe = build_cycle_abundant(args.q, args.t, args.k,
                                   _provider(args, _budget(args)),
                                   d=args.d, budget=_budget(args))
-    return _emit_recipe(args, "construct cycle", recipe)
+    return _emit_built(args, "construct cycle", recipe, recipe.graph)
 
 
 def cmd_construct_ktk2(args) -> int:
     recipe = build_ktk2_abundant(args.t, args.k,
                                  _provider(args, _budget(args)),
                                  d=args.d, budget=_budget(args))
-    return _emit_recipe(args, "construct ktk2", recipe)
+    return _emit_built(args, "construct ktk2", recipe, recipe.graph)
 
 
 def cmd_construct_3conn(args) -> int:
@@ -239,25 +249,21 @@ def cmd_construct_3conn(args) -> int:
     recipe = build_3connected_abundant(seed, args.k,
                                        _provider(args, _budget(args)),
                                        d=args.d, budget=_budget(args))
-    return _emit_recipe(args, "construct 3conn", recipe)
+    return _emit_built(args, "construct 3conn", recipe, recipe.graph)
 
 
 def cmd_construct_clique(args) -> int:
     spec = build_clique_gtilde(args.t, args.q,
                                _provider(args, _budget(args)), d=args.d)
-    _write_out(args, spec.graph)
-    if getattr(args, "manifest_out", None):
-        spec.manifest.save(args.manifest_out)
-    _emit(args, "construct clique", spec.to_json())
-    return EXIT_OK
+    return _emit_built(args, "construct clique", spec, spec.graph)
 
 
 def cmd_construct_p4(args) -> int:
     g = p4_abundant(args.k)
     stats = min_degree_stats(g)
-    _write_out(args, g)
+    _write_artifacts(args, g)
     _emit(args, "construct p4", {
-        "graph": graph6.write_auto(g), "vertices": g.n, "edges": g.num_edges,
+        "graph": g.to_json(), "vertices": g.n, "edges": g.num_edges,
         "degree_one_count": g.degrees().count(1),
         "min_degree": stats.min_degree})
     return EXIT_OK
@@ -277,44 +283,34 @@ def cmd_construct_psi(args) -> int:
     return EXIT_OK
 
 
-def _write_spec(args, spec) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            json.dump(spec.to_json(), fh, indent=1)
-
-
 def cmd_construct_indicator(args) -> int:
     spec = build_indicator(_load_graph(args.target),
                            _load_graph(args.subgraph), args.q, args.polarity,
                            _provider(args, _budget(args)), args.d)
-    _write_spec(args, spec)
-    _emit(args, "construct indicator", spec.to_json())
-    return EXIT_OK
+    return _emit_built(args, "construct indicator", spec)
 
 
 def cmd_construct_gni(args) -> int:
-    partition = [[int(e) for e in cls] for cls in _load_json(args.partition)]
+    partition = decode_json(tuple[tuple[int, ...], ...],
+                            _load_json(args.partition), "--partition")
     spec = build_gni(_load_graph(args.target), _load_graph(args.subgraph),
                      _load_graph(args.classes_graph), partition, args.q,
                      _provider(args, _budget(args)), args.d)
-    _write_spec(args, spec)
-    _emit(args, "construct gni", spec.to_json())
-    return EXIT_OK
+    return _emit_built(args, "construct gni", spec)
 
 
 def cmd_construct_pattern_gadget(args) -> int:
     base = _load_graph(args.base)
     q = args.q
     members = tuple(pattern_of(base, EdgeColoring.from_json(q, m))
-                    for m in _load_json(args.patterns))
+                    for m in decode_json(tuple[list, ...],
+                                         _load_json(args.patterns), "--patterns"))
     mode = UP_TO_ISO if args.up_to_iso else EXACT
     family = PatternFamily(base, members, mode)
     spec = build_pattern_gadget(_load_graph(args.target), base, family, q,
                                 _provider(args, _budget(args)), args.d,
                                 budget=_budget(args))
-    _write_spec(args, spec)
-    _emit(args, "construct pattern-gadget", spec.to_json())
-    return EXIT_OK
+    return _emit_built(args, "construct pattern-gadget", spec)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +319,8 @@ def cmd_construct_pattern_gadget(args) -> int:
 def cmd_verify_sender(args) -> int:
     if args.spec:
         spec = SenderSpec.from_json(_load_json(args.spec))
+    elif not (args.graph and args.target):
+        raise GraphError("verify sender needs --spec, or --graph and --target")
     else:
         spec = SenderSpec(_load_graph(args.graph), args.e, args.f,
                           args.polarity, _load_graph(args.target), args.q,
@@ -355,7 +353,11 @@ def cmd_verify_pattern_gadget(args) -> int:
 
 def cmd_verify_robust(args) -> int:
     g = _load_graph(args.graph)
-    inner = [int(v) for v in args.inner.split(",") if v != ""]
+    try:
+        inner = [int(v) for v in args.inner.split(",") if v != ""]
+    except ValueError:
+        raise GraphError(f"--inner takes comma-separated vertex ids, "
+                         f"not {args.inner!r}") from None
     report = check_robust(g, inner, _load_graph(args.target),
                           s_max=args.s_max)
     _emit(args, "verify robust", report.to_json())
@@ -368,8 +370,9 @@ def cmd_search_sender(args) -> int:
     if spec is None:
         _emit(args, "search-sender", {"found": False})
         return EXIT_REFUTED
-    _write_spec(args, spec)
-    _emit(args, "search-sender", {"found": True, "sender": spec.to_json()})
+    payload = spec.to_json()
+    _write_artifacts(args, payload)
+    _emit(args, "search-sender", {"found": True, "sender": payload})
     return EXIT_OK
 
 
@@ -575,7 +578,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (GraphError, OSError, KeyError, ValueError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graph import Graph, GraphError, enumerate_copies, graphs_isomorphic
+from .graph import (Graph, GraphError, decode_json, enumerate_copies,
+                    graphs_isomorphic)
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,10 @@ class EdgeColoring:
         return [[e, c] for e, c in self.colors]
 
     @classmethod
-    def from_json(cls, q: int, data: Sequence[Sequence[int]]) -> "EdgeColoring":
-        return cls(q, tuple(sorted((int(e), int(c)) for e, c in data)))
+    def from_json(cls, q: int, data: list[list[int]]) -> "EdgeColoring":
+        """Inverse of `to_json`; malformed input raises GraphError."""
+        return cls(q, tuple(sorted(decode_json(
+            tuple[tuple[int, int], ...], data, "a coloring [[edge, color]]"))))
 
 
 @dataclass(frozen=True)

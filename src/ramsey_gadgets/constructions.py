@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from . import graph6
 from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
                        ArrowInstance, Budget, arrows, extendable, is_minimal)
 from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
@@ -201,10 +200,10 @@ class AbundanceRecipe:
     def to_json(self) -> dict:
         return {
             "kind": "abundance_recipe",
-            "target": graph6.write_auto(self.h),
+            "target": self.h.to_json(),
             "q": self.q,
             "k": self.k,
-            "graph": graph6.write_auto(self.graph),
+            "graph": self.graph.to_json(),
             "vertices": self.graph.n,
             "edges": self.graph.num_edges,
             "low_degree_vertices": list(self.v_vertices),
@@ -564,7 +563,7 @@ class CliqueGtildeSpec:
         return {
             "kind": "clique_construction",
             "t": self.t, "q": self.q,
-            "graph": graph6.write_auto(self.graph),
+            "graph": self.graph.to_json(),
             "vertices": self.graph.n,
             "edges": self.graph.num_edges,
             "low_degree_vertex": self.v,

@@ -9,18 +9,18 @@ piece counts) or semantically (exhaustive coloring searches).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain, combinations, permutations, product
 from math import comb
-from typing import Optional, Protocol, Sequence
+from typing import ClassVar, Optional, Protocol, Sequence, get_type_hints
 
 from . import graph6
 from .arrowing import (ARROWS, DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
                        Budget, arrows, extendable, verify_witness)
-from .coloring import ColorPattern, EdgeColoring, PatternFamily, pattern_of
+from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
 from .graph import (Graph, GraphError, compose, disjoint_union, edge_distance,
-                    enumerate_copies, girth, graphs_isomorphic, matching_graph,
-                    single_edge)
+                    decode_json, enumerate_copies, girth, graphs_isomorphic,
+                    matching_graph, single_edge)
 from .manifest import ConstructionManifest, ManifestBuilder
 
 POSITIVE = "positive"
@@ -92,10 +92,59 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
+# JSON codec of the gadget specs
+
+def _encode(value):
+    if isinstance(value, PatternFamily):      # the base graph is stored once
+        return {"base": value.base.to_json(), "mode": value.mode,
+                "members": [[sorted(c) for c in m.classes]
+                            for m in value.members]}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def _decode(hint, data, where: str):
+    if hint is not PatternFamily:
+        return decode_json(hint, data, where)
+    data = data if isinstance(data, dict) else {}
+    base = Graph.from_json(data.get("base"))
+    members = decode_json(tuple[tuple[tuple[int, ...], ...], ...],
+                          data.get("members"), where)
+    return PatternFamily(base, tuple(
+        ColorPattern(base, tuple(map(frozenset, m))) for m in members),
+        data.get("mode", EXACT))
+
+
+def _spec_to_json(spec) -> dict:
+    return {"kind": spec.KIND, **{f.name: _encode(getattr(spec, f.name))
+                                  for f in fields(spec)}}
+
+
+def _spec_from_json(cls, data):
+    """A spec from its JSON form; absent keys take the field defaults.  A
+    spec with a manifest must replay to exactly its graph."""
+    if not isinstance(data, dict) or data.get("kind") != cls.KIND:
+        raise GraphError(f"expected a spec of kind {cls.KIND!r}")
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in data and f.default is f.default_factory is MISSING:
+            raise GraphError(f"{cls.KIND} spec lacks {f.name!r}")
+    spec = cls(**{f.name: _decode(hints[f.name], data[f.name],
+                                  f"{cls.KIND} {f.name}")
+                  for f in fields(cls) if f.name in data})
+    manifest = getattr(spec, "manifest", None)
+    if manifest is not None and manifest.replay() != spec.graph:
+        raise GraphError("manifest does not replay to the spec graph")
+    return spec
+
+
+# ---------------------------------------------------------------------------
 # signal senders
 
 @dataclass
 class SenderSpec:
+    KIND: ClassVar[str] = "sender"
     graph: Graph
     e: int                  # signal edge ids
     f: int
@@ -115,24 +164,11 @@ class SenderSpec:
         return edge_distance(self.graph, [self.e], [self.f])
 
     def to_json(self) -> dict:
-        return {"kind": "sender", "graph": graph6.write_auto(self.graph),
-                "edge_order": [list(e) for e in self.graph.edges],
-                "e": self.e, "f": self.f, "polarity": self.polarity,
-                "h": graph6.write_auto(self.h), "q": self.q, "d": self.d,
-                "status": self.status}
+        return _spec_to_json(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "SenderSpec":
-        g = graph6.parse_any(data["graph"])
-        order = tuple((int(a), int(b)) for a, b in data.get("edge_order", []))
-        if order:
-            if set(order) != set(g.edges):
-                raise GraphError("edge order does not match the graph payload")
-            g = Graph(g.n, order, g.labels)
-        return cls(g, int(data["e"]),
-                   int(data["f"]), data["polarity"],
-                   graph6.parse_any(data["h"]), int(data["q"]),
-                   int(data["d"]), data.get("status", STATUS_UNVERIFIED))
+    def from_json(cls, data) -> "SenderSpec":
+        return _spec_from_json(cls, data)
 
 
 def make_stub_sender(h: Graph, q: int, d: int, polarity: str) -> SenderSpec:
@@ -300,6 +336,7 @@ class SearchSenderProvider:
 
 @dataclass
 class IndicatorSpec:
+    KIND: ClassVar[str] = "indicator"
     graph: Graph
     f_vertices: tuple[int, ...]     # vertices of the indicator subgraph
     f_eids: tuple[int, ...]         # its edges
@@ -314,38 +351,11 @@ class IndicatorSpec:
     manifest: Optional[ConstructionManifest] = None
 
     def to_json(self) -> dict:
-        return {
-            "kind": "indicator", "graph": graph6.write_auto(self.graph),
-            "f_vertices": list(self.f_vertices), "f_eids": list(self.f_eids),
-            "e": self.e, "polarity": self.polarity,
-            "h": graph6.write_auto(self.h), "q": self.q, "d": self.d,
-            "status": self.status, "senders_status": self.senders_status,
-            "counts": self.counts,
-            "manifest": self.manifest.to_json() if self.manifest else None,
-        }
+        return _spec_to_json(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "IndicatorSpec":
-        return cls(
-            _graph_from_json(data), tuple(data["f_vertices"]),
-            tuple(data["f_eids"]), int(data["e"]), data["polarity"],
-            graph6.parse_any(data["h"]), int(data["q"]), int(data["d"]),
-            data.get("status", STATUS_UNVERIFIED),
-            data.get("senders_status", STATUS_UNVERIFIED),
-            dict(data.get("counts", {})),
-            ConstructionManifest.from_json(data["manifest"])
-            if data.get("manifest") else None)
-
-
-def _graph_from_json(data: dict) -> Graph:
-    """Gadget graphs round-trip through their manifest when available:
-    replay reproduces edge ids, which the bare graph6 payload cannot."""
-    if data.get("manifest"):
-        g = ConstructionManifest.from_json(data["manifest"]).replay()
-        if set(g.edges) != set(graph6.parse_any(data["graph"]).edges):
-            raise GraphError("manifest does not replay to the graph payload")
-        return g
-    return graph6.parse_any(data["graph"])
+    def from_json(cls, data) -> "IndicatorSpec":
+        return _spec_from_json(cls, data)
 
 
 def _attach_sender(builder: ManifestBuilder, spec: SenderSpec,
@@ -621,6 +631,7 @@ def verify_indicator(spec: IndicatorSpec, budget: Budget = NO_BUDGET,
 
 @dataclass
 class GNISpec:
+    KIND: ClassVar[str] = "generalized_negative_indicator"
     graph: Graph
     f_vertices: tuple[int, ...]
     f_eids: tuple[int, ...]
@@ -642,35 +653,11 @@ class GNISpec:
         return tuple(e for cls in self.g_classes for e in cls)
 
     def to_json(self) -> dict:
-        return {
-            "kind": "generalized_negative_indicator",
-            "graph": graph6.write_auto(self.graph),
-            "f_vertices": list(self.f_vertices), "f_eids": list(self.f_eids),
-            "g_vertices": list(self.g_vertices),
-            "g_classes": [list(c) for c in self.g_classes],
-            "h": graph6.write_auto(self.h), "q": self.q, "d": self.d,
-            "m_edges": [list(m) for m in self.m_edges],
-            "p_edges": [list(p) for p in self.p_edges],
-            "e_k": list(self.e_k),
-            "status": self.status, "senders_status": self.senders_status,
-            "counts": self.counts,
-            "manifest": self.manifest.to_json() if self.manifest else None,
-        }
+        return _spec_to_json(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "GNISpec":
-        return cls(
-            _graph_from_json(data), tuple(data["f_vertices"]),
-            tuple(data["f_eids"]), tuple(data["g_vertices"]),
-            tuple(tuple(c) for c in data["g_classes"]),
-            graph6.parse_any(data["h"]), int(data["q"]), int(data["d"]),
-            tuple(tuple(m) for m in data["m_edges"]),
-            tuple(tuple(p) for p in data["p_edges"]), tuple(data["e_k"]),
-            data.get("status", STATUS_UNVERIFIED),
-            data.get("senders_status", STATUS_UNVERIFIED),
-            dict(data.get("counts", {})),
-            ConstructionManifest.from_json(data["manifest"])
-            if data.get("manifest") else None)
+    def from_json(cls, data) -> "GNISpec":
+        return _spec_from_json(cls, data)
 
 
 def _indicator_for(h: Graph, f: Graph, q: int, d: int, polarity: str,
@@ -884,6 +871,7 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
 
 @dataclass
 class PatternGadgetSpec:
+    KIND: ClassVar[str] = "pattern_gadget"
     graph: Graph
     g_vertices: tuple[int, ...]
     g_eids: tuple[int, ...]
@@ -900,47 +888,11 @@ class PatternGadgetSpec:
     manifest: Optional[ConstructionManifest] = None
 
     def to_json(self) -> dict:
-        return {
-            "kind": "pattern_gadget", "graph": graph6.write_auto(self.graph),
-            "g_vertices": list(self.g_vertices), "g_eids": list(self.g_eids),
-            "family": family_to_json(self.family),
-            "h": graph6.write_auto(self.h), "q": self.q, "d": self.d,
-            "r": self.r, "m_eids": list(self.m_eids),
-            "surjection": [[list(sub), idx] for sub, idx in self.surjection],
-            "status": self.status, "senders_status": self.senders_status,
-            "counts": self.counts,
-            "manifest": self.manifest.to_json() if self.manifest else None,
-        }
+        return _spec_to_json(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "PatternGadgetSpec":
-        return cls(
-            _graph_from_json(data), tuple(data["g_vertices"]),
-            tuple(data["g_eids"]), family_from_json(data["family"]),
-            graph6.parse_any(data["h"]), int(data["q"]), int(data["d"]),
-            int(data["r"]), tuple(data["m_eids"]),
-            tuple((tuple(sub), int(idx)) for sub, idx in data["surjection"]),
-            data.get("status", STATUS_UNVERIFIED),
-            data.get("senders_status", STATUS_UNVERIFIED),
-            dict(data.get("counts", {})),
-            ConstructionManifest.from_json(data["manifest"])
-            if data.get("manifest") else None)
-
-
-def family_to_json(family: PatternFamily) -> dict:
-    return {
-        "base": graph6.write_auto(family.base),
-        "mode": family.mode,
-        "members": [[sorted(cls) for cls in m.classes] for m in family.members],
-    }
-
-
-def family_from_json(data: dict) -> PatternFamily:
-    base = graph6.parse_any(data["base"])
-    members = tuple(
-        ColorPattern(base, tuple(frozenset(cls) for cls in m))
-        for m in data["members"])
-    return PatternFamily(base, members, data.get("mode", "exact"))
+    def from_json(cls, data) -> "PatternGadgetSpec":
+        return _spec_from_json(cls, data)
 
 
 def choose_r(q: int, t_patterns: int) -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import (Iterable, Mapping, Optional, Sequence, Union, get_args,
+                    get_origin)
 
 INFINITY = math.inf
 
@@ -78,6 +79,23 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+    def to_json(self) -> dict:
+        """The one JSON form of a graph.  Edges are listed in edge-id
+        order, so edge ids survive a round trip."""
+        return {"n": self.n, "edges": [list(e) for e in self.edges],
+                "labels": list(self.labels)}
+
+    @classmethod
+    def from_json(cls, data) -> "Graph":
+        """Inverse of `to_json`; malformed input raises GraphError."""
+        if not isinstance(data, dict) or type(data.get("n")) is not int:
+            raise GraphError('a graph is {"n": int, "edges", "labels"}')
+        return cls(data["n"],
+                   decode_json(tuple[tuple[int, int], ...], data.get("edges"),
+                               "graph edges"),
+                   decode_json(tuple[Optional[str], ...],
+                               data.get("labels", []), "graph labels"))
 
     @property
     def num_edges(self) -> int:
@@ -165,6 +183,28 @@ class Graph:
             frontier = nxt & ~seen
             seen |= frontier
         return seen == (1 << self.n) - 1
+
+
+def decode_json(hint, data, where: str):
+    """The value of type `hint` whose JSON form is `data`, for a class with
+    a `from_json`, Optional[X], tuple[X, ...], a fixed-length tuple, int,
+    str, list or dict; GraphError naming `where` if `data` is not one."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:                                  # Optional[X]
+        return None if data is None else decode_json(args[0], data, where)
+    if hasattr(hint, "from_json"):
+        return hint.from_json(data)
+    if origin is tuple:
+        if not isinstance(data, list):
+            raise GraphError(f"{where} must be a list")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(data)
+        if len(data) != len(args):
+            raise GraphError(f"{where} must have {len(args)} entries")
+        return tuple(decode_json(a, x, where) for a, x in zip(args, data))
+    if type(data) is hint:
+        return data
+    raise GraphError(f"{where} must be a JSON {hint.__name__}")
 
 
 def _bits_to_list(bits: int) -> list[int]:

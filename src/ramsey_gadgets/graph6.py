@@ -57,10 +57,15 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     return n, 8
 
 
-def _check_bytes(data: bytes):
+def _token_bytes(text: str) -> bytes:
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        raise FormatError("non-ASCII character in a graph6/sparse6 token") from None
     for b in data:
         if not (63 <= b <= 126):
             raise FormatError(f"out-of-range byte {b}")
+    return data
 
 
 def write_graph6(g: Graph) -> str:
@@ -84,8 +89,7 @@ def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(_HEADER_G6):
         s = s[len(_HEADER_G6):]
-    data = s.encode("ascii")
-    _check_bytes(data)
+    data = _token_bytes(s)
     n, used = _decode_n(data)
     need = (n * (n - 1) // 2 + 5) // 6
     body = data[used:]
@@ -153,8 +157,7 @@ def parse_sparse6(text: str) -> Graph:
         s = s[len(_HEADER_S6):]
     if not s.startswith(":"):
         raise FormatError("sparse6 token must start with ':'")
-    data = s[1:].encode("ascii")
-    _check_bytes(data)
+    data = _token_bytes(s[1:])
     n, used = _decode_n(data)
     bits = []
     for b in data[used:]:
@@ -191,10 +194,11 @@ def parse_any(text: str) -> Graph:
 
 
 def write_auto(g: Graph) -> str:
-    """graph6, or sparse6 when it is the shorter encoding."""
-    g6 = write_graph6(g)
+    """graph6, or sparse6 when it is the shorter encoding.  The graph6
+    length has a closed form, so the O(n^2) graph6 is built only if used."""
     s6 = write_sparse6(g)
-    return s6 if len(s6) < len(g6) else g6
+    g6_len = len(_encode_n(g.n)) + (g.n * (g.n - 1) // 2 + 5) // 6
+    return s6 if len(s6) < g6_len else write_graph6(g)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,7 @@ def default_corpus_path() -> str:
 
 def read_graph_file(path: str) -> list[Graph]:
     out = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:     # the parsers reject U+FFFD
         for line in fh:
             line = line.strip()
             if line:

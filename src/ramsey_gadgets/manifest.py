@@ -3,6 +3,10 @@
 A manifest records a base graph plus a sequence of compositions.  Since
 compose() assigns edge ids deterministically, replaying a manifest
 reproduces the exact same graph, vertex labels and edge ids.
+
+The JSON layout stores each distinct step graph once, in the form of
+`Graph.to_json`: {"manifest_version": 2, "parts": [graph, ...], "steps":
+[{"kind", "part", "identification", "label_prefix", "note"}, ...]}.
 """
 
 from __future__ import annotations
@@ -11,29 +15,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import graph6
-from .graph import ComposeError, Graph, compose
+from .graph import ComposeError, Graph, GraphError, compose, decode_json
 
 
 @dataclass(frozen=True)
 class ManifestStep:
     kind: str                       # "base", "compose" or "edges"
-    payload: str                    # graph6/sparse6 token ("" for edges steps)
-    labels: tuple[Optional[str], ...]
+    graph: Optional[Graph]          # base or gadget graph (None for edges steps)
     identification: tuple[tuple[int, int], ...] = ()   # vertex pairs for edges steps
     label_prefix: Optional[str] = None
     note: str = ""
-    # graph6 orders edges canonically; edge ids must survive replay, so
-    # the construction-time edge order is kept alongside the payload
-    edge_order: tuple[tuple[int, int], ...] = ()
-
-    def graph(self) -> Graph:
-        g = graph6.parse_any(self.payload)
-        edges = self.edge_order or g.edges
-        if set(edges) != set(g.edges):
-            raise ComposeError("edge order does not match the graph payload")
-        labels = self.labels if any(self.labels) else (None,) * g.n
-        return Graph(g.n, tuple(edges), labels)
 
 
 @dataclass
@@ -43,59 +34,61 @@ class ConstructionManifest:
     def record_base(self, g: Graph, note: str = ""):
         if self.steps:
             raise ComposeError("manifest already has a base step")
-        self.steps.append(ManifestStep("base", graph6.write_auto(g), g.labels,
-                                       note=note, edge_order=g.edges))
+        self.steps.append(ManifestStep("base", g, note=note))
 
     def record_compose(self, gadget: Graph, identification: dict[int, int],
                        label_prefix: Optional[str] = None, note: str = ""):
         self.steps.append(ManifestStep(
-            "compose", graph6.write_auto(gadget), gadget.labels,
-            tuple(sorted(identification.items())), label_prefix, note,
-            gadget.edges))
+            "compose", gadget, tuple(sorted(identification.items())),
+            label_prefix, note))
 
     def record_edges(self, pairs: list[tuple[int, int]], note: str = ""):
-        self.steps.append(ManifestStep("edges", "", (), tuple(pairs), None, note))
+        self.steps.append(ManifestStep("edges", None, tuple(pairs), None, note))
 
     def replay(self) -> Graph:
         if not self.steps or self.steps[0].kind != "base":
             raise ComposeError("manifest must start with a base step")
-        g = self.steps[0].graph()
+        g = self.steps[0].graph
         for step in self.steps[1:]:
             if step.kind == "edges":
                 g = Graph(g.n, g.edges + tuple(step.identification), g.labels)
             elif step.kind == "compose":
-                g = compose(g, step.graph(), dict(step.identification),
+                g = compose(g, step.graph, dict(step.identification),
                             step.label_prefix).graph
             else:
                 raise ComposeError(f"unknown manifest step kind {step.kind!r}")
         return g
 
     def to_json(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "kind": s.kind,
-                    "payload": s.payload,
-                    "labels": list(s.labels),
-                    "identification": [list(p) for p in s.identification],
-                    "label_prefix": s.label_prefix,
-                    "note": s.note,
-                    "edge_order": [list(e) for e in s.edge_order],
-                }
-                for s in self.steps
-            ]
-        }
+        part_of: dict[Graph, int] = {}
+        steps = []
+        for s in self.steps:
+            part = None
+            if s.graph is not None:
+                part = part_of.setdefault(s.graph, len(part_of))
+            steps.append({"kind": s.kind, "part": part,
+                          "identification": [list(p) for p in s.identification],
+                          "label_prefix": s.label_prefix, "note": s.note})
+        return {"manifest_version": 2,
+                "parts": [g.to_json() for g in part_of], "steps": steps}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ConstructionManifest":
-        steps = [
-            ManifestStep(
-                s["kind"], s["payload"], tuple(s["labels"]),
-                tuple((int(a), int(b)) for a, b in s.get("identification", [])),
-                s.get("label_prefix"), s.get("note", ""),
-                tuple((int(a), int(b)) for a, b in s.get("edge_order", [])))
-            for s in data["steps"]
-        ]
+    def from_json(cls, data) -> "ConstructionManifest":
+        """Inverse of `to_json`; malformed input raises GraphError."""
+        if not isinstance(data, dict) or data.get("manifest_version") != 2:
+            raise GraphError("not a version 2 manifest")
+        parts = decode_json(tuple[Graph, ...], data.get("parts"), "parts")
+        steps = []
+        for s in decode_json(tuple[dict, ...], data.get("steps"), "steps"):
+            part = s.get("part")        # none exactly for an edges step
+            if (part is None) != (s.get("kind") == "edges") or part is not None \
+                    and (type(part) is not int or not 0 <= part < len(parts)):
+                raise GraphError(f"manifest step part {part!r} names no part")
+            steps.append(ManifestStep(
+                s.get("kind"), None if part is None else parts[part],
+                decode_json(tuple[tuple[int, int], ...],
+                            s.get("identification", []), "identification"),
+                s.get("label_prefix"), s.get("note", "")))
         return cls(steps)
 
     def save(self, path: str):

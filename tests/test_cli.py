@@ -1,7 +1,12 @@
 import json
 
-from ramsey_gadgets import (ArrowInstance, EdgeColoring, complete_graph,
-                            make_stub_sender, read_graph_file, verify_witness)
+import pytest
+
+from ramsey_gadgets import (ArrowInstance, ConstructionManifest, EdgeColoring,
+                            GNISpec, IndicatorSpec, PatternGadgetSpec,
+                            StubSenderProvider, build_indicator,
+                            complete_graph, make_stub_sender, path_graph,
+                            read_graph_file, verify_witness)
 from ramsey_gadgets import arrowing, cli
 from ramsey_gadgets.cli import main
 from ramsey_gadgets.gadgets import POSITIVE, SenderSpec
@@ -73,6 +78,54 @@ def test_crash_exits_internal_not_refuted(monkeypatch, capsys):
         cli.EXIT_INTERNAL == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_library_bug_exits_internal_not_usage(error, monkeypatch, capsys):
+    # only bad outside input is a usage error (3); a stray KeyError or
+    # ValueError from inside the library is a bug (4)
+    def broken(*args, **kwargs):
+        raise error("lost")
+    monkeypatch.setattr(arrowing, "_solve", broken)
+    assert main(["arrow", "--host", "K5", "--target", "K3"]) == 4
+    assert error.__name__ in capsys.readouterr().err
+
+
+def test_malformed_input_exits_usage(tmp_path, capsys):
+    senders = tmp_path / "senders.json"
+    senders.write_text("5")
+    for argv in (["extend", "--host", "K5", "--target", "K3",
+                  "--partial", "[[0]]"],
+                 ["extend", "--host", "K5", "--target", "K3",
+                  "--partial", "[bad"],
+                 ["verify", "robust", "--graph", "C5", "--inner", "a,b",
+                  "--target", "K3"],
+                 ["construct", "gni", "--target", "K3", "--subgraph", "P3",
+                  "--classes-graph", "P2", "--partition", "[[[0]]]"],
+                 ["construct", "pattern-gadget", "--target", "K3",
+                  "--base", "C4", "--patterns", "[5]"],
+                 ["construct", "indicator", "--target", "K3",
+                  "--subgraph", "P3", "--senders", str(senders)],
+                 ["arrow", "--host", "g6:D\u00e9{", "--target", "K3"],
+                 ["verify", "sender", "--graph", "K3"]):
+        assert main(argv) == 3, argv
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: d.pop("graph"),                               # missing key
+    lambda d: d.update(e="0"),                              # wrong type
+    lambda d: d["manifest"].update(manifest_version=1),     # old layout
+])
+def test_malformed_spec_exits_usage(damage, tmp_path, capsys):
+    data = json.loads(json.dumps(build_indicator(
+        complete_graph(3), path_graph(3), 2, POSITIVE,
+        StubSenderProvider()).to_json()))
+    damage(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "indicator", "--spec", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_failed_witness_check_exits_internal(monkeypatch, capsys):
@@ -213,3 +266,25 @@ def test_verify_robust_cli(capsys):
                        "--inner", "0,2", "--target", "K3")
     assert code == 1
     assert any(r["outcome"] == "fail" for r in report["results"])
+
+
+SPEC_COMMANDS = {
+    "indicator": (IndicatorSpec, ["--subgraph", "P3"]),
+    "gni": (GNISpec, ["--subgraph", "P3", "--classes-graph", "P2",
+                      "--partition", "[[0]]"]),
+    "pattern-gadget": (PatternGadgetSpec, [
+        "--base", "C4", "--patterns", "[[[0,1],[1,2],[2,1],[3,2]]]"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_COMMANDS))
+def test_spec_commands_write_their_manifest(kind, tmp_path, capsys):
+    spec_cls, argv = SPEC_COMMANDS[kind]
+    spec_path, manifest_path = tmp_path / "spec.json", tmp_path / "m.json"
+    code, report = run(capsys, "construct", kind, "--target", "K3", *argv,
+                       "--out", str(spec_path),
+                       "--manifest-out", str(manifest_path))
+    assert code == 0
+    spec = spec_cls.from_json(json.loads(spec_path.read_text()))
+    assert report["graph"] == spec.graph.to_json()
+    assert ConstructionManifest.load(str(manifest_path)).replay() == spec.graph

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import nx_copies
 
-from ramsey_gadgets import (EXACT, Budget, EdgeColoring, GraphError, GNISpec,
+from ramsey_gadgets import (EXACT, Budget, EdgeColoring, GraphError,
                             IndicatorSpec, PatternFamily, PatternGadgetSpec,
                             SenderSpec, StubSenderProvider, ArrowInstance,
                             build_gni, build_indicator, build_pattern_gadget,
@@ -23,12 +24,17 @@ from ramsey_gadgets import (EXACT, Budget, EdgeColoring, GraphError, GNISpec,
                             verify_witness)
 from ramsey_gadgets.gadgets import (EXHAUSTED, FAIL, NEGATIVE, PASS, POSITIVE,
                                     SKIPPED_STUB, STATUS_FULL, STATUS_STUB,
-                                    STATUS_STRUCTURAL, family_from_json,
-                                    family_to_json)
+                                    STATUS_STRUCTURAL)
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
 STUB = StubSenderProvider()
+
+
+def assert_json_round_trip(spec):
+    """Every field survives to_json, a JSON text and from_json."""
+    back = type(spec).from_json(json.loads(json.dumps(spec.to_json())))
+    assert back == spec
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +71,7 @@ def test_k6_is_not_a_sender():
 
 
 def test_sender_json_round_trip():
-    s = make_stub_sender(K3, 3, 2, NEGATIVE)
-    back = SenderSpec.from_json(s.to_json())
-    assert back.graph.edges == s.graph.edges
-    assert (back.e, back.f, back.polarity, back.q, back.d, back.status) == \
-        (s.e, s.f, s.polarity, s.q, s.d, s.status)
+    assert_json_round_trip(make_stub_sender(K3, 3, 2, NEGATIVE))
 
 
 def test_search_sender_for_path_target():
@@ -177,12 +179,40 @@ def test_verify_indicator_stuck_case_names_its_partial():
 
 
 def test_indicator_json_round_trip():
-    spec = build_indicator(K3, P3, 2, NEGATIVE, STUB)
-    back = IndicatorSpec.from_json(spec.to_json())
-    assert back.graph.edges == spec.graph.edges
-    assert back.f_eids == spec.f_eids and back.e == spec.e
-    assert back.counts == spec.counts
-    assert back.manifest.replay().edges == spec.graph.edges
+    assert_json_round_trip(build_indicator(K3, P3, 2, NEGATIVE, STUB))
+    bare = IndicatorSpec(disjoint_union(P3, single_edge()), (0, 1, 2), (0, 1),
+                         2, POSITIVE, K3, 2, 1)
+    assert bare.manifest is None
+    assert_json_round_trip(bare)
+
+
+def test_spec_whose_manifest_does_not_replay_is_rejected():
+    spec = build_indicator(K3, P3, 2, POSITIVE, STUB)
+    data = json.loads(json.dumps(spec.to_json()))
+    edges = data["graph"]["edges"]
+    edges[0], edges[1] = edges[1], edges[0]     # same edge set, other ids
+    with pytest.raises(GraphError, match="replay"):
+        IndicatorSpec.from_json(data)
+    relabelled = replace(spec, graph=spec.graph.relabel({0: "x"}))
+    with pytest.raises(GraphError, match="replay"):
+        IndicatorSpec.from_json(relabelled.to_json())
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: d.pop("e"),                                   # missing key
+    lambda d: d.update(q="2"),                              # wrong type
+    lambda d: d.update(f_eids=[0, [1]]),                    # wrong type
+    lambda d: d["manifest"].update(manifest_version=1),     # old layout
+    lambda d: d["manifest"]["steps"][1].update(part=99),    # no such part
+    lambda d: d.update(kind="sender"),                      # other kind
+    lambda d: d["h"].update(edges=[[0, 1, 2]]),             # bad graph
+])
+def test_malformed_spec_raises_graph_error(damage):
+    data = json.loads(json.dumps(
+        build_indicator(K3, P3, 2, POSITIVE, STUB).to_json()))
+    damage(data)
+    with pytest.raises(GraphError):
+        IndicatorSpec.from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +252,8 @@ def test_verify_gni_stub_skips():
 
 
 def test_gni_json_round_trip():
-    spec = build_gni(K3, P3, path_graph(3), [[0], [1]], 3, STUB)
-    back = GNISpec.from_json(spec.to_json())
-    assert back.graph.edges == spec.graph.edges
-    assert back.g_classes == spec.g_classes
-    assert back.m_edges == spec.m_edges and back.e_k == spec.e_k
+    assert_json_round_trip(build_gni(K3, P3, path_graph(3), [[0], [1]], 3,
+                                     STUB))
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +334,7 @@ def test_verify_pattern_gadget_rejects_fake():
 
 def test_pattern_gadget_json_round_trip():
     c4, family = family_c4()
-    spec = build_pattern_gadget(K3, c4, family, 2, STUB)
-    back = PatternGadgetSpec.from_json(spec.to_json())
-    assert back.graph.edges == spec.graph.edges
-    assert back.m_eids == spec.m_eids
-    assert back.surjection == spec.surjection
-    assert len(back.family) == 2 and back.family.mode == EXACT
-
-
-def test_family_json_round_trip():
-    _, family = family_c4()
-    back = family_from_json(family_to_json(family))
-    assert len(back) == len(family)
-    assert all(back.contains(m) for m in family.members)
+    assert_json_round_trip(build_pattern_gadget(K3, c4, family, 2, STUB))
 
 
 # ---------------------------------------------------------------------------

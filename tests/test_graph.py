@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,30 @@ def test_duplicate_edge_rejected():
         from_edges(2, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         from_edges(2, [(0, 0)])
+
+
+def test_json_form_keeps_edge_ids_and_labels():
+    g = Graph(4, ((2, 3), (0, 1), (1, 3)), ("a", None, "c", None))
+    data = json.loads(json.dumps(g.to_json()))
+    assert data == {"n": 4, "edges": [[2, 3], [0, 1], [1, 3]],
+                    "labels": ["a", None, "c", None]}
+    assert Graph.from_json(data) == g
+    assert Graph.from_json({"n": 2, "edges": [[0, 1]]}) == single_edge()
+
+
+@pytest.mark.parametrize("data", [
+    None, [], {"edges": []}, {"n": "3", "edges": []}, {"n": 3},
+    {"n": 3, "edges": [[0, 1, 2]]}, {"n": 3, "edges": [[0, "1"]]},
+    {"n": 3, "edges": [[0, 1.0]]}, {"n": 3, "edges": [[0, True]]},
+    {"n": 3, "edges": [[1, 0]]},
+    {"n": 3, "edges": [[0, 5]]}, {"n": 3, "edges": [[0, 1], [0, 1]]},
+    {"n": 2, "edges": [], "labels": ["a"]},
+    {"n": 2, "edges": [], "labels": ["a", 7]},
+    {"n": 2, "edges": [], "labels": ["a", "a"]},
+])
+def test_graph_from_json_rejects_malformed(data):
+    with pytest.raises(GraphError):
+        Graph.from_json(data)
 
 
 def test_delete_and_induced():

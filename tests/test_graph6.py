@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import to_networkx
 from ramsey_gadgets import (FormatError, complete_graph, cycle_graph,
                             from_edges, graphs_isomorphic, load_corpus,
-                            parse_any, parse_graph6, parse_sparse6,
+                            parse_any, parse_graph6, parse_sparse6, path_graph,
                             read_graph_file, write_auto, write_graph6,
                             write_graph_file, write_sparse6)
 from ramsey_gadgets.graph6 import bundled_corpus_path
@@ -56,13 +56,25 @@ def test_parse_any_dispatch():
     assert parse_any("D~{").n == 5
     with pytest.raises(FormatError):
         parse_any("\x01bad")
+    with pytest.raises(FormatError):
+        parse_any("D\u00e9{")                 # not ASCII
 
 
 def test_write_auto_prefers_shorter():
     dense = complete_graph(6)
     sparse = from_edges(30, [(0, 1)])
+    tie = from_edges(6, [(0, 1), (1, 2), (2, 3)])
     assert write_auto(dense) == write_graph6(dense)
     assert write_auto(sparse).startswith(":")
+    assert len(write_graph6(tie)) == len(write_sparse6(tie))
+    assert write_auto(tie) == write_graph6(tie)       # ties go to graph6
+    # n = 62, 63 straddle the one- and four-byte size fields
+    graphs = [dense, sparse, tie] + [
+        g for n in (0, 1, 2, 62, 63, 64)
+        for g in (from_edges(n, []), path_graph(n), complete_graph(n))]
+    for g in graphs:
+        g6, s6 = write_graph6(g), write_sparse6(g)
+        assert write_auto(g) == (s6 if len(s6) < len(g6) else g6)
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -1,7 +1,11 @@
+import json
+from itertools import combinations
+
 import pytest
 
-from ramsey_gadgets import (ComposeError, ConstructionManifest,
-                            ManifestBuilder, complete_graph, path_graph,
+from ramsey_gadgets import (ComposeError, ConstructionManifest, Graph,
+                            GraphError, ManifestBuilder, StubSenderProvider,
+                            build_cycle_abundant, complete_graph, path_graph,
                             single_edge, star_graph)
 
 
@@ -65,3 +69,20 @@ def test_single_base_step():
     bad = ConstructionManifest()
     with pytest.raises(ComposeError):
         bad.replay()
+
+
+def test_parts_are_stored_once():
+    recipe = build_cycle_abundant(2, 5, 3, StubSenderProvider())
+    data = json.loads(json.dumps(recipe.manifest.to_json()))
+    assert data["manifest_version"] == 2
+    parts = [Graph.from_json(p) for p in data["parts"]]
+    assert all(a != b for a, b in combinations(parts, 2))
+    assert len(parts) < len(data["steps"]) == len(recipe.manifest.steps)
+    assert ConstructionManifest.from_json(data).replay() == recipe.graph
+
+
+def test_other_versions_are_rejected():
+    data = build_sample().manifest.to_json()
+    for version in (1, 3, None):
+        with pytest.raises(GraphError, match="version 2"):
+            ConstructionManifest.from_json({**data, "manifest_version": version})
