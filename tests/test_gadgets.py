@@ -21,7 +21,7 @@ from ramsey_gadgets import (EXACT, Budget, EdgeColoring, GraphError,
                             pattern_of, search_sender, single_edge, star_graph,
                             string_senders, verify_gni, verify_indicator,
                             verify_pattern_gadget, verify_sender,
-                            verify_witness)
+                            verify_witness, UP_TO_ISO)
 from ramsey_gadgets.gadgets import (EXHAUSTED, FAIL, NEGATIVE, PASS, POSITIVE,
                                     SKIPPED_STUB, STATUS_FULL, STATUS_STUB,
                                     STATUS_STRUCTURAL)
@@ -335,6 +335,19 @@ def test_verify_pattern_gadget_rejects_fake():
 def test_pattern_gadget_json_round_trip():
     c4, family = family_c4()
     assert_json_round_trip(build_pattern_gadget(K3, c4, family, 2, STUB))
+
+
+def test_family_json_round_trip():
+    # the family travels inside the spec's JSON form; both modes survive
+    c4, family = family_c4()
+    spec = build_pattern_gadget(K3, c4, family, 2, STUB)
+    for fam in (family, PatternFamily(c4, family.members, UP_TO_ISO)):
+        text = json.dumps(replace(spec, family=fam).to_json())
+        back = PatternGadgetSpec.from_json(json.loads(text)).family
+        assert back == fam
+        assert back.mode == fam.mode
+        assert len(back) == len(fam)
+        assert all(back.contains(m) for m in fam.members)
 
 
 # ---------------------------------------------------------------------------
