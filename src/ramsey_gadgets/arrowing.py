@@ -10,12 +10,19 @@ and first-use color symmetry breaking.  It has no recursion, so host
 size has no depth limit.  Budgets (decisions, wall time) turn into an
 explicit unknown verdict, never a wrong one, and every
 `does_not_arrow` witness is re-verified before it is returned.
+
+A subgraph check filters one copy list instead of enumerating copies
+again: the copies in the host minus some edges are the host's copies
+that avoid them (`_avoiding`), and the copies inside an edge set are
+those it contains.  The host and its edge ids stay.  `minimalize`, the
+seed conditions and the GNI verifier work this way; `is_minimal` still
+builds one instance per edge-deleted subgraph.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -358,23 +365,26 @@ class MinimalityResult:
         return self.verdict == MINIMAL
 
 
-def _arrows_sub(sub: Graph, target: Graph, q: int, budget: Budget) -> str:
-    if sub.num_edges < target.num_edges:
-        return DOES_NOT_ARROW
-    return arrows(ArrowInstance.create(sub, target, q, budget)).verdict
+def _avoiding(instance: ArrowInstance, dropped) -> ArrowInstance:
+    """The instance of the host minus the `dropped` edges: the copies of
+    the target there are exactly the host's copies that avoid them.  The
+    host and its edge ids stay, so every edge is still colored."""
+    return replace(instance, copies=tuple(
+        es for es in instance.copies if dropped.isdisjoint(es)))
 
 
 def is_minimal(g: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> MinimalityResult:
     """Arrows, and no single-edge-deleted subgraph does (isolated
     vertices are dropped since they never affect arrowing)."""
-    base = _arrows_sub(g, target, q, budget)
+    base = arrows(ArrowInstance.create(g, target, q, budget)).verdict
     if base == UNKNOWN:
         return MinimalityResult(UNKNOWN, detail="base arrowing unknown")
     if base == DOES_NOT_ARROW:
         return MinimalityResult(NOT_MINIMAL, detail="graph does not arrow")
     for eid in range(g.num_edges):
-        verdict = _arrows_sub(g.delete_edge(eid), target, q, budget)
+        verdict = arrows(ArrowInstance.create(g.delete_edge(eid), target, q,
+                                              budget)).verdict
         if verdict == UNKNOWN:
             return MinimalityResult(UNKNOWN, eid, "subgraph arrowing unknown")
         if verdict == ARROWS:
@@ -387,22 +397,24 @@ def minimalize(g: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> tuple[Graph, str]:
     """Greedily delete removable edges, lowest edge id first, until the
     graph is minimal.  Returns (graph, verdict); verdict is unknown if
-    a budget ran out mid-way (the partial result is still arrowing)."""
-    base = _arrows_sub(g, target, q, budget)
+    a budget ran out mid-way (the partial result is still arrowing).
+    The copies are enumerated once: each check filters them."""
+    inst = ArrowInstance.create(g, target, q, budget)
+    base = arrows(inst).verdict
     if base == UNKNOWN:
         return g, UNKNOWN
     if base == DOES_NOT_ARROW:
         raise GraphError("minimalize requires an arrowing graph")
-    i = 0
-    while i < g.num_edges:
-        verdict = _arrows_sub(g.delete_edge(i), target, q, budget)
-        if verdict == UNKNOWN:
-            return g.without_isolated(), UNKNOWN
-        if verdict == ARROWS:
-            g = g.delete_edge(i)      # ids shift down; position i is the next edge
-        else:
-            i += 1
-    return g.without_isolated(), MINIMAL
+    dropped: set[int] = set()
+    verdict = MINIMAL
+    for eid in range(g.num_edges):
+        sub = arrows(_avoiding(inst, dropped | {eid})).verdict
+        if sub == UNKNOWN:
+            verdict = UNKNOWN
+            break
+        if sub == ARROWS:
+            dropped.add(eid)
+    return g.delete_edges(dropped).without_isolated(), verdict
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from itertools import combinations
 from typing import Optional
 
 from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
-                       ArrowInstance, Budget, arrows, extendable, is_minimal)
+                       ArrowInstance, Budget, _avoiding, arrows, extendable,
+                       is_minimal)
 from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
                       _attach_sender, _worst_status, build_pattern_gadget)
@@ -412,13 +413,6 @@ def default_three_connected_seed() -> ThreeConnectedSeed:
     return ThreeConnectedSeed(f, 0, f.edge_id(2, 3), path_graph(3), 2)
 
 
-def _delete_keeping_ids(g: Graph, drop: set[int]):
-    """Delete edges; returns the subgraph and the original id of each
-    remaining local edge, in order."""
-    keep = [e for e in range(g.num_edges) if e not in drop]
-    return g.delete_edges(drop), keep
-
-
 def check_seed(seed: ThreeConnectedSeed,
                budget: Budget = NO_BUDGET) -> dict:
     """Verify the four seed conditions with the search engine; raises a
@@ -430,7 +424,8 @@ def check_seed(seed: ThreeConnectedSeed,
     if hv in f.edges[he]:
         raise GraphError("the marked edge must not touch the marked vertex")
 
-    res = arrows(ArrowInstance.create(f, h, q, budget))
+    inst = ArrowInstance.create(f, h, q, budget)
+    res = arrows(inst)
     seed.flags["F1"] = res.verdict
     if res.verdict == UNKNOWN:
         raise GraphError("condition F1 undecided within budget")
@@ -438,9 +433,8 @@ def check_seed(seed: ThreeConnectedSeed,
         raise GraphError("condition F1 fails: the seed graph does not "
                          "force the target")
 
-    for emb in enumerate_copies(f, h):
-        verts = {w for eid in emb.edge_set for w in f.edges[eid]}
-        if he in emb.edge_set and hv in verts:
+    for es in inst.copies:
+        if he in es and hv in f.edge_vertices(es):
             raise GraphError("condition F2 fails: the marked vertex and "
                              "edge share a copy of the target")
     seed.flags["F2"] = "pass"
@@ -449,16 +443,14 @@ def check_seed(seed: ThreeConnectedSeed,
     g_edges = [eid for eid in range(f.num_edges) if hv in f.edges[eid]]
     for name, drops in (("F3", [he]), ("F4", g_edges)):
         for eid in drops:
-            sub, keep = _delete_keeping_ids(f, {eid})
-            res = arrows(ArrowInstance.create(sub, h, q, budget))
+            res = arrows(_avoiding(inst, {eid}))
             if res.verdict == UNKNOWN:
                 raise GraphError(f"condition {name} undecided within budget")
             if res.verdict != DOES_NOT_ARROW:
                 raise GraphError(
                     f"condition {name} fails: removing edge {eid} still "
                     "forces the target")
-            local = res.witness.as_dict()
-            witnesses[eid] = {keep[j]: c for j, c in local.items()}
+            witnesses[eid] = {e: c for e, c in res.witness.colors if e != eid}
         seed.flags[name] = "pass"
     return witnesses
 
@@ -487,15 +479,14 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
 
     # a per-edge coloring survives removing its own edge plus the marked
     # one, but never the marked one alone; re-verify both claims
+    inst = ArrowInstance.create(f, h, q, budget)
     specials = []
     for g_eid in g_edges:
         part_seed = {eid: witnesses[g_eid][eid] for eid in keep}
+        partial = EdgeColoring.from_map(q, part_seed)
         for drops, expect in (({he, g_eid}, True), ({he}, False)):
-            sub, sub_keep = _delete_keeping_ids(f, drops)
-            back = {orig: j for j, orig in enumerate(sub_keep)}
-            partial = EdgeColoring.from_map(
-                q, {back[eid]: c for eid, c in part_seed.items()})
-            ext = extendable(sub, partial, h, q, budget)
+            ext = extendable(f, partial, h, q,
+                             instance=_avoiding(inst, drops))
             if ext.verdict == UNKNOWN:
                 raise GraphError("extension re-check undecided within budget")
             if ext.extendable != expect:

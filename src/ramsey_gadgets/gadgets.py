@@ -16,10 +16,11 @@ from typing import ClassVar, Optional, Protocol, Sequence, get_type_hints
 
 from . import graph6
 from .arrowing import (ARROWS, DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
-                       Budget, arrows, extendable, verify_witness)
+                       Budget, _mono_copy, arrows, extendable)
 from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
-from .graph import (Graph, GraphError, compose, disjoint_union, edge_distance,
-                    decode_json, enumerate_copies, girth, graphs_isomorphic,
+from .graph import (Graph, GraphError, _embed, clique_with_pendant,
+                    complete_graph, compose, decode_json, disjoint_union,
+                    edge_distance, enumerate_copies, girth, graphs_isomorphic,
                     matching_graph, single_edge)
 from .manifest import ConstructionManifest, ManifestBuilder
 
@@ -841,23 +842,16 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
     results.append(_check_cases("GI3", inst, chain(palettes, splits), False))
 
     # GI4: any non-constant subgraph coloring + any target-free coloring
-    # of g extends
-    g_sub_inst = None
-    g_sub = spec.graph.edge_induced(g_eids)
-    if g_sub.num_edges >= spec.h.num_edges:
-        g_sub_inst = ArrowInstance.create(g_sub, spec.h, q, budget)
+    # of g extends; the copies inside g are the host copies within g_eids
+    g_set = set(g_eids)
+    g_copies = [es for es in inst.copies if g_set.issuperset(es)]
+    g_sorted = sorted(g_eids)
     phi_fs = [a for a in product(range(1, q + 1), repeat=len(spec.f_eids))
               if len(set(a)) > 1]
-    pos_of = {e: i for i, e in enumerate(sorted(g_eids))}
-    phi_gs = []
-    for a in product(range(1, q + 1), repeat=len(g_eids)):
-        if g_sub_inst is not None:
-            wit = EdgeColoring.from_map(q, dict(enumerate(a)))
-            if not verify_witness(g_sub_inst, wit):
-                continue
-        phi_gs.append(a)
-    cases = [({**dict(zip(spec.f_eids, phi_f)),
-               **{e: phi_g[pos_of[e]] for e in g_eids}},
+    phi_gs = [a for a in product(range(1, q + 1), repeat=len(g_eids))
+              if _mono_copy(g_copies, EdgeColoring.from_map(
+                  q, dict(zip(g_sorted, a)))) is None]
+    cases = [({**dict(zip(spec.f_eids, phi_f)), **dict(zip(g_sorted, phi_g))},
               f"subgraph colors {phi_f} with class coloring {phi_g} "
               "do not extend")
              for phi_f in phi_fs for phi_g in phi_gs]
@@ -1035,7 +1029,15 @@ def verify_pattern_gadget(spec: PatternGadgetSpec,
     p3 = _check_cases("P3", inst, members, True, "all family patterns extend",
                       witnesses=witnesses)
     if p3.outcome == PASS and _is_clique_pendant(spec.h):
-        special_ok = all(_special_witness_ok(spec, w) for w in witnesses)
+        # monochromatic clique copies touching the base graph must lie
+        # inside it
+        gset = set(spec.g_vertices)
+        straddling = []
+        for emb in enumerate_copies(spec.graph, complete_graph(spec.h.n - 1)):
+            verts = set(emb.vertex_map)
+            if verts & gset and not verts <= gset:
+                straddling.append(emb.edge_map)
+        special_ok = all(_mono_copy(straddling, w) is None for w in witnesses)
         p3 = replace(p3, detail=p3.detail + "; clique-copy containment flag "
                      + ("holds" if special_ok
                         else "NOT satisfied by found witnesses"))
@@ -1044,29 +1046,7 @@ def verify_pattern_gadget(spec: PatternGadgetSpec,
 
 
 def _is_clique_pendant(h: Graph) -> bool:
-    from .graph import clique_with_pendant
     return h.n >= 4 and graphs_isomorphic(h, clique_with_pendant(h.n - 1))
-
-
-def _special_witness_ok(spec: PatternGadgetSpec,
-                        witness: EdgeColoring) -> bool:
-    """Monochromatic clique copies touching the base graph must lie
-    inside it (checked on pattern-gadget witnesses for clique+pendant
-    targets)."""
-    from .graph import complete_graph
-    t = spec.h.n - 1
-    clique = complete_graph(t)
-    cmap = witness.as_dict()
-    gset = set(spec.g_vertices)
-    for emb in enumerate_copies(spec.graph, clique):
-        ids = list(emb.edge_set)
-        c0 = cmap[ids[0]]
-        if any(cmap[e] != c0 for e in ids[1:]):
-            continue
-        verts = {v for e in ids for v in spec.graph.edges[e]}
-        if verts & gset and not verts <= gset:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1085,9 +1065,10 @@ def check_robust(outer: Graph, inner_vertices: Sequence[int], h: Graph,
     vertices are interchangeable, so one search of the complete
     augmentation on the inner vertices plus min(s_max, v(h) - 1) new
     vertices decides the property: a violating copy keeps a vertex
-    outside, so it needs at most v(h) - 1 new vertices.  A counterexample
-    gives the copy's vertices and the added edges it uses, with its new
-    vertices numbered from outer.n.
+    outside, so it needs at most v(h) - 1 new vertices.  As in
+    `enumerate_copies`, a copy is its edges and their endpoints.  A
+    counterexample gives the copy's vertices and the added edges it uses,
+    with its new vertices numbered from outer.n.
 
     `trials` and `seed` are accepted and ignored; they belonged to the
     randomized probe this check replaced.
@@ -1107,13 +1088,24 @@ def check_robust(outer: Graph, inner_vertices: Sequence[int], h: Graph,
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             added.append((u, v))
-    image = _anchored_copy(adj, n, h.edges, h.degrees(), added, set(pool))
-    if image is None:
+    allowed = set(pool)
+    found: list[dict[int, int]] = []
+
+    def outside(image: dict[int, int]) -> bool:
+        if allowed.issuperset(image.values()):
+            return False
+        found.append(dict(image))
+        return True
+
+    starts = ({pu: iu, pv: iv} for au, av in added for pu, pv in h.edges
+              for iu, iv in ((au, av), (av, au)))
+    if not _embed(adj, h, starts, outside):
         return VerificationReport("robustness", (PropertyResult(
             "robust", PASS, "exhaustive",
             f"no copy straddles an augmentation with at most {s_max} "
             "new vertices"),))
 
+    image = found[0]
     new = sorted(v for v in image.values() if v >= outer.n)
     renumber = dict(zip(new, range(outer.n, outer.n + len(new))))
     copy_edges = {tuple(sorted((image[a], image[b]))) for a, b in h.edges}
@@ -1127,60 +1119,3 @@ def check_robust(outer: Graph, inner_vertices: Sequence[int], h: Graph,
         "robust", FAIL, "exhaustive",
         "copy straddles the augmentation and the host", violation),))
 
-
-def _anchored_copy(adj: list[int], n: int, pat_edges, pat_deg, added,
-                   allowed: set[int]) -> Optional[dict[int, int]]:
-    """A copy of the pattern using an added edge and a vertex outside
-    `allowed`, as a map from pattern vertices to host vertices, or None."""
-    np = len(pat_deg)
-    deg = [a.bit_count() for a in adj]
-    pat_adj: list[list[int]] = [[] for _ in range(np)]
-    for (u, v) in pat_edges:
-        pat_adj[u].append(v)
-        pat_adj[v].append(u)
-
-    def complete(image: dict[int, int]) -> Optional[dict[int, int]]:
-        if len(image) == np:
-            return None if set(image.values()) <= allowed else dict(image)
-        # next unmapped pattern vertex adjacent to a mapped one if possible
-        nxt = None
-        for pv in range(np):
-            if pv in image:
-                continue
-            if any(w in image for w in pat_adj[pv]):
-                nxt = pv
-                break
-        if nxt is None:
-            for pv in range(np):
-                if pv not in image:
-                    nxt = pv
-                    break
-        cand = (1 << n) - 1
-        for w in pat_adj[nxt]:
-            if w in image:
-                cand &= adj[image[w]]
-        used = 0
-        for v in image.values():
-            used |= 1 << v
-        cand &= ~used
-        while cand:
-            hv = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if deg[hv] < pat_deg[nxt]:
-                continue
-            image[nxt] = hv
-            got = complete(image)
-            if got is not None:
-                return got
-            del image[nxt]
-        return None
-
-    for (au, av) in added:
-        for (pu, pv) in pat_edges:
-            for iu, iv in ((au, av), (av, au)):
-                if deg[iu] < pat_deg[pu] or deg[iv] < pat_deg[pv]:
-                    continue
-                got = complete({pu: iu, pv: iv})
-                if got is not None:
-                    return got
-    return None

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import (Iterable, Mapping, Optional, Sequence, Union, get_args,
-                    get_origin)
+from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union,
+                    get_args, get_origin)
 
 INFINITY = math.inf
 
@@ -380,25 +380,65 @@ class Embedding:
     edge_set: frozenset[int]              # host edge ids, dedup key
 
 
-def _pattern_order(pattern: Graph) -> list[int]:
-    """Vertex order where each vertex after the first of its component is
-    adjacent to an earlier one; isolated vertices are dropped."""
-    order: list[int] = []
-    placed = set()
-    for start in sorted(range(pattern.n), key=lambda v: -pattern.degree(v)):
-        if start in placed or pattern.degree(start) == 0:
-            continue
-        comp = [start]
-        placed.add(start)
-        i = 0
-        while i < len(comp):
-            for w in pattern.neighbors(comp[i]):
-                if w not in placed:
-                    placed.add(w)
-                    comp.append(w)
+def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
+           visit: Callable[[dict], bool]) -> bool:
+    """Backtracking search for embeddings of `pattern` into the host whose
+    adjacency bitsets are `adj`.
+
+    Each partial map in `starts` (pattern vertex -> host vertex) is
+    extended to injective maps of every non-isolated pattern vertex that
+    send pattern edges onto host edges.  Vertices are placed in an order
+    that grows from the pinned ones along pattern edges (each later
+    component from its vertex of largest degree), and candidates are
+    tried in increasing host vertex order.  `visit(image)` is called on
+    each full map; when it returns True the search stops and returns
+    True."""
+    full = (1 << len(adj)) - 1
+    host_deg = [a.bit_count() for a in adj]
+    pat_deg = pattern.degrees()
+    nbrs = [pattern.neighbors(v) for v in range(pattern.n)]
+    roots = sorted(range(pattern.n), key=lambda v: -pat_deg[v])
+    orders: dict[tuple[int, ...], list[int]] = {}
+
+    def grow(pinned: tuple[int, ...]) -> list[int]:
+        order, i = list(pinned), 0
+        rest = iter(roots)
+        while True:
+            if i == len(order):
+                root = next((r for r in rest if pat_deg[r] and r not in order),
+                            None)
+                if root is None:
+                    return order
+                order.append(root)
+            order += [w for w in nbrs[order[i]] if w not in order]
             i += 1
-        order.extend(comp)
-    return order
+
+    def extend(idx: int, used: int) -> bool:
+        if idx == len(order):
+            return visit(image)
+        p = order[idx]
+        cand = full & ~used
+        for w in nbrs[p]:
+            if w in image:
+                cand &= adj[image[w]]
+        while cand:
+            hv = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            if host_deg[hv] >= pat_deg[p]:
+                image[p] = hv
+                if extend(idx + 1, used | 1 << hv):
+                    return True
+                del image[p]
+        return False
+
+    for start in starts:
+        pinned = tuple(start)
+        if pinned not in orders:
+            orders[pinned] = grow(pinned)
+        order, image = orders[pinned], dict(start)
+        if extend(len(start), sum(1 << v for v in start.values())):
+            return True
+    return False
 
 
 def enumerate_copies(host: Graph, pattern: Graph) -> list[Embedding]:
@@ -408,88 +448,31 @@ def enumerate_copies(host: Graph, pattern: Graph) -> list[Embedding]:
     edges.  Deterministic order (sorted by edge set)."""
     if pattern.num_edges == 0:
         raise GraphError("pattern must have at least one edge")
-    order = _pattern_order(pattern)
-    full = (1 << host.n) - 1
-    host_deg = host.degrees()
-    pat_deg = pattern.degrees()
     found: dict[frozenset[int], Embedding] = {}
-    image = {}
 
-    def extend(idx: int):
-        if idx == len(order):
-            edge_ids = []
-            for (pu, pv) in pattern.edges:
-                edge_ids.append(host.edge_id(image[pu], image[pv]))
-            key = frozenset(edge_ids)
-            if key not in found:
-                vm = tuple(image.get(v, -1) for v in range(pattern.n))
-                found[key] = Embedding(vm, tuple(edge_ids), key)
-            return
-        p = order[idx]
-        cand = full
-        for w in pattern.neighbors(p):
-            if w in image:
-                cand &= host.adj[image[w]]
-        used = 0
-        for v in image.values():
-            used |= 1 << v
-        cand &= ~used
-        bts = cand
-        while bts:
-            hv = (bts & -bts).bit_length() - 1
-            bts &= bts - 1
-            if host_deg[hv] < pat_deg[p]:
-                continue
-            image[p] = hv
-            extend(idx + 1)
-            del image[p]
+    def visit(image: dict) -> bool:
+        edge_ids = []
+        for u, v in pattern.edges:
+            edge_ids.append(host.edge_id(image[u], image[v]))
+        key = frozenset(edge_ids)
+        if key not in found:
+            vm = tuple(image.get(v, -1) for v in range(pattern.n))
+            found[key] = Embedding(vm, tuple(edge_ids), key)
+        return False
 
-    extend(0)
-    return [found[k] for k in sorted(found, key=lambda s: sorted(s))]
+    _embed(host.adj, pattern, [{}], visit)
+    return [found[k] for k in sorted(found, key=sorted)]
 
 
 def graphs_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test for small graphs (backtracking with degree
-    pruning).  Isolated vertices count."""
+    """Exact isomorphism test for small graphs.  Isolated vertices count.
+    With equal orders, sizes and degree sequences, any embedding of a's
+    edges into b maps them onto b's edges, so it is an isomorphism."""
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
     if sorted(a.degrees()) != sorted(b.degrees()):
         return False
-    deg_a, deg_b = a.degrees(), b.degrees()
-    order = sorted(range(a.n), key=lambda v: -deg_a[v])
-    image: dict[int, int] = {}
-    used = set()
-
-    def extend(idx: int) -> bool:
-        if idx == a.n:
-            return True
-        p = order[idx]
-        for q in range(b.n):
-            if q in used or deg_b[q] != deg_a[p]:
-                continue
-            ok = True
-            for w in a.neighbors(p):
-                if w in image and not (b.adj[q] >> image[w]) & 1:
-                    ok = False
-                    break
-            if ok:
-                # non-edges must stay non-edges (bijective map)
-                for w, qw in image.items():
-                    has_a = (a.adj[p] >> w) & 1
-                    has_b = (b.adj[q] >> qw) & 1
-                    if has_a != has_b:
-                        ok = False
-                        break
-            if ok:
-                image[p] = q
-                used.add(q)
-                if extend(idx + 1):
-                    return True
-                del image[p]
-                used.remove(q)
-        return False
-
-    return extend(0)
+    return a.num_edges == 0 or _embed(b.adj, a, [{}], lambda image: True)
 
 
 # ---------------------------------------------------------------------------

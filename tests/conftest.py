@@ -37,3 +37,24 @@ def naive_arrows(host: Graph, target: Graph, q: int) -> str:
         if not any(all(colors[e] == colors[c[0]] for e in c) for c in copies):
             return DOES_NOT_ARROW
     return ARROWS
+
+
+def naive_is_minimal(g: Graph, target: Graph, q: int) -> bool:
+    """Minimal by the definition: g arrows and no g - e does, each
+    subgraph rebuilt and decided by `naive_arrows`."""
+    return naive_arrows(g, target, q) == ARROWS and all(
+        naive_arrows(g.delete_edge(e), target, q) == DOES_NOT_ARROW
+        for e in range(g.num_edges))
+
+
+def naive_minimalize(g: Graph, target: Graph, q: int) -> Graph:
+    """Greedy deletion, lowest edge id first, each subgraph rebuilt and
+    decided by `naive_arrows`; g must arrow."""
+    i = 0
+    while i < g.num_edges:
+        sub = g.delete_edge(i)
+        if naive_arrows(sub, target, q) == ARROWS:
+            g = sub
+        else:
+            i += 1
+    return g.without_isolated()

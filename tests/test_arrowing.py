@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_arrows, nx_copies
+from conftest import (naive_arrows, naive_is_minimal, naive_minimalize,
+                      nx_copies)
+from ramsey_gadgets import arrowing
 from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             NO_BUDGET, UNKNOWN, ArrowInstance, Budget,
                             EdgeColoring, GraphError, arrows, complete_graph,
@@ -260,6 +262,36 @@ def test_extendable_matches_brute_force(data):
         assert frozenset(res.certificate) in copies
         assert len({fixed.get(e) for e in res.certificate}) == 1
         assert set(res.certificate) <= set(fixed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_minimality_matches_rebuild_oracle(data):
+    n = data.draw(st.integers(3, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    host = from_edges(n, sorted(data.draw(st.sets(st.sampled_from(pairs),
+                                                  min_size=1, max_size=11))))
+    target = data.draw(st.sampled_from(TARGETS))
+    minimal = naive_is_minimal(host, target, 2)
+    assert (is_minimal(host, target, 2).verdict == MINIMAL) == minimal
+    if naive_arrows(host, target, 2) == DOES_NOT_ARROW:
+        with pytest.raises(GraphError):
+            minimalize(host, target, 2)
+        return
+    g, verdict = minimalize(host, target, 2)
+    assert verdict == MINIMAL
+    assert g == naive_minimalize(host, target, 2)
+
+
+def test_minimalize_enumerates_copies_once(monkeypatch):
+    calls = []
+    enumerate_copies = arrowing.enumerate_copies
+    monkeypatch.setattr(arrowing, "enumerate_copies",
+                        lambda host, pattern: calls.append(host)
+                        or enumerate_copies(host, pattern))
+    g, verdict = minimalize(star_graph(7), star_graph(3), 2)
+    assert verdict == MINIMAL and g.num_edges == 5
+    assert len(calls) == 1
 
 
 def test_long_cycles_have_no_recursion_limit():

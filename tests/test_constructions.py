@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from conftest import nx_copies
+
 from ramsey_gadgets import (EXACT, ARROWS, EdgeColoring, GraphError,
                             StubSenderProvider, ThreeConnectedSeed,
                             ArrowInstance, arrows, build_3connected_abundant,
@@ -226,6 +228,20 @@ def test_default_seed_passes_all_conditions():
     # one witness per removed edge: the marked edge plus both at v
     assert set(witnesses) == {seed.e} | \
         {eid for eid in range(seed.f.num_edges) if seed.v in seed.f.edges[eid]}
+
+
+@pytest.mark.parametrize("seed", [
+    default_three_connected_seed(),
+    ThreeConnectedSeed(cycle_graph(7), 0, cycle_graph(7).edge_id(3, 4),
+                       path_graph(3), 2)])
+def test_seed_witnesses_are_free_in_seed_ids(seed):
+    f = seed.f
+    for eid, colors in check_seed(seed).items():
+        # the coloring of f - eid, in seed edge ids
+        keep = [e for e in range(f.num_edges) if e != eid]
+        assert sorted(colors) == keep
+        for copy in nx_copies(f.delete_edge(eid), seed.h):
+            assert len({colors[keep[j]] for j in copy}) == 2
 
 
 def test_seed_marked_edge_position():

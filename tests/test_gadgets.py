@@ -14,14 +14,16 @@ from ramsey_gadgets import (EXACT, Budget, EdgeColoring, GraphError,
                             IndicatorSpec, PatternFamily, PatternGadgetSpec,
                             SenderSpec, StubSenderProvider, ArrowInstance,
                             build_gni, build_indicator, build_pattern_gadget,
-                            check_robust, choose_r, complete_graph,
-                            cycle_graph, disjoint_union, edge_distance,
-                            extendable, from_edges, gni_expected_counts,
+                            check_robust, choose_r, clique_with_pendant,
+                            complete_graph, cycle_graph, disjoint_union,
+                            edge_distance, extendable, from_edges,
+                            gni_expected_counts,
                             make_stub_sender, matching_graph, path_graph,
                             pattern_of, search_sender, single_edge, star_graph,
                             string_senders, verify_gni, verify_indicator,
                             verify_pattern_gadget, verify_sender,
                             verify_witness, UP_TO_ISO)
+from ramsey_gadgets import gadgets
 from ramsey_gadgets.gadgets import (EXHAUSTED, FAIL, NEGATIVE, PASS, POSITIVE,
                                     SKIPPED_STUB, STATUS_FULL, STATUS_STUB,
                                     STATUS_STRUCTURAL)
@@ -352,6 +354,40 @@ def test_family_json_round_trip():
 
 # ---------------------------------------------------------------------------
 # robustness probe
+
+def test_gi4_skips_class_colorings_with_a_target_copy():
+    # g is a triangle split over two classes, so its 3 monochromatic
+    # colorings are not target-free: 6 non-constant colorings of f times
+    # the 24 others (stub senders, declared unverified)
+    spec = build_gni(K3, matching_graph(2), K3, [[0, 1], [2]], 3, STUB)
+    spec.senders_status = "unverified"
+    gi4 = verify_gni(spec).results[3]
+    assert (gi4.name, gi4.outcome, gi4.detail) == \
+        ("GI4", PASS, "all 144 cases extend")
+
+
+def test_clique_copy_flag_enumerates_cliques_once(monkeypatch):
+    # K3 plus a pendant; the base is a triangle, colored monochromatic by
+    # both family patterns, and vertex 3 closes a clique copy with the
+    # base edge (0, 1), which every free extension leaves non-monochromatic
+    h = clique_with_pendant(3)
+    graph = from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (4, 5)])
+    base = complete_graph(3)
+    family = PatternFamily(base, tuple(
+        pattern_of(base, EdgeColoring.from_map(2, {0: c, 1: c, 2: c}))
+        for c in (1, 2)), EXACT)
+    spec = PatternGadgetSpec(graph, (0, 1, 2), (0, 1, 2), family, h, 2, 4, 1,
+                             (5,), (((0,), 0),))
+    calls = []
+    enumerate_copies = gadgets.enumerate_copies
+    monkeypatch.setattr(gadgets, "enumerate_copies",
+                        lambda host, pattern: calls.append(pattern)
+                        or enumerate_copies(host, pattern))
+    p3 = verify_pattern_gadget(spec).results[2]
+    assert p3.name == "P3" and p3.outcome == PASS
+    assert p3.detail.endswith("clique-copy containment flag holds")
+    assert calls == [complete_graph(3)]
+
 
 def test_check_robust_clean_case():
     g = build_pattern_gadget(K3, cycle_graph(4), family_c4()[1], 2, STUB)

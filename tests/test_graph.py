@@ -1,10 +1,11 @@
 import json
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nx_copies
+from conftest import nx_copies, to_networkx
 from ramsey_gadgets import (ComposeError, Graph, GraphError, complete_graph,
                             compose, cycle_graph, clique_with_pendant,
                             disjoint_union, distance, edge_distance,
@@ -123,6 +124,48 @@ def test_copy_counts(host, pattern, count):
 def test_copies_match_networkx(host, pattern):
     ours = {e.edge_set for e in enumerate_copies(host, pattern)}
     assert ours == nx_copies(host, pattern)
+
+
+def random_graph(data, n: int, m=None) -> Graph:
+    """n vertices and m random edges (a random number if m is None)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if m is None:
+        m = data.draw(st.integers(0, len(pairs)))
+    return from_edges(n, data.draw(st.permutations(pairs))[:m])
+
+
+# disconnected patterns and isolated pattern vertices included
+PATTERNS = [path_graph(3), path_graph(4), complete_graph(3), cycle_graph(4),
+            star_graph(3), matching_graph(2), from_edges(4, [(1, 2), (2, 3)])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_copies_match_networkx(data):
+    host = random_graph(data, data.draw(st.integers(1, 7)))
+    pattern = data.draw(st.sampled_from(PATTERNS))
+    copies = enumerate_copies(host, pattern)
+    assert {e.edge_set for e in copies} == nx_copies(host, pattern)
+    assert len(copies) == len({e.edge_set for e in copies})
+    for emb in copies:
+        assert emb.edge_map == tuple(
+            host.edge_id(emb.vertex_map[u], emb.vertex_map[v])
+            for u, v in pattern.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_isomorphism_matches_networkx(data):
+    n = data.draw(st.integers(0, 7))
+    m = data.draw(st.integers(0, n * (n - 1) // 2))
+    a = random_graph(data, n, m)
+    if data.draw(st.booleans()):
+        perm = data.draw(st.permutations(range(n)))
+        b = from_edges(n, [(perm[u], perm[v]) for u, v in a.edges])
+    else:
+        b = random_graph(data, n, m)
+    assert graphs_isomorphic(a, b) == nx.is_isomorphic(to_networkx(a),
+                                                       to_networkx(b))
 
 
 def test_isomorphism():

@@ -1,6 +1,7 @@
 """Dead-code guard: every top-level function and class of the package is
 used, that is, named somewhere in `src/` or `tests/` outside its own
-definition (an import in `__init__.py` counts, so the public API passes)."""
+definition (an import in `__init__.py` counts, so the public API passes),
+and every name a module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -32,4 +33,23 @@ def test_every_top_level_definition_is_referenced():
               if path.parent == PACKAGE and isinstance(node, DEFINITIONS)
               and not any(node.name in names
                           for j, names in enumerate(mentions) if j != i)]
+    assert unused == []
+
+
+def test_every_import_is_used():
+    """A name a module imports is used in that module (`__init__.py`
+    re-exports, so it is exempt)."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in imported
+                   if name not in used]
     assert unused == []
