@@ -39,7 +39,11 @@ NOT_MINIMAL = "not_minimal"
 
 @dataclass(frozen=True)
 class Budget:
-    """Bounds on one search: decisions (`max_nodes`) and wall time."""
+    """Bounds on the work of one call: decisions (`max_nodes`) and wall
+    time (`max_seconds`).  `max_nodes` bounds each search on its own.
+    `max_seconds` bounds each search of `arrows` and `extendable`, and a
+    whole `is_minimal` or `minimalize` call: each of its searches gets
+    the time left."""
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
@@ -373,18 +377,37 @@ def _avoiding(instance: ArrowInstance, dropped) -> ArrowInstance:
         es for es in instance.copies if dropped.isdisjoint(es)))
 
 
+def _deadline(budget: Budget) -> Optional[float]:
+    if budget.max_seconds is None:
+        return None
+    return time.monotonic() + budget.max_seconds
+
+
+def _arrows_until(instance: ArrowInstance, deadline: Optional[float]) -> str:
+    """The `arrows` verdict with the search's time cut to what is left
+    before `deadline` (None: no deadline); unknown if none is left."""
+    if deadline is not None:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            return UNKNOWN
+        instance = replace(instance,
+                           budget=Budget(instance.budget.max_nodes, left))
+    return arrows(instance).verdict
+
+
 def is_minimal(g: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> MinimalityResult:
     """Arrows, and no single-edge-deleted subgraph does (isolated
     vertices are dropped since they never affect arrowing)."""
-    base = arrows(ArrowInstance.create(g, target, q, budget)).verdict
+    deadline = _deadline(budget)
+    base = _arrows_until(ArrowInstance.create(g, target, q, budget), deadline)
     if base == UNKNOWN:
         return MinimalityResult(UNKNOWN, detail="base arrowing unknown")
     if base == DOES_NOT_ARROW:
         return MinimalityResult(NOT_MINIMAL, detail="graph does not arrow")
     for eid in range(g.num_edges):
-        verdict = arrows(ArrowInstance.create(g.delete_edge(eid), target, q,
-                                              budget)).verdict
+        verdict = _arrows_until(ArrowInstance.create(
+            g.delete_edge(eid), target, q, budget), deadline)
         if verdict == UNKNOWN:
             return MinimalityResult(UNKNOWN, eid, "subgraph arrowing unknown")
         if verdict == ARROWS:
@@ -399,8 +422,9 @@ def minimalize(g: Graph, target: Graph, q: int,
     graph is minimal.  Returns (graph, verdict); verdict is unknown if
     a budget ran out mid-way (the partial result is still arrowing).
     The copies are enumerated once: each check filters them."""
+    deadline = _deadline(budget)
     inst = ArrowInstance.create(g, target, q, budget)
-    base = arrows(inst).verdict
+    base = _arrows_until(inst, deadline)
     if base == UNKNOWN:
         return g, UNKNOWN
     if base == DOES_NOT_ARROW:
@@ -408,7 +432,7 @@ def minimalize(g: Graph, target: Graph, q: int,
     dropped: set[int] = set()
     verdict = MINIMAL
     for eid in range(g.num_edges):
-        sub = arrows(_avoiding(inst, dropped | {eid})).verdict
+        sub = _arrows_until(_avoiding(inst, dropped | {eid}), deadline)
         if sub == UNKNOWN:
             verdict = UNKNOWN
             break

@@ -99,16 +99,32 @@ class ColorPattern:
 
     def monochromatic_copy(self, h: Graph):
         """First monochromatic copy of h, as (class index, Embedding), or None."""
-        if all(len(c) < h.num_edges for c in self.classes):
-            return None
-        copies = enumerate_copies(self.graph, h)
-        for i, cls_ in enumerate(self.classes):
-            if len(cls_) < h.num_edges:
-                continue
-            for emb in copies:
-                if emb.edge_set <= cls_:
-                    return i, emb
+        return _monochromatic_copy(self, h, {})
+
+
+def _monochromatic_copy(pattern: ColorPattern, h: Graph, copies_of: dict):
+    """`pattern.monochromatic_copy(h)`, taking the copies of h in a graph
+    from `copies_of` (graph -> copies) and enumerating only those it
+    lacks, so that patterns checked together over one graph share one
+    enumeration."""
+    if all(len(c) < h.num_edges for c in pattern.classes):
         return None
+    if pattern.graph not in copies_of:
+        copies_of[pattern.graph] = enumerate_copies(pattern.graph, h)
+    for i, cls_ in enumerate(pattern.classes):
+        if len(cls_) < h.num_edges:
+            continue
+        for emb in copies_of[pattern.graph]:
+            if emb.edge_set <= cls_:
+                return i, emb
+    return None
+
+
+def _all_h_free(patterns: Iterable[ColorPattern], h: Graph) -> bool:
+    """True iff no pattern has a monochromatic copy of h.  The copies of
+    h are enumerated once per distinct pattern graph."""
+    copies_of: dict = {}
+    return all(_monochromatic_copy(p, h, copies_of) is None for p in patterns)
 
 
 def pattern_of(graph: Graph, coloring: EdgeColoring) -> ColorPattern:
@@ -167,4 +183,4 @@ class PatternFamily:
         return any(patterns_isomorphic(pattern, m) for m in self.members)
 
     def all_h_free(self, h: Graph) -> bool:
-        return all(m.is_h_free(h) for m in self.members)
+        return _all_h_free(self.members, h)

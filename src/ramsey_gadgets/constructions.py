@@ -17,7 +17,8 @@ from typing import Optional
 from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
                        ArrowInstance, Budget, _avoiding, arrows, extendable,
                        is_minimal)
-from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
+from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
+                       _all_h_free, pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
                       _attach_sender, _worst_status, build_pattern_gadget)
 from .graph import (Graph, GraphError, InternalError, clique_with_pendant,
@@ -300,9 +301,8 @@ def build_cycle_abundant(q: int, t: int, k: int, provider: SenderProvider,
     h = cycle_graph(t)
     f, pair_paths = _cycle_base(q, t)
     f1, f2 = _cycle_patterns(q, f, pair_paths)
-    for p in (f1, f2):
-        if not p.is_h_free(h):
-            raise InternalError("base pattern is not target-free")
+    if not _all_h_free((f1, f2), h):
+        raise InternalError("base pattern is not target-free")
 
     g = _blocks_graph(f, k)
     members = tuple(_block_pattern(g, f.num_edges, k, i, f1, f2)
@@ -347,9 +347,8 @@ def build_ktk2_abundant(t: int, k: int, provider: SenderProvider,
         c2[c * clique_m] = 2
     f1 = pattern_of(f, EdgeColoring.from_map(q, c1))
     f2 = pattern_of(f, EdgeColoring.from_map(q, c2))
-    for p in (f1, f2):
-        if not p.is_h_free(h):
-            raise InternalError("base pattern is not target-free")
+    if not _all_h_free((f1, f2), h):
+        raise InternalError("base pattern is not target-free")
 
     g = _blocks_graph(f, k)
     if enumerate_copies(g, h):

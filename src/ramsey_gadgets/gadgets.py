@@ -365,8 +365,8 @@ def _attach_sender(builder: ManifestBuilder, spec: SenderSpec,
     g = spec.graph
     au, av = g.edges[spec.e]
     bu, bv = g.edges[spec.f]
-    ha = builder.graph.edges[host_a]
-    hb = builder.graph.edges[host_b]
+    ha = builder.edges[host_a]
+    hb = builder.edges[host_b]
     ident = {au: ha[0], av: ha[1], bu: hb[0], bv: hb[1]}
     builder.compose(g, ident, note=note or f"{spec.polarity} sender")
 
@@ -430,7 +430,7 @@ def _attach_indicator_core(builder: ManifestBuilder, f_eids: list[int],
         s = sender(POSITIVE)
         g = s.graph
         eu, ev = g.edges[s.e]
-        hf = builder.graph.edges[f_eids[0]]
+        hf = builder.edges[f_eids[0]]
         res = builder.compose(g, {eu: hf[0], ev: hf[1]},
                               note="positive sender as one-edge indicator")
         counts["one_edge_bases"] = counts.get("one_edge_bases", 0) + 1
@@ -460,7 +460,7 @@ def _attach_indicator_core(builder: ManifestBuilder, f_eids: list[int],
         m_edges = [mres.edge_map[i] for i in range(q - 1)]
         # q-1 starting copies sharing exactly the indicator edge
         e = _attach_fresh_edge(builder, note="indicator edge")
-        eu, ev = builder.graph.edges[e]
+        eu, ev = builder.edges[e]
         shared = h.edges[0]
         copies = []
         for i in range(q - 1):
@@ -681,7 +681,7 @@ def _attach_indicator_copy(builder: ManifestBuilder, ind: IndicatorSpec,
     on host_f_vertices (same local order) and its edge on host_e."""
     ident = {fv: hv for fv, hv in zip(ind.f_vertices, host_f_vertices)}
     eu, ev = ind.graph.edges[ind.e]
-    hu, hv = builder.graph.edges[host_e]
+    hu, hv = builder.edges[host_e]
     ident[eu] = hu
     ident[ev] = hv
     builder.compose(ind.graph, ident, note=note or f"{ind.polarity} indicator")
@@ -755,7 +755,7 @@ def build_gni(h: Graph, f: Graph, g: Graph,
             counts["negative_indicators"] = counts.get("negative_indicators", 0) + 1
     for k in range(q - 1):
         for s_pair in combinations(m_edges[k], 2):
-            sv = [v for eid in s_pair for v in builder.graph.edges[eid]]
+            sv = [v for eid in s_pair for v in builder.edges[eid]]
             for p in p_edges[k]:
                 _attach_indicator_copy(builder, pair_ind, sv, p,
                                        note=f"positive indicator S -> P_{k + 1}")
@@ -770,7 +770,7 @@ def build_gni(h: Graph, f: Graph, g: Graph,
         counts["negative_senders"] = counts.get("negative_senders", 0) + 1
         counts["cross_senders"] = counts.get("cross_senders", 0) + 1
     for k in range(q - 1):
-        pv = [v for eid in p_edges[k] for v in builder.graph.edges[eid]]
+        pv = [v for eid in p_edges[k] for v in builder.edges[eid]]
         for g_eid in g_classes[k]:
             _attach_indicator_copy(builder, pair_ind, pv, g_eid,
                                    note=f"positive indicator P_{k + 1} -> class")
@@ -947,7 +947,7 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
 
     for sub, pat_idx in surjection:
         pattern = family.members[pat_idx]
-        host_f = [v for i in sub for v in builder.graph.edges[m_eids[i]]]
+        host_f = [v for i in sub for v in builder.edges[m_eids[i]]]
         last_class = pattern.classes[q - 1]
         for e_local in sorted(last_class):
             _attach_indicator_copy(builder, pos_ind, host_f, g_eids[e_local],

@@ -3,13 +3,15 @@
 Vertices are 0..n-1.  Edges are stored as a tuple of (u, v) pairs with
 u < v; the index of an edge in that tuple is its stable edge id.  Edge
 ids are assigned in construction order and never renumbered, so
-replaying a construction recipe reproduces identical ids.
+replaying a construction recipe reproduces identical ids.  A graph built
+from many gadgets grows in a `_GraphDraft`, which appends to lists and
+builds the `Graph` once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union,
                     get_args, get_origin)
@@ -381,23 +383,31 @@ class Embedding:
 
 
 def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
-           visit: Callable[[dict], bool]) -> bool:
+           visit: Callable[[dict], bool],
+           conditions: Sequence[tuple[int, int]] = ()) -> bool:
     """Backtracking search for embeddings of `pattern` into the host whose
     adjacency bitsets are `adj`.
 
     Each partial map in `starts` (pattern vertex -> host vertex) is
     extended to injective maps of every non-isolated pattern vertex that
-    send pattern edges onto host edges.  Vertices are placed in an order
-    that grows from the pinned ones along pattern edges (each later
-    component from its vertex of largest degree), and candidates are
-    tried in increasing host vertex order.  `visit(image)` is called on
-    each full map; when it returns True the search stops and returns
-    True."""
+    send pattern edges onto host edges and satisfy every condition
+    `(a, b)` of `conditions`: image[a] < image[b].  Vertices are placed
+    in an order that grows from the pinned ones along pattern edges
+    (each later component from its vertex of largest degree), and
+    candidates are tried in increasing host vertex order.  A condition
+    masks the candidates of whichever of its two vertices is placed
+    second.  `visit(image)` is called on each full map; when it returns
+    True the search stops and returns True."""
     full = (1 << len(adj)) - 1
     host_deg = [a.bit_count() for a in adj]
     pat_deg = pattern.degrees()
     nbrs = [pattern.neighbors(v) for v in range(pattern.n)]
     roots = sorted(range(pattern.n), key=lambda v: -pat_deg[v])
+    below: list[list[int]] = [[] for _ in range(pattern.n)]
+    above: list[list[int]] = [[] for _ in range(pattern.n)]
+    for a, b in conditions:
+        below[b].append(a)
+        above[a].append(b)
     orders: dict[tuple[int, ...], list[int]] = {}
 
     def grow(pinned: tuple[int, ...]) -> list[int]:
@@ -421,6 +431,12 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
         for w in nbrs[p]:
             if w in image:
                 cand &= adj[image[w]]
+        for w in below[p]:
+            if w in image:
+                cand &= -2 << image[w]
+        for w in above[p]:
+            if w in image:
+                cand &= (1 << image[w]) - 1
         while cand:
             hv = (cand & -cand).bit_length() - 1
             cand &= cand - 1
@@ -441,26 +457,49 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
     return False
 
 
+def _symmetry_conditions(pattern: Graph) -> list[tuple[int, int]]:
+    """Conditions (a, b), read image[a] < image[b], that exactly one
+    embedding of each copy of `pattern` meets (Grochow & Kellis,
+    RECOMB 2007).  The embeddings of one copy differ by an automorphism
+    of the pattern's non-isolated part; these come from one embedding of
+    the pattern into itself.  While more than the identity is left, take
+    the largest orbit (lowest vertex first on ties), require its lowest
+    vertex to map below the rest of the orbit, and keep only the
+    automorphisms that fix that vertex."""
+    auts: list[dict[int, int]] = []
+    _embed(pattern.adj, pattern, [{}], lambda image: auts.append(dict(image)))
+    conditions: list[tuple[int, int]] = []
+    while len(auts) > 1:
+        orbit = {v: {a[v] for a in auts} for v in auts[0]}
+        v = max(orbit, key=lambda u: (len(orbit[u]), -u))
+        conditions += [(v, w) for w in sorted(orbit[v]) if w != v]
+        auts = [a for a in auts if a[v] == v]
+    return conditions
+
+
 def enumerate_copies(host: Graph, pattern: Graph) -> list[Embedding]:
-    """All distinct copies of `pattern` in `host`, deduplicated by edge
-    set (automorphic re-embeddings of the same edges count once).
+    """All distinct copies of `pattern` in `host`, one per edge set.
     Isolated pattern vertices are ignored: a copy is determined by its
-    edges.  Deterministic order (sorted by edge set)."""
+    edges.  The search meets `_symmetry_conditions`, so it finds each
+    copy exactly once; a second visit of one edge set is a bug and
+    raises InternalError.  Deterministic order (sorted by edge set); the
+    `vertex_map` of a copy is the one embedding of it that meets the
+    conditions."""
     if pattern.num_edges == 0:
         raise GraphError("pattern must have at least one edge")
     found: dict[frozenset[int], Embedding] = {}
 
     def visit(image: dict) -> bool:
-        edge_ids = []
-        for u, v in pattern.edges:
-            edge_ids.append(host.edge_id(image[u], image[v]))
+        edge_ids = tuple(host.edge_id(image[u], image[v])
+                         for u, v in pattern.edges)
         key = frozenset(edge_ids)
-        if key not in found:
-            vm = tuple(image.get(v, -1) for v in range(pattern.n))
-            found[key] = Embedding(vm, tuple(edge_ids), key)
+        if key in found:
+            raise InternalError("symmetry breaking let a copy through twice")
+        found[key] = Embedding(
+            tuple(image.get(v, -1) for v in range(pattern.n)), edge_ids, key)
         return False
 
-    _embed(host.adj, pattern, [{}], visit)
+    _embed(host.adj, pattern, [{}], visit, _symmetry_conditions(pattern))
     return [found[k] for k in sorted(found, key=sorted)]
 
 
@@ -480,9 +519,96 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
 
 @dataclass(frozen=True)
 class ComposeResult:
-    graph: Graph
     vertex_map: tuple[int, ...]   # gadget vertex -> host vertex
     edge_map: tuple[int, ...]     # gadget edge id -> host edge id
+    graph: Optional[Graph] = None  # None from a builder, which builds on read
+
+
+class _GraphDraft:
+    """A graph under construction: append-only edge and label lists and
+    the (u, v) -> edge id index.  `compose` and `add_edges` check their
+    input before they append anything, so a failed step leaves the draft
+    as it was.  `graph` builds the immutable Graph once, on the first
+    read after the last append."""
+
+    def __init__(self, base: Graph):
+        self.edges = list(base.edges)
+        self.labels = list(base.labels)
+        self._edge_index = dict(base._edge_index)
+        self._named = {lab for lab in base.labels if lab is not None}
+        self._graph: Optional[Graph] = base
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            self._graph = Graph(self.n, tuple(self.edges), tuple(self.labels))
+        return self._graph
+
+    def _append(self, edges: list[tuple[int, int]]):
+        for e in edges:
+            self._edge_index[e] = len(self.edges)
+            self.edges.append(e)
+        self._graph = None
+
+    def compose(self, gadget: Graph, identification: Mapping[int, int],
+                label_prefix: Optional[str] = None) -> ComposeResult:
+        """Append `gadget`, identifying the mapped gadget vertices with
+        draft vertices; see `compose`."""
+        ident = dict(identification)
+        if len(set(ident.values())) != len(ident):
+            raise ComposeError("identification collapses two gadget vertices")
+        for gv, hv in ident.items():
+            if not (0 <= gv < gadget.n) or not (0 <= hv < self.n):
+                raise ComposeError(f"identification {gv}->{hv} out of range")
+
+        vmap, new_labels = [], []
+        for gv in range(gadget.n):
+            if gv in ident:
+                vmap.append(ident[gv])
+                continue
+            vmap.append(self.n + len(new_labels))
+            lab = gadget.labels[gv]
+            if lab is not None and label_prefix is not None:
+                lab = f"{label_prefix}{lab}"
+            new_labels.append(lab)
+        named = [lab for lab in new_labels if lab is not None]
+        if len(set(named)) != len(named) or not self._named.isdisjoint(named):
+            raise GraphError("composition repeats a vertex label")
+
+        emap, new_edges = [], []
+        for gu, gv in gadget.edges:
+            e = _norm_edge(vmap[gu], vmap[gv])
+            if gu in ident and gv in ident:
+                if e not in self._edge_index:
+                    raise ComposeError(f"interface edge ({gu},{gv}) maps onto "
+                                       f"host non-edge {e}")
+                emap.append(self._edge_index[e])
+            else:
+                emap.append(len(self.edges) + len(new_edges))
+                new_edges.append(e)
+
+        self.labels += new_labels
+        self._named.update(named)
+        self._append(new_edges)
+        return ComposeResult(tuple(vmap), tuple(emap))
+
+    def add_edges(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
+        """Append edges between existing vertices; returns their ids."""
+        new: dict[tuple[int, int], None] = {}
+        for u, v in pairs:
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise ComposeError(f"edge ({u},{v}) out of range")
+            e = _norm_edge(u, v)
+            if e in self._edge_index or e in new:
+                raise ComposeError(f"edge ({u},{v}) already present")
+            new[e] = None
+        first = len(self.edges)
+        self._append(list(new))
+        return list(range(first, len(self.edges)))
 
 
 def compose(host: Graph, gadget: Graph,
@@ -494,41 +620,11 @@ def compose(host: Graph, gadget: Graph,
     Every gadget edge whose endpoints are both identified must land on an
     existing host edge (the interfaces are edges or subgraphs, never new
     host-internal edges).  Edge ids: host edges keep their ids; new gadget
-    edges are appended in gadget edge order.
+    edges are appended in gadget edge order.  New gadget vertices keep
+    their labels, behind `label_prefix` if one is given.  One-shot form
+    of `manifest.ManifestBuilder.compose`, which appends many gadgets
+    and builds the graph once.
     """
-    ident = dict(identification)
-    if len(set(ident.values())) != len(ident):
-        raise ComposeError("identification collapses two gadget vertices")
-    for gv, hv in ident.items():
-        if not (0 <= gv < gadget.n) or not (0 <= hv < host.n):
-            raise ComposeError(f"identification {gv}->{hv} out of range")
-
-    vmap = list(range(gadget.n))
-    nxt = host.n
-    new_labels = list(host.labels)
-    for gv in range(gadget.n):
-        if gv in ident:
-            vmap[gv] = ident[gv]
-        else:
-            vmap[gv] = nxt
-            lab = gadget.labels[gv]
-            if lab is not None and label_prefix is not None:
-                lab = f"{label_prefix}{lab}"
-            new_labels.append(lab)
-            nxt += 1
-
-    edges = list(host.edges)
-    emap = []
-    for (gu, gv) in gadget.edges:
-        hu, hv = vmap[gu], vmap[gv]
-        if gu in ident and gv in ident:
-            if not host.has_edge(hu, hv):
-                raise ComposeError(
-                    f"interface edge ({gu},{gv}) maps onto host non-edge ({hu},{hv})")
-            emap.append(host.edge_id(hu, hv))
-        else:
-            emap.append(len(edges))
-            edges.append(_norm_edge(hu, hv))
-
-    g = Graph(nxt, tuple(edges), tuple(new_labels))
-    return ComposeResult(g, tuple(vmap), tuple(emap))
+    draft = _GraphDraft(host)
+    res = draft.compose(gadget, identification, label_prefix)
+    return replace(res, graph=draft.graph)

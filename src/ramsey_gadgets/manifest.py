@@ -1,8 +1,12 @@
 """Replayable construction manifests.
 
-A manifest records a base graph plus a sequence of compositions.  Since
-compose() assigns edge ids deterministically, replaying a manifest
-reproduces the exact same graph, vertex labels and edge ids.
+A manifest records a base graph plus a sequence of compositions and
+edge additions.  Since composing assigns edge ids deterministically,
+replaying a manifest reproduces the exact same graph, vertex labels and
+edge ids.  A `ManifestBuilder` and `ConstructionManifest.replay` run
+their steps through one append path (`graph._GraphDraft`): each step
+appends to edge and label lists, and the `Graph` is built once, when it
+is read.
 
 The JSON layout stores each distinct step graph once, in the form of
 `Graph.to_json`: {"manifest_version": 2, "parts": [graph, ...], "steps":
@@ -15,7 +19,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graph import ComposeError, Graph, GraphError, compose, decode_json
+from .graph import (ComposeError, ComposeResult, Graph, GraphError,
+                    _GraphDraft, decode_json)
 
 
 @dataclass(frozen=True)
@@ -48,16 +53,16 @@ class ConstructionManifest:
     def replay(self) -> Graph:
         if not self.steps or self.steps[0].kind != "base":
             raise ComposeError("manifest must start with a base step")
-        g = self.steps[0].graph
+        draft = _GraphDraft(self.steps[0].graph)
         for step in self.steps[1:]:
             if step.kind == "edges":
-                g = Graph(g.n, g.edges + tuple(step.identification), g.labels)
+                draft.add_edges(step.identification)
             elif step.kind == "compose":
-                g = compose(g, step.graph, dict(step.identification),
-                            step.label_prefix).graph
+                draft.compose(step.graph, dict(step.identification),
+                              step.label_prefix)
             else:
                 raise ComposeError(f"unknown manifest step kind {step.kind!r}")
-        return g
+        return draft.graph
 
     def to_json(self) -> dict:
         part_of: dict[Graph, int] = {}
@@ -101,11 +106,16 @@ class ConstructionManifest:
             return cls.from_json(json.load(fh))
 
 
-class ManifestBuilder:
-    """Tracks a growing host graph together with its manifest."""
+class ManifestBuilder(_GraphDraft):
+    """Tracks a growing host graph together with its manifest.
+
+    Each step appends to the builder's edge list (`edges`, edge id ->
+    (u, v)) and label list, which callers may read mid-build; `graph`
+    builds the host `Graph` once, on the first read after the last
+    step."""
 
     def __init__(self, base: Graph, note: str = ""):
-        self.graph = base
+        super().__init__(base)
         self.manifest = ConstructionManifest()
         self.manifest.record_base(base, note=note)
 
@@ -114,28 +124,21 @@ class ManifestBuilder:
         """Continue composing onto an already-built graph.  The given
         manifest is copied, so the original recipe stays unchanged."""
         b = cls.__new__(cls)
-        b.graph = graph
+        _GraphDraft.__init__(b, graph)
         b.manifest = ConstructionManifest(list(manifest.steps))
         return b
 
     def compose(self, gadget: Graph, identification: dict[int, int],
-                label_prefix: Optional[str] = None, note: str = ""):
-        res = compose(self.graph, gadget, identification, label_prefix)
-        self.graph = res.graph
+                label_prefix: Optional[str] = None,
+                note: str = "") -> ComposeResult:
+        """Append a gadget as `graph.compose` does; the result carries the
+        vertex and edge maps but no graph."""
+        res = super().compose(gadget, identification, label_prefix)
         self.manifest.record_compose(gadget, identification, label_prefix, note)
         return res
 
     def add_edges(self, pairs, note: str = "") -> list[int]:
         """Add edges between existing vertices; returns the new edge ids."""
-        norm = []
-        for u, v in pairs:
-            if not (0 <= u < self.graph.n and 0 <= v < self.graph.n):
-                raise ComposeError(f"edge ({u},{v}) out of range")
-            if self.graph.has_edge(u, v):
-                raise ComposeError(f"edge ({u},{v}) already present")
-            norm.append((u, v) if u < v else (v, u))
-        first = self.graph.num_edges
-        self.graph = Graph(self.graph.n, self.graph.edges + tuple(norm),
-                           self.graph.labels)
-        self.manifest.record_edges(norm, note)
-        return list(range(first, first + len(norm)))
+        new = super().add_edges(pairs)
+        self.manifest.record_edges([self.edges[e] for e in new], note)
+        return new

@@ -294,6 +294,15 @@ def test_minimalize_enumerates_copies_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_max_seconds_bounds_a_whole_minimalize_call():
+    # every edge-deleted search of K9 ->2 C5 once got the full budget
+    start = time.monotonic()
+    g, verdict = minimalize(complete_graph(9), cycle_graph(5), 2,
+                            Budget(max_seconds=0.8))
+    assert time.monotonic() - start <= 0.8 + 0.4
+    assert verdict in (UNKNOWN, MINIMAL)
+
+
 def test_long_cycles_have_no_recursion_limit():
     assert run(cycle_graph(1001), path_graph(3)).verdict == ARROWS
     host = cycle_graph(1000)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import nx_copies
 
+from ramsey_gadgets import coloring
 from ramsey_gadgets import (EXACT, ARROWS, EdgeColoring, GraphError,
                             StubSenderProvider, ThreeConnectedSeed,
                             ArrowInstance, arrows, build_3connected_abundant,
@@ -273,6 +274,17 @@ def test_3connected_recipe_structure():
     # the desk-scale target is a path, so the size hypothesis flag is off
     assert recipe.extras["target_hypothesis_ok"] is False
     assert recipe.manifest.replay().edges == recipe.graph.edges
+
+
+def test_pattern_family_enumerates_once_per_graph(monkeypatch):
+    calls = []
+    enumerate_copies = coloring.enumerate_copies
+    monkeypatch.setattr(coloring, "enumerate_copies",
+                        lambda host, pattern: calls.append(host)
+                        or enumerate_copies(host, pattern))
+    recipe = build_3connected_abundant(default_three_connected_seed(), 3, STUB)
+    assert len(recipe.family) == 6
+    assert len(calls) == len(set(calls)) == 1      # one base graph
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import nx_copies, to_networkx
-from ramsey_gadgets import (ComposeError, Graph, GraphError, complete_graph,
+from ramsey_gadgets import graph as graph_module
+from ramsey_gadgets import (ComposeError, Graph, GraphError, InternalError,
+                            complete_graph,
                             compose, cycle_graph, clique_with_pendant,
                             disjoint_union, distance, edge_distance,
                             enumerate_copies, from_edges, girth,
@@ -136,7 +138,9 @@ def random_graph(data, n: int, m=None) -> Graph:
 
 # disconnected patterns and isolated pattern vertices included
 PATTERNS = [path_graph(3), path_graph(4), complete_graph(3), cycle_graph(4),
-            star_graph(3), matching_graph(2), from_edges(4, [(1, 2), (2, 3)])]
+            star_graph(3), matching_graph(2), from_edges(4, [(1, 2), (2, 3)]),
+            complete_graph(4), cycle_graph(5), clique_with_pendant(3),
+            complete_graph(4).delete_edge(0)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,6 +155,35 @@ def test_random_copies_match_networkx(data):
         assert emb.edge_map == tuple(
             host.edge_id(emb.vertex_map[u], emb.vertex_map[v])
             for u, v in pattern.edges)
+
+
+def counting_embed(monkeypatch, host) -> list:
+    """Counts the full maps `graph._embed` visits in `host`."""
+    visits = []
+    embed = graph_module._embed
+
+    def counted(adj, pattern, starts, visit, *rest):
+        def seen(image):
+            if adj is host.adj:
+                visits.append(dict(image))
+            return visit(image)
+        return embed(adj, pattern, starts, seen, *rest)
+    monkeypatch.setattr(graph_module, "_embed", counted)
+    return visits
+
+
+@pytest.mark.parametrize("n,t,count", [(10, 5, 252), (17, 4, 2380)])
+def test_each_copy_is_visited_once(monkeypatch, n, t, count):
+    host = complete_graph(n)
+    visits = counting_embed(monkeypatch, host)
+    assert len(enumerate_copies(host, complete_graph(t))) == count
+    assert len(visits) == count            # not |Aut(K_t)| times as many
+
+
+def test_second_visit_of_a_copy_is_a_bug(monkeypatch):
+    monkeypatch.setattr(graph_module, "_symmetry_conditions", lambda p: [])
+    with pytest.raises(InternalError):
+        enumerate_copies(complete_graph(4), complete_graph(3))
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,10 +3,15 @@ from itertools import combinations
 
 import pytest
 
+from test_acceptance import K3, STUB, _c4_family
+
 from ramsey_gadgets import (ComposeError, ConstructionManifest, Graph,
                             GraphError, ManifestBuilder, StubSenderProvider,
-                            build_cycle_abundant, complete_graph, path_graph,
-                            single_edge, star_graph)
+                            build_cycle_abundant, build_gni, build_indicator,
+                            build_pattern_gadget, complete_graph,
+                            matching_graph, path_graph, single_edge,
+                            star_graph)
+from ramsey_gadgets.gadgets import POSITIVE
 
 
 def build_sample():
@@ -23,6 +28,37 @@ def test_replay_reproduces_graph_exactly():
     assert replayed.n == b.graph.n
     assert replayed.edges == b.graph.edges        # ids, not just edge sets
     assert replayed.labels == b.graph.labels
+
+
+def test_graph_is_built_once_on_first_read(monkeypatch):
+    gadgets = [path_graph(3) for _ in range(5)]
+    b = ManifestBuilder(complete_graph(3))
+    built = []
+    post_init = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__",
+                        lambda g: built.append(g.n) or post_init(g))
+    for i, gadget in enumerate(gadgets):
+        b.compose(gadget, {0: i % 3})
+    assert built == []
+    assert b.graph is b.graph
+    assert built == [3 + 2 * 5]
+
+
+def test_replay_reproduces_gadget_builds():
+    specs = [build_cycle_abundant(2, 5, 3, StubSenderProvider())]
+    for q in (2, 3):
+        for f in (path_graph(3), path_graph(4)):
+            specs.append(build_indicator(K3, f, q, POSITIVE, STUB))
+        rest = single_edge() if q == 2 else matching_graph(2)
+        specs.append(build_gni(K3, path_graph(3), rest,
+                               [[i] for i in range(rest.num_edges)], q, STUB))
+        for size in (1, 2):
+            c4, family = _c4_family(q, size)
+            specs.append(build_pattern_gadget(K3, c4, family, q, STUB))
+    for spec in specs:
+        replayed = spec.manifest.replay()
+        assert replayed.edges == spec.graph.edges
+        assert replayed.labels == spec.graph.labels
 
 
 def test_json_round_trip():
