@@ -301,6 +301,10 @@ def test_max_seconds_bounds_a_whole_minimalize_call():
                             Budget(max_seconds=0.8))
     assert time.monotonic() - start <= 0.8 + 0.4
     assert verdict in (UNKNOWN, MINIMAL)
+    # no time left once the copies are enumerated: unknown, no search
+    res = is_minimal(complete_graph(9), cycle_graph(5), 2,
+                     Budget(max_seconds=1e-6))
+    assert res.verdict == UNKNOWN
 
 
 def test_long_cycles_have_no_recursion_limit():

@@ -97,6 +97,18 @@ def test_add_edges_validation():
     assert b.graph.has_edge(0, 2)
 
 
+def test_failed_step_leaves_builder_unchanged():
+    b = build_sample()
+    before = (b.graph, list(b.manifest.steps))
+    labelled = star_graph(2).relabel({0: "v"})
+    for step in (lambda: b.compose(complete_graph(3), {0: 0, 1: 1, 2: 4}),
+                 lambda: b.compose(labelled, {1: 0, 2: 1}),    # "v" again
+                 lambda: b.add_edges([(1, 4), (4, 1)])):
+        with pytest.raises(GraphError):
+            step()
+        assert (b.graph, b.manifest.steps) == before
+
+
 def test_single_base_step():
     m = ConstructionManifest()
     m.record_base(path_graph(2))
