@@ -20,7 +20,7 @@ from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
 from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
                        _all_h_free, pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
-                      _attach_sender, _worst_status, build_pattern_gadget)
+                      _Assembly, build_pattern_gadget)
 from .graph import (Graph, GraphError, InternalError, clique_with_pendant,
                     complete_graph, cycle_graph, disjoint_union, distance,
                     enumerate_copies, from_edges, graphs_isomorphic,
@@ -589,36 +589,25 @@ def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
     if not base_pattern.is_h_free(h):
         raise GraphError("base pattern must be clique-free")
 
-    builder = ManifestBuilder(
-        base.relabel({w: f"G{w}" for w in range(base.n)}), note="base graph")
-    res = builder.compose(matching_graph(q), {}, note="signal matching")
-    m_eids = tuple(res.edge_map[i] for i in range(q))
-
-    counts: dict = {}
-    statuses: set = set()
+    asm = _Assembly(base.relabel({w: f"G{w}" for w in range(base.n)}),
+                    "base graph", h, q, d, provider)
+    m_eids = asm.fresh(matching_graph(q), "signal matching")
     for i, j in combinations(range(q), 2):
-        s = provider.get(NEGATIVE, h, q, d)
-        statuses.add(s.status)
-        _attach_sender(builder, s, m_eids[i], m_eids[j],
-                       note="negative sender between signal edges")
-        counts["negative_senders"] = counts.get("negative_senders", 0) + 1
+        asm.attach_sender(NEGATIVE, m_eids[i], m_eids[j],
+                          note="negative sender between signal edges")
     for i in range(q):
         for e_local in sorted(base_pattern.classes[i]):
-            s = provider.get(POSITIVE, h, q, d)
-            statuses.add(s.status)
-            _attach_sender(builder, s, m_eids[i], e_local,
-                           note=f"positive sender class {i + 1}")
-            counts["positive_senders"] = counts.get("positive_senders", 0) + 1
+            asm.attach_sender(POSITIVE, m_eids[i], e_local,
+                              note=f"positive sender class {i + 1}")
 
-    v, _ = _attach_low_degree_vertex(builder, list(range(base.n)), "x.",
+    v, _ = _attach_low_degree_vertex(asm.builder, list(range(base.n)), "x.",
                                      note="low-degree vertex")
-    dist = distance(builder.graph, [v],
-                    builder.graph.edge_vertices(m_eids))
-    counts["dist_v_matching"] = dist
+    dist = distance(asm.builder.graph, [v],
+                    asm.builder.graph.edge_vertices(m_eids))
+    asm.counts["dist_v_matching"] = dist
     if dist <= t:
         raise InternalError("low-degree vertex too close to the signal "
                             "matching")
-
-    return CliqueGtildeSpec(builder.graph, t, q, tuple(range(base.n)),
-                            base_pattern, m_eids, v,
-                            _worst_status(statuses), counts, builder.manifest)
+    graph, senders_status, counts, manifest = asm.finish()
+    return CliqueGtildeSpec(graph, t, q, tuple(range(base.n)), base_pattern,
+                            m_eids, v, senders_status, counts, manifest)

@@ -4,11 +4,15 @@ indicators, and pattern gadgets.
 Senders are pluggable inputs (loaded, searched for, or stubbed); every
 other gadget is built mechanically by composing senders and smaller
 gadgets, and verified either structurally (interfaces, distances,
-piece counts) or semantically (exhaustive coloring searches).
+piece counts) or semantically (exhaustive coloring searches).  Every
+builder composes through one `_Assembly`, which also tallies the pieces
+and the senders' status, and each gadget's structural property is one
+predicate that sets the builder's status and gives the verifier's result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain, combinations, permutations, product
 from math import comb
@@ -215,13 +219,9 @@ def string_senders(senders: Sequence[SenderSpec]) -> SenderSpec:
         res = compose(g, s.graph, {gu: hu, gv: hv})
         g = res.graph
         f_id = res.edge_map[s.f]
-    statuses = {s.status for s in senders}
-    if statuses == {STATUS_FULL}:
-        status = STATUS_FULL          # semantics follow from the members'
-    elif STATUS_STUB in statuses:
-        status = STATUS_STUB
-    else:
-        status = STATUS_UNVERIFIED
+    status = _worst_status({s.status for s in senders})
+    if status not in (STATUS_FULL, STATUS_STUB):
+        status = STATUS_UNVERIFIED    # only full members give the semantics
     return SenderSpec(g, e_id, f_id, senders[-1].polarity, first.h, first.q,
                       sum(s.d for s in senders), status)
 
@@ -249,19 +249,27 @@ def verify_sender(spec: SenderSpec,
         results.append(PropertyResult("S1", FAIL, "search",
                                       "graph forces a monochromatic target"))
 
+    results.append(_sender_s2(spec, inst))
+    return VerificationReport("sender", tuple(results))
+
+
+def _sender_s2(spec: SenderSpec, inst: ArrowInstance) -> PropertyResult:
+    """S2 on the instance of the sender's graph: no free coloring breaks
+    the signal relation."""
     # a violating coloring can be color-permuted to fixed colors on e, f
     bad = {spec.e: 1, spec.f: 2 if spec.polarity == POSITIVE else 1}
-    results.append(_check_cases(
+    return _check_cases(
         "S2", inst, [(bad, "free coloring violating the signal relation")],
-        False, "no violating free coloring exists"))
-    return VerificationReport("sender", tuple(results))
+        False, "no violating free coloring exists")
 
 
 def search_sender(h: Graph, q: int, d: int, polarity: str, max_order: int,
                   corpus: Optional[Sequence[Graph]] = None,
                   budget: Budget = NO_BUDGET) -> Optional[SenderSpec]:
     """Scan a corpus of candidate graphs and all designated edge pairs
-    at distance >= d; return the first fully verified sender, if any."""
+    at distance >= d; return the first fully verified sender, if any.
+    The graph's own search decides S1 and the distance filter S3, so each
+    pair needs only S2, on the same instance."""
     if corpus is None:
         corpus = graph6.load_corpus(max_order=max_order)
     for g in corpus:
@@ -275,8 +283,7 @@ def search_sender(h: Graph, q: int, d: int, polarity: str, max_order: int,
             if edge_distance(g, [e_id], [f_id]) < d:
                 continue
             spec = SenderSpec(g, e_id, f_id, polarity, h, q, d)
-            report = verify_sender(spec, budget)
-            if report.fully_verified:
+            if _sender_s2(spec, inst).outcome == PASS:
                 spec.status = STATUS_FULL
                 return spec
     return None
@@ -359,40 +366,98 @@ class IndicatorSpec:
         return _spec_from_json(cls, data)
 
 
-def _attach_sender(builder: ManifestBuilder, spec: SenderSpec,
-                   host_a: int, host_b: int, note: str = ""):
-    """Compose a fresh sender copy, signal edges onto two host edges."""
-    g = spec.graph
-    au, av = g.edges[spec.e]
-    bu, bv = g.edges[spec.f]
-    ha = builder.edges[host_a]
-    hb = builder.edges[host_b]
-    ident = {au: ha[0], av: ha[1], bu: hb[0], bv: hb[1]}
-    builder.compose(g, ident, note=note or f"{spec.polarity} sender")
+class _Assembly:
+    """A gadget under construction, the one path every builder takes: the
+    manifest builder, the sender provider with the target `h`, color
+    count `q` and distance `d`, the tally of pieces, and the status of
+    every sender used, directly or inside a smaller gadget."""
+
+    def __init__(self, base: Graph, note: str, h: Graph, q: int, d: int,
+                 provider: SenderProvider):
+        self.builder = ManifestBuilder(base, note=note)
+        self.provider = provider
+        self.h, self.q, self.d = h, q, d
+        self.counts: Counter = Counter()
+        self.statuses: set = set()
+
+    def sender(self, polarity: str) -> SenderSpec:
+        """A sender from the provider, counted, with its status noted."""
+        s = self.provider.get(polarity, self.h, self.q, self.d)
+        self.statuses.add(s.status)
+        self.counts[f"{polarity}_senders"] += 1
+        return s
+
+    def attach_sender(self, polarity: str, host_a: int, host_b: int,
+                      note: str = ""):
+        """Compose a fresh sender copy, signal edges onto two host edges."""
+        s = self.sender(polarity)
+        au, av = s.graph.edges[s.e]
+        bu, bv = s.graph.edges[s.f]
+        ha = self.builder.edges[host_a]
+        hb = self.builder.edges[host_b]
+        ident = {au: ha[0], av: ha[1], bu: hb[0], bv: hb[1]}
+        self.builder.compose(s.graph, ident,
+                             note=note or f"{s.polarity} sender")
+
+    def fresh(self, g: Graph, note: str) -> tuple[int, ...]:
+        """Compose a disjoint copy of g; returns its host edge ids."""
+        return self.builder.compose(g, {}, note=note).edge_map
+
+    def indicator(self, f: Graph, polarity: str) -> IndicatorSpec:
+        """A standalone indicator for f, with its senders' status noted; a
+        single-edge f degenerates to a bare sender."""
+        h, q, d = self.h, self.q, self.d
+        if f.num_edges >= 2:
+            ind = build_indicator(h, f, q, polarity, self.provider, d)
+        else:
+            s = self.provider.get(polarity, h, q, d)
+            ind = _promote(IndicatorSpec(
+                s.graph, s.graph.edges[s.e], (s.e,), s.f, polarity, h, q, d,
+                STATUS_UNVERIFIED, s.status,
+                {f"{polarity}_senders": 1, "one_edge_bases": 1}, None),
+                _indicator_i1)
+        self.statuses.add(ind.senders_status)
+        return ind
+
+    def attach_copy(self, spec, ident: dict[int, int], key: str, note: str):
+        """Compose a copy of a built gadget glued on by `ident`; its pieces
+        and senders count towards this gadget, plus one `key`."""
+        self.builder.compose(spec.graph, ident, note=note)
+        self.counts.update(spec.counts)
+        self.counts[key] += 1
+        self.statuses.add(spec.senders_status)
+
+    def attach_indicator(self, ind: IndicatorSpec,
+                         host_f_vertices: Sequence[int], host_e: int,
+                         key: str, note: str):
+        """A copy of a standalone indicator: its subgraph vertices land on
+        host_f_vertices (same local order) and its edge on host_e."""
+        ident = dict(zip(ind.f_vertices, host_f_vertices))
+        eu, ev = ind.graph.edges[ind.e]
+        ident[eu], ident[ev] = self.builder.edges[host_e]
+        self.attach_copy(ind, ident, key, note)
+
+    def finish(self) -> tuple:
+        """(graph, senders_status, counts, manifest), in spec field order."""
+        return (self.builder.graph, _worst_status(self.statuses),
+                dict(self.counts), self.builder.manifest)
 
 
-def _attach_fresh_edge(builder: ManifestBuilder, note: str = "") -> int:
-    res = builder.compose(single_edge(), {}, note=note or "fresh edge")
-    return res.edge_map[0]
-
-
-def _attach_fresh_graph(builder: ManifestBuilder, g: Graph, note: str = ""):
-    return builder.compose(g, {}, note=note)
+def _promote(spec, prop):
+    """A freshly built spec, structurally verified when its structural
+    property `prop` holds."""
+    if prop(spec).outcome == PASS:
+        spec.status = STATUS_STRUCTURAL
+    return spec
 
 
 def _pick_base_edges(h: Graph) -> tuple[int, int]:
     """Two starting-copy edges; the first must not be a pendant edge
     (both its endpoints need degree >= 2), matching the constraint for
     clique-with-pendant targets."""
-    e1 = None
-    for eid, (u, v) in enumerate(h.edges):
-        if h.degree(u) >= 2 and h.degree(v) >= 2:
-            e1 = eid
-            break
-    if e1 is None:
-        e1 = 0
-    e2 = 0 if e1 != 0 else 1
-    return e1, e2
+    e1 = next((eid for eid, (u, v) in enumerate(h.edges)
+               if h.degree(u) >= 2 and h.degree(v) >= 2), 0)
+    return e1, 0 if e1 != 0 else 1
 
 
 def _is_cycle(h: Graph) -> bool:
@@ -411,82 +476,62 @@ def _check_indicator_preconditions(h: Graph, f: Graph):
             f"girth > {h.n}")
 
 
-def _attach_indicator_core(builder: ManifestBuilder, f_eids: list[int],
-                           h: Graph, q: int, d: int,
-                           provider: SenderProvider, counts: dict,
-                           statuses: set) -> int:
+def _attach_indicator_core(asm: _Assembly, f_eids: list[int]) -> int:
     """Recursively attach a positive indicator for the host edges f_eids
-    onto the builder's graph; returns the fresh indicator edge id."""
-
-    def sender(polarity: str) -> SenderSpec:
-        s = provider.get(polarity, h, q, d)
-        statuses.add(s.status)
-        key = f"{polarity}_senders"
-        counts[key] = counts.get(key, 0) + 1
-        return s
-
+    onto the assembly's graph; returns the fresh indicator edge id."""
+    h, q = asm.h, asm.q
     if len(f_eids) == 1:
         # one-edge subgraph: the indicator degenerates to a sender
-        s = sender(POSITIVE)
-        g = s.graph
-        eu, ev = g.edges[s.e]
-        hf = builder.edges[f_eids[0]]
-        res = builder.compose(g, {eu: hf[0], ev: hf[1]},
-                              note="positive sender as one-edge indicator")
-        counts["one_edge_bases"] = counts.get("one_edge_bases", 0) + 1
+        s = asm.sender(POSITIVE)
+        eu, ev = s.graph.edges[s.e]
+        hf = asm.builder.edges[f_eids[0]]
+        res = asm.builder.compose(s.graph, {eu: hf[0], ev: hf[1]},
+                                  note="positive sender as one-edge indicator")
+        asm.counts["one_edge_bases"] += 1
         return res.edge_map[s.f]
 
     if len(f_eids) == 2:
         f1, f2 = f_eids
         if q == 2:
-            counts["base_q2"] = counts.get("base_q2", 0) + 1
-            counts["start_copies"] = counts.get("start_copies", 0) + 1
-            res = _attach_fresh_graph(builder, h, note="starting copy")
-            h0 = [res.edge_map[i] for i in range(h.num_edges)]
+            asm.counts["base_q2"] += 1
+            asm.counts["start_copies"] += 1
+            h0 = asm.fresh(h, "starting copy")
             e1_idx, e2_idx = _pick_base_edges(h)
-            e1, e2 = h0[e1_idx], h0[e2_idx]
-            e = _attach_fresh_edge(builder, note="indicator edge")
+            e, = asm.fresh(single_edge(), "indicator edge")
             for i, g_eid in enumerate(h0):
-                if i in (e1_idx, e2_idx):
-                    continue
-                _attach_sender(builder, sender(NEGATIVE), f1, g_eid)
-            _attach_sender(builder, sender(NEGATIVE), f2, e2)
-            _attach_sender(builder, sender(POSITIVE), e1, e)
+                if i not in (e1_idx, e2_idx):
+                    asm.attach_sender(NEGATIVE, f1, g_eid)
+            asm.attach_sender(NEGATIVE, f2, h0[e2_idx])
+            asm.attach_sender(POSITIVE, h0[e1_idx], e)
             return e
 
-        counts["base_qgt2"] = counts.get("base_qgt2", 0) + 1
-        mres = _attach_fresh_graph(builder, matching_graph(q - 1),
-                                   note="base matching")
-        m_edges = [mres.edge_map[i] for i in range(q - 1)]
+        asm.counts["base_qgt2"] += 1
+        m_edges = asm.fresh(matching_graph(q - 1), "base matching")
         # q-1 starting copies sharing exactly the indicator edge
-        e = _attach_fresh_edge(builder, note="indicator edge")
-        eu, ev = builder.edges[e]
+        e, = asm.fresh(single_edge(), "indicator edge")
+        eu, ev = asm.builder.edges[e]
         shared = h.edges[0]
         copies = []
         for i in range(q - 1):
-            counts["start_copies"] = counts.get("start_copies", 0) + 1
-            res = builder.compose(h, {shared[0]: eu, shared[1]: ev},
-                                  note=f"starting copy {i + 1}")
-            copies.append([res.edge_map[j] for j in range(h.num_edges)])
+            asm.counts["start_copies"] += 1
+            res = asm.builder.compose(h, {shared[0]: eu, shared[1]: ev},
+                                      note=f"starting copy {i + 1}")
+            copies.append(res.edge_map)
         for i in range(q - 2):
-            _attach_sender(builder, sender(NEGATIVE), f1, m_edges[i])
-        _attach_sender(builder, sender(NEGATIVE), f2, m_edges[q - 2])
+            asm.attach_sender(NEGATIVE, f1, m_edges[i])
+        asm.attach_sender(NEGATIVE, f2, m_edges[q - 2])
         for i, j in combinations(range(q - 1), 2):
-            _attach_sender(builder, sender(NEGATIVE), m_edges[i], m_edges[j])
+            asm.attach_sender(NEGATIVE, m_edges[i], m_edges[j])
         for i in range(q - 1):
-            for j, g_eid in enumerate(copies[i]):
-                if g_eid == e:
-                    continue
-                _attach_sender(builder, sender(POSITIVE), m_edges[i], g_eid)
+            for g_eid in copies[i]:
+                if g_eid != e:
+                    asm.attach_sender(POSITIVE, m_edges[i], g_eid)
         return e
 
     # induction: split off the highest edge, indicate the rest, then the pair
-    counts["recursive_steps"] = counts.get("recursive_steps", 0) + 1
-    f = f_eids[-1]
-    e_prime = _attach_indicator_core(builder, f_eids[:-1], h, q, d,
-                                     provider, counts, statuses)
-    return _attach_indicator_core(builder, [f, e_prime], h, q, d,
-                                  provider, counts, statuses)
+    asm.counts["recursive_steps"] += 1
+    e_prime = _attach_indicator_core(asm, f_eids[:-1])
+    return _attach_indicator_core(asm, [f_eids[-1], e_prime])
 
 
 def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
@@ -500,27 +545,18 @@ def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
     if polarity not in (POSITIVE, NEGATIVE):
         raise GraphError(f"unknown polarity {polarity!r}")
 
-    base = f.relabel({v: f"F{v}" for v in range(f.n)})
-    builder = ManifestBuilder(base, note="indicator subgraph")
-    counts: dict = {}
-    statuses: set = set()
-    e = _attach_indicator_core(builder, list(range(f.num_edges)), h, q, d,
-                               provider, counts, statuses)
+    asm = _Assembly(f.relabel({v: f"F{v}" for v in range(f.n)}),
+                    "indicator subgraph", h, q, d, provider)
+    e = _attach_indicator_core(asm, list(range(f.num_edges)))
     if polarity == NEGATIVE:
         e_prime = e
-        e = _attach_fresh_edge(builder, note="negative indicator edge")
-        s = provider.get(NEGATIVE, h, q, d)
-        statuses.add(s.status)
-        counts["negative_senders"] = counts.get("negative_senders", 0) + 1
-        _attach_sender(builder, s, e_prime, e)
-
-    spec = IndicatorSpec(
-        builder.graph, tuple(range(f.n)), tuple(range(f.num_edges)), e,
-        polarity, h, q, d, STATUS_UNVERIFIED, _worst_status(statuses),
-        counts, builder.manifest)
-    if _structural_indicator_ok(spec):
-        spec.status = STATUS_STRUCTURAL
-    return spec
+        e, = asm.fresh(single_edge(), "negative indicator edge")
+        asm.attach_sender(NEGATIVE, e_prime, e)
+    graph, senders_status, counts, manifest = asm.finish()
+    return _promote(IndicatorSpec(
+        graph, tuple(range(f.n)), tuple(range(f.num_edges)), e, polarity, h,
+        q, d, STATUS_UNVERIFIED, senders_status, counts, manifest),
+        _indicator_i1)
 
 
 def _no_extra_edges(graph: Graph, eids) -> bool:
@@ -532,9 +568,24 @@ def _no_extra_edges(graph: Graph, eids) -> bool:
     return True
 
 
-def _structural_indicator_ok(spec: IndicatorSpec) -> bool:
-    return _no_extra_edges(spec.graph, spec.f_eids) and \
-        edge_distance(spec.graph, spec.f_eids, [spec.e]) >= spec.d
+def _separated(name: str, graph: Graph, induced, a, b, d: int,
+               detail: str) -> PropertyResult:
+    """Structural property `name`: each edge set of `induced` spans an
+    induced subgraph, and the edge sets a and b lie at distance >= d.
+    `detail` shows the distance relation at its "{}"."""
+    if not a or not b:
+        return PropertyResult(name, FAIL, "structural",
+                              "an edge set to keep apart is empty")
+    dist = edge_distance(graph, a, b)
+    ok = all(_no_extra_edges(graph, eids) for eids in induced) and dist >= d
+    relation = f"{dist} {'>=' if dist >= d else '<'} {d}"
+    return PropertyResult(name, PASS if ok else FAIL, "structural",
+                          detail.format(relation))
+
+
+def _indicator_i1(spec: IndicatorSpec) -> PropertyResult:
+    return _separated("I1", spec.graph, [spec.f_eids], spec.f_eids, [spec.e],
+                      spec.d, "induced subgraph and distance {}")
 
 
 _STUB_SKIP = "built from stub senders: coloring semantics not claimed"
@@ -592,12 +643,7 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
 
 def verify_indicator(spec: IndicatorSpec, budget: Budget = NO_BUDGET,
                      max_cases: int = 512) -> VerificationReport:
-    results = []
-    dist = edge_distance(spec.graph, spec.f_eids, [spec.e])
-    i1 = _no_extra_edges(spec.graph, spec.f_eids) and dist >= spec.d
-    results.append(PropertyResult(
-        "I1", PASS if i1 else FAIL, "structural",
-        f"induced subgraph and distance {dist} >= {spec.d}"))
+    results = [_indicator_i1(spec)]
 
     if spec.senders_status == STATUS_STUB:
         return _stub_report("indicator", results, ("I2", "I3", "I4"))
@@ -661,37 +707,6 @@ class GNISpec:
         return _spec_from_json(cls, data)
 
 
-def _indicator_for(h: Graph, f: Graph, q: int, d: int, polarity: str,
-                   provider: SenderProvider) -> IndicatorSpec:
-    """An indicator whose subgraph is f; a single-edge f degenerates to
-    a bare sender."""
-    if f.num_edges >= 2:
-        return build_indicator(h, f, q, polarity, provider, d)
-    s = provider.get(polarity, h, q, d)
-    return IndicatorSpec(
-        s.graph, s.graph.edges[s.e], (s.e,), s.f, polarity, h, q, d,
-        STATUS_STRUCTURAL if s.signal_distance() >= d else STATUS_UNVERIFIED,
-        s.status, {f"{polarity}_senders": 1, "one_edge_bases": 1}, None)
-
-
-def _attach_indicator_copy(builder: ManifestBuilder, ind: IndicatorSpec,
-                           host_f_vertices: Sequence[int], host_e: int,
-                           note: str = ""):
-    """Fresh copy of a standalone indicator: its subgraph vertices land
-    on host_f_vertices (same local order) and its edge on host_e."""
-    ident = {fv: hv for fv, hv in zip(ind.f_vertices, host_f_vertices)}
-    eu, ev = ind.graph.edges[ind.e]
-    hu, hv = builder.edges[host_e]
-    ident[eu] = hu
-    ident[ev] = hv
-    builder.compose(ind.graph, ident, note=note or f"{ind.polarity} indicator")
-
-
-def _merge_counts(total: dict, part: dict, copies: int = 1):
-    for k, v in part.items():
-        total[k] = total.get(k, 0) + v * copies
-
-
 def build_gni(h: Graph, f: Graph, g: Graph,
               partition: Sequence[Sequence[int]], q: int,
               provider: SenderProvider,
@@ -719,10 +734,10 @@ def build_gni(h: Graph, f: Graph, g: Graph,
                 enumerate_copies(g.edge_induced(cls), h):
             raise GraphError("a declared class of g contains the target")
 
-    base = disjoint_union(
+    asm = _Assembly(disjoint_union(
         f.relabel({v: f"F{v}" for v in range(f.n)}),
-        g.relabel({v: f"G{v}" for v in range(g.n)}))
-    builder = ManifestBuilder(base, note="indicator subgraphs")
+        g.relabel({v: f"G{v}" for v in range(g.n)})),
+        "indicator subgraphs", h, q, d, provider)
     f_vertices = tuple(range(f.n))
     f_eids = tuple(range(f.num_edges))
     g_vertices = tuple(range(f.n, f.n + g.n))
@@ -731,69 +746,44 @@ def build_gni(h: Graph, f: Graph, g: Graph,
     m_edges = []
     p_edges = []
     for k in range(q - 1):
-        res = _attach_fresh_graph(builder, matching_graph(q),
-                                  note=f"matching M_{k + 1}")
-        m_edges.append(tuple(res.edge_map[i] for i in range(q)))
-        res = _attach_fresh_graph(builder, matching_graph(2),
-                                  note=f"matching P_{k + 1}")
-        p_edges.append(tuple(res.edge_map[i] for i in range(2)))
+        m_edges.append(asm.fresh(matching_graph(q), f"matching M_{k + 1}"))
+        p_edges.append(asm.fresh(matching_graph(2), f"matching P_{k + 1}"))
     e_k = tuple(p[0] for p in p_edges)
 
-    counts: dict = {}
-    statuses: set = set()
-    neg_ind = _indicator_for(h, f, q, d, NEGATIVE, provider)
-    pair_ind = _indicator_for(h, matching_graph(2), q, d, POSITIVE, provider)
-    statuses.add(neg_ind.senders_status)
-    statuses.add(pair_ind.senders_status)
-
-    host_f = list(f_vertices)
+    neg_ind = asm.indicator(f, NEGATIVE)
+    pair_ind = asm.indicator(matching_graph(2), POSITIVE)
     for k in range(q - 1):
         for m in m_edges[k]:
-            _attach_indicator_copy(builder, neg_ind, host_f, m,
-                                   note=f"negative indicator F -> M_{k + 1}")
-            _merge_counts(counts, neg_ind.counts)
-            counts["negative_indicators"] = counts.get("negative_indicators", 0) + 1
+            asm.attach_indicator(neg_ind, f_vertices, m, "negative_indicators",
+                                 f"negative indicator F -> M_{k + 1}")
     for k in range(q - 1):
         for s_pair in combinations(m_edges[k], 2):
-            sv = [v for eid in s_pair for v in builder.edges[eid]]
+            sv = [v for eid in s_pair for v in asm.builder.edges[eid]]
             for p in p_edges[k]:
-                _attach_indicator_copy(builder, pair_ind, sv, p,
-                                       note=f"positive indicator S -> P_{k + 1}")
-                _merge_counts(counts, pair_ind.counts)
-                counts["positive_indicators_pairs"] = \
-                    counts.get("positive_indicators_pairs", 0) + 1
+                asm.attach_indicator(pair_ind, sv, p, "positive_indicators_pairs",
+                                     f"positive indicator S -> P_{k + 1}")
     for k1, k2 in combinations(range(q - 1), 2):
-        s = provider.get(NEGATIVE, h, q, d)
-        statuses.add(s.status)
-        _attach_sender(builder, s, e_k[k1], e_k[k2],
-                       note="negative sender between distinguished edges")
-        counts["negative_senders"] = counts.get("negative_senders", 0) + 1
-        counts["cross_senders"] = counts.get("cross_senders", 0) + 1
+        asm.attach_sender(NEGATIVE, e_k[k1], e_k[k2],
+                          note="negative sender between distinguished edges")
+        asm.counts["cross_senders"] += 1
     for k in range(q - 1):
-        pv = [v for eid in p_edges[k] for v in builder.edges[eid]]
+        pv = [v for eid in p_edges[k] for v in asm.builder.edges[eid]]
         for g_eid in g_classes[k]:
-            _attach_indicator_copy(builder, pair_ind, pv, g_eid,
-                                   note=f"positive indicator P_{k + 1} -> class")
-            _merge_counts(counts, pair_ind.counts)
-            counts["positive_indicators_classes"] = \
-                counts.get("positive_indicators_classes", 0) + 1
+            asm.attach_indicator(pair_ind, pv, g_eid,
+                                 "positive_indicators_classes",
+                                 f"positive indicator P_{k + 1} -> class")
 
-    spec = GNISpec(builder.graph, f_vertices, f_eids, g_vertices, g_classes,
-                   h, q, d, tuple(m_edges), tuple(p_edges), e_k,
-                   STATUS_UNVERIFIED, _worst_status(statuses), counts,
-                   builder.manifest)
-    if _structural_gni_ok(spec):
-        spec.status = STATUS_STRUCTURAL
-    return spec
+    graph, senders_status, counts, manifest = asm.finish()
+    return _promote(GNISpec(
+        graph, f_vertices, f_eids, g_vertices, g_classes, h, q, d,
+        tuple(m_edges), tuple(p_edges), e_k, STATUS_UNVERIFIED,
+        senders_status, counts, manifest), _gni_gi1)
 
 
-def _structural_gni_ok(spec: GNISpec) -> bool:
-    g_eids = spec.g_eids
-    if not g_eids:
-        return False
-    return (_no_extra_edges(spec.graph, spec.f_eids)
-            and _no_extra_edges(spec.graph, g_eids)
-            and edge_distance(spec.graph, spec.f_eids, g_eids) >= spec.d)
+def _gni_gi1(spec: GNISpec) -> PropertyResult:
+    return _separated("GI1", spec.graph, [spec.f_eids, spec.g_eids],
+                      spec.f_eids, spec.g_eids, spec.d,
+                      "induced subgraphs and distance {}")
 
 
 def gni_expected_counts(q: int, class_sizes: Sequence[int]) -> dict:
@@ -808,14 +798,7 @@ def gni_expected_counts(q: int, class_sizes: Sequence[int]) -> dict:
 
 def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
                max_cases: int = 256) -> VerificationReport:
-    results = []
-    g_eids = spec.g_eids
-    dist = edge_distance(spec.graph, spec.f_eids, g_eids)
-    gi1 = _no_extra_edges(spec.graph, spec.f_eids) and \
-        _no_extra_edges(spec.graph, g_eids) and dist >= spec.d
-    results.append(PropertyResult(
-        "GI1", PASS if gi1 else FAIL, "structural",
-        f"induced subgraphs and distance {dist} >= {spec.d}"))
+    results = [_gni_gi1(spec)]
 
     if spec.senders_status == STATUS_STUB:
         return _stub_report("generalized_negative_indicator", results,
@@ -843,6 +826,7 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
 
     # GI4: any non-constant subgraph coloring + any target-free coloring
     # of g extends; the copies inside g are the host copies within g_eids
+    g_eids = spec.g_eids
     g_set = set(g_eids)
     g_copies = [es for es in inst.copies if g_set.issuperset(es)]
     g_sorted = sorted(g_eids)
@@ -930,36 +914,29 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
     surjection = tuple(
         (sub, i if i < t else 0) for i, sub in enumerate(subsets))
 
-    base = g.relabel({v: f"G{v}" for v in range(g.n)})
-    builder = ManifestBuilder(base, note="pattern base graph")
+    asm = _Assembly(g.relabel({v: f"G{v}" for v in range(g.n)}),
+                    "pattern base graph", h, q, d, provider)
     g_vertices = tuple(range(g.n))
     g_eids = tuple(range(g.num_edges))
-    res = _attach_fresh_graph(builder, matching_graph(m_size),
-                              note="pattern matching M")
-    m_eids = tuple(res.edge_map[i] for i in range(m_size))
+    m_eids = asm.fresh(matching_graph(m_size), "pattern matching M")
 
-    counts: dict = {}
-    statuses: set = set()
     sub_f = matching_graph(r)
-    pos_ind = _indicator_for(h, sub_f, q, d, POSITIVE, provider)
-    statuses.add(pos_ind.senders_status)
+    pos_ind = asm.indicator(sub_f, POSITIVE)
     gni_cache: dict[int, tuple] = {}
 
     for sub, pat_idx in surjection:
         pattern = family.members[pat_idx]
-        host_f = [v for i in sub for v in builder.edges[m_eids[i]]]
-        last_class = pattern.classes[q - 1]
-        for e_local in sorted(last_class):
-            _attach_indicator_copy(builder, pos_ind, host_f, g_eids[e_local],
-                                   note="positive indicator A -> last class")
-            _merge_counts(counts, pos_ind.counts)
-            counts["positive_indicators"] = counts.get("positive_indicators", 0) + 1
+        host_f = [v for i in sub for v in asm.builder.edges[m_eids[i]]]
+        for e_local in sorted(pattern.classes[q - 1]):
+            asm.attach_indicator(pos_ind, host_f, g_eids[e_local],
+                                 "positive_indicators",
+                                 "positive indicator A -> last class")
 
         rest = sorted(e for cls in pattern.classes[:q - 1] for e in cls)
         if not rest:
             # the pattern puts every edge in the last class: there is
             # nothing left to force, no rainbow gadget is needed
-            counts["gni_skipped_empty"] = counts.get("gni_skipped_empty", 0) + 1
+            asm.counts["gni_skipped_empty"] += 1
             continue
         if pat_idx not in gni_cache:
             sub_g = g.edge_induced(rest)
@@ -971,37 +948,26 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
             gni = build_gni(h, sub_f, sub_g, sub_partition, q, provider, d)
             gni_cache[pat_idx] = (gni, vert_list)
         gni, vert_list = gni_cache[pat_idx]
-        statuses.add(gni.senders_status)
-        ident = {fv: hv for fv, hv in zip(gni.f_vertices, host_f)}
-        for gv, orig in zip(gni.g_vertices, vert_list):
-            ident[gv] = orig
-        builder.compose(gni.graph, ident,
-                        note="rainbow gadget A -> remaining classes")
-        _merge_counts(counts, gni.counts)
-        counts["gni_copies"] = counts.get("gni_copies", 0) + 1
+        ident = dict(zip(gni.f_vertices, host_f))
+        ident.update(zip(gni.g_vertices, vert_list))
+        asm.attach_copy(gni, ident, "gni_copies",
+                        "rainbow gadget A -> remaining classes")
 
-    spec = PatternGadgetSpec(
-        builder.graph, g_vertices, g_eids, family, h, q, d, r, m_eids,
-        surjection, STATUS_UNVERIFIED, _worst_status(statuses), counts,
-        builder.manifest)
-    if _structural_pattern_ok(spec):
-        spec.status = STATUS_STRUCTURAL
-    return spec
+    graph, senders_status, counts, manifest = asm.finish()
+    return _promote(PatternGadgetSpec(
+        graph, g_vertices, g_eids, family, h, q, d, r, m_eids, surjection,
+        STATUS_UNVERIFIED, senders_status, counts, manifest), _pattern_p1)
 
 
-def _structural_pattern_ok(spec: PatternGadgetSpec) -> bool:
-    return (_no_extra_edges(spec.graph, spec.g_eids)
-            and edge_distance(spec.graph, spec.m_eids, spec.g_eids) >= spec.d)
+def _pattern_p1(spec: PatternGadgetSpec) -> PropertyResult:
+    return _separated("P1", spec.graph, [spec.g_eids], spec.m_eids,
+                      spec.g_eids, spec.d,
+                      "base graph induced; matching distance {}")
 
 
 def verify_pattern_gadget(spec: PatternGadgetSpec,
                           budget: Budget = NO_BUDGET) -> VerificationReport:
-    results = []
-    dist = edge_distance(spec.graph, spec.m_eids, spec.g_eids)
-    p1 = _no_extra_edges(spec.graph, spec.g_eids)
-    results.append(PropertyResult(
-        "P1", PASS if p1 else FAIL, "structural",
-        f"base graph induced; matching distance {dist} >= {spec.d}"))
+    results = [_pattern_p1(spec)]
 
     if spec.senders_status == STATUS_STUB:
         return _stub_report("pattern_gadget", results, ("P2", "P3"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from dataclasses import replace
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 
 from conftest import nx_copies
 
-from ramsey_gadgets import (EXACT, Budget, EdgeColoring, GraphError,
+from ramsey_gadgets import (EXACT, Budget, EdgeColoring, Graph, GraphError,
                             IndicatorSpec, PatternFamily, PatternGadgetSpec,
                             SenderSpec, StubSenderProvider, ArrowInstance,
-                            build_gni, build_indicator, build_pattern_gadget,
+                            build_3connected_abundant, build_clique_gtilde,
+                            build_cycle_abundant, build_gni, build_indicator,
+                            build_ktk2_abundant, build_pattern_gadget,
                             check_robust, choose_r, clique_with_pendant,
-                            complete_graph, cycle_graph, disjoint_union,
+                            complete_graph, cycle_graph,
+                            default_three_connected_seed, disjoint_union,
                             edge_distance, extendable, from_edges,
                             gni_expected_counts,
                             make_stub_sender, matching_graph, path_graph,
@@ -82,6 +86,18 @@ def test_search_sender_for_path_target():
     assert spec.status == STATUS_FULL
     rep = verify_sender(spec)
     assert rep.fully_verified
+
+
+def test_search_sender_builds_one_instance_per_graph(monkeypatch):
+    # the graph's own search decides S1 and the distance filter S3; each
+    # of the four edge pairs at distance >= 3 runs S2 on the same instance
+    calls = []
+    create = ArrowInstance.create
+    monkeypatch.setattr(ArrowInstance, "create",
+                        lambda *args: calls.append(args) or create(*args))
+    assert search_sender(P3, 2, 3, NEGATIVE, 8,
+                         corpus=[cycle_graph(8)]) is None
+    assert len(calls) == 1
 
 
 def test_string_senders():
@@ -352,6 +368,34 @@ def test_family_json_round_trip():
         assert all(back.contains(m) for m in fam.members)
 
 
+@pytest.mark.parametrize("name, build, verify", [
+    ("I1", lambda: build_indicator(K3, P3, 2, POSITIVE, STUB),
+     verify_indicator),
+    ("GI1", lambda: build_gni(K3, P3, single_edge(), [[0]], 2, STUB),
+     verify_gni),
+    ("P1", lambda: build_pattern_gadget(K3, *family_c4(), 2, STUB),
+     verify_pattern_gadget),
+], ids=["I1", "GI1", "P1"])
+def test_structural_property_fails_below_the_distance(name, build, verify):
+    # the builder promotes the spec with the predicate the verifier reports
+    spec = build()
+    assert spec.status == STATUS_STRUCTURAL
+    assert verify(spec).results[0].outcome == PASS
+    far = replace(spec, d=100)
+    result = verify(far).results[0]
+    assert (result.name, result.outcome) == (name, FAIL)
+    assert " < 100" in result.detail
+
+
+def test_gni_over_an_edgeless_graph_fails_gi1():
+    # nothing to keep at distance d from the subgraph: a failed property,
+    # not a distance error
+    spec = build_gni(K3, P3, Graph(2, ()), [[]], 2, STUB)
+    assert spec.status != STATUS_STRUCTURAL
+    gi1 = verify_gni(spec).results[0]
+    assert (gi1.name, gi1.outcome) == ("GI1", FAIL)
+
+
 # ---------------------------------------------------------------------------
 # robustness probe
 
@@ -545,3 +589,58 @@ def test_verify_large_pattern_gadget():
     induced = pattern_of(c4, EdgeColoring.from_map(
         3, {i: coloring.color_of(e) for i, e in enumerate(spec.g_eids)}))
     assert not family.contains(induced)
+
+
+# ---------------------------------------------------------------------------
+# pinned builds
+#
+# The sha256 of each build's spec JSON and manifest JSON (and, for the
+# abundance recipes, of the pattern gadget's spec, which carries the piece
+# counts), as recorded before the builders shared one assembly path: the
+# step order, edge ids, labels, counts and statuses must not change.
+
+PINNED_BUILDS = Path(__file__).with_name("build_digests.json")
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def _golden_builds():
+    for q in (2, 3):
+        for name, f in (("P3", P3), ("P4", path_graph(4))):
+            for polarity in (POSITIVE, NEGATIVE):
+                yield (f"indicator q={q} F={name} {polarity}",
+                       build_indicator(K3, f, q, polarity, STUB))
+    for key, spec, _ in _pinned_builds():
+        if not key.startswith("indicator"):
+            yield key, spec
+    for q, t, k in ((2, 5, 3), (3, 4, 1)):
+        yield f"cycle_abundant {q},{t},{k}", build_cycle_abundant(q, t, k, STUB)
+    yield "ktk2_abundant 3,2", build_ktk2_abundant(3, 2, STUB)
+    yield ("3connected_abundant default,2",
+           build_3connected_abundant(default_three_connected_seed(), 2, STUB))
+    for t, q in ((3, 2), (3, 3)):
+        yield f"clique_gtilde {t},{q}", build_clique_gtilde(t, q, STUB)
+    yield "string_senders", string_senders(
+        [make_stub_sender(K3, 2, 2, POSITIVE), make_stub_sender(K3, 2, 1, POSITIVE),
+         make_stub_sender(K3, 2, 3, NEGATIVE)])
+
+
+def pinned_build_digests() -> dict:
+    out = {}
+    for key, x in _golden_builds():
+        out[key] = {"spec": _digest(x.to_json())}
+        if getattr(x, "manifest", None) is not None:
+            out[key]["manifest"] = _digest(x.manifest.to_json())
+        if hasattr(x, "gadget"):
+            out[key]["gadget"] = _digest(x.gadget.to_json())
+    return out
+
+
+def test_builds_are_pinned():
+    want = json.loads(PINNED_BUILDS.read_text())
+    got = pinned_build_digests()
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key

@@ -1,9 +1,11 @@
 """Dead-code guard: every top-level function and class of the package is
 used, that is, named somewhere in `src/` or `tests/` outside its own
 definition (an import in `__init__.py` counts, so the public API passes),
-and every name a module imports is used in that module."""
+so is every method of a package class other than the dunder ones, and
+every name a module imports is used in that module."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -11,16 +13,20 @@ PACKAGE = ROOT / "src" / "ramsey_gadgets"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _names(node: ast.AST) -> set[str]:
-    out = set()
+def _mentions(node: ast.AST) -> Counter:
+    out: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.add(sub.name.rsplit(".", 1)[-1])
+            out[sub.name.rsplit(".", 1)[-1]] += 1
     return out
+
+
+def _names(node: ast.AST) -> set[str]:
+    return set(_mentions(node))
 
 
 def test_every_top_level_definition_is_referenced():
@@ -33,6 +39,22 @@ def test_every_top_level_definition_is_referenced():
               if path.parent == PACKAGE and isinstance(node, DEFINITIONS)
               and not any(node.name in names
                           for j, names in enumerate(mentions) if j != i)]
+    assert unused == []
+
+
+def test_every_method_is_referenced():
+    """A non-dunder method of a package class is named somewhere in `src/`
+    or `tests/` outside its own body."""
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    everywhere = sum((_mentions(tree) for tree in trees.values()), Counter())
+    unused = [f"{path.name}:{cls.name}.{meth.name}"
+              for path, tree in trees.items() if path.parent == PACKAGE
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for meth in cls.body
+              if isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not meth.name.startswith("__")
+              and everywhere[meth.name] == _mentions(meth)[meth.name]]
     assert unused == []
 
 
