@@ -7,9 +7,12 @@ serves `arrows`, `extendable`, minimality and every gadget verifier: an
 iterative backtracking search over per-edge color domains with unit
 propagation on those constraints, smallest-domain-first edge choice
 and first-use color symmetry breaking.  It has no recursion, so host
-size has no depth limit.  Budgets (decisions, wall time) turn into an
-explicit unknown verdict, never a wrong one, and every
-`does_not_arrow` witness is re-verified before it is returned.
+size has no depth limit.  A search that runs long also hands rounds of
+work to a seeded tabu min-conflicts local search (`_local_search`),
+which can find a free coloring but never proves that none exists.
+Budgets (decisions plus flips, wall time) turn into an explicit unknown
+verdict, never a wrong one, and every `does_not_arrow` witness is
+re-verified before it is returned.
 
 A subgraph check filters one copy list instead of enumerating copies
 again: the copies in the host minus some edges are the host's copies
@@ -21,6 +24,7 @@ builds one instance per edge-deleted subgraph.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -39,8 +43,9 @@ NOT_MINIMAL = "not_minimal"
 
 @dataclass(frozen=True)
 class Budget:
-    """Bounds on the work of one call: decisions (`max_nodes`) and wall
-    time (`max_seconds`).  `max_nodes` bounds each search on its own.
+    """Bounds on the work of one call: search steps (`max_nodes`,
+    decisions plus local-search flips) and wall time (`max_seconds`).
+    `max_nodes` bounds each search on its own.
     `max_seconds` bounds each search of `arrows` and `extendable`, and a
     whole `is_minimal` or `minimalize` call: each of its searches gets
     the time left."""
@@ -59,7 +64,8 @@ NO_BUDGET = Budget()
 
 @dataclass(frozen=True)
 class SearchStats:
-    nodes: int
+    nodes: int          # decisions of the exhaustive search
+    flips: int          # recolorings made by the local search
     elapsed: float
 
 
@@ -120,6 +126,153 @@ NOT_EXTENDABLE = "not_extendable"
 # ---------------------------------------------------------------------------
 # core search
 
+# The exhaustive search first stops for the local search after this many
+# decisions, then each time its decision count doubles; each stop hands
+# the local search 1/_LS_SHARE of the decisions made so far as flips.
+# Below the first stop nothing changes, so small searches pay nothing.
+_LS_START = 2048
+_LS_SHARE = 4
+# Local search: a recolored edge may not take its old color back during
+# this many flips; a random move instead of the best one with this
+# probability; a fresh coloring after this many flips.
+_LS_TENURE = 3
+_LS_WALK = 0.05
+_LS_RESTART = 3000
+
+
+def _local_search(num_edges: int, q: int, copy_list, fixed: dict[int, int],
+                  deadline: Optional[float]):
+    """Tabu min-conflicts search for a coloring with no monochromatic
+    copy (Selman, Kautz & Cohen's WalkSAT; Exoo's Ramsey colorings).
+
+    A generator: after priming with `next`, each `send(quota)` makes up
+    to `quota` flips and yields (flips, coloring), the coloring a total
+    assignment dict once no copy is monochromatic, else None.  Its state
+    carries over from one round to the next.  Fixed edges keep their
+    colors; edges in no copy get color 1 unless fixed.
+
+    A flip recolors one free edge that lies in a monochromatic copy.
+    For each edge e and color c it keeps make[e], the monochromatic
+    copies through e, and brk[e*(q+1)+c], the copies through e whose
+    other edges all have color c, so recoloring e to c changes the
+    number of monochromatic copies by brk - make.  Each flip takes the
+    move with the least change, ties broken at random, skipping moves
+    back to a color the edge left within the tabu tenure unless they
+    reach fewer monochromatic copies than seen since the last restart.
+    With probability _LS_WALK, or when every move is tabu, it recolors a
+    random edge of that set instead, and every _LS_RESTART flips it
+    starts again from a fresh random coloring.  All randomness comes
+    from one `random.Random(0)`, and only int-keyed containers are
+    iterated, so a run is reproducible.
+    `deadline` is checked every 256 flips; a round that passes it ends
+    early.
+    """
+    rng = random.Random(0)
+    q1 = q + 1
+    # occ[e]: (ci*q1, size, edges) of each copy ci through e
+    occ: list[list[tuple]] = [[] for _ in range(num_edges)]
+    for ci, es in enumerate(copy_list):
+        for e in es:
+            occ[e].append((ci * q1, len(es), es))
+    free = [e for e in range(num_edges) if occ[e] and e not in fixed]
+    color = [fixed.get(e, 1) for e in range(num_edges)]
+    quota = yield
+    since = _LS_RESTART
+    while True:
+        flips = 0
+        while True:
+            if since == _LS_RESTART:
+                since = 0
+                for e in free:
+                    color[e] = rng.randint(1, q)
+                cnt = [0] * (len(copy_list) * q1)   # edges of ci colored c
+                make = [0] * num_edges
+                brk = [0] * (num_edges * q1)
+                tabu = [0] * (num_edges * q1)
+                nviol = 0
+                for ci, es in enumerate(copy_list):
+                    base = ci * q1
+                    for e in es:
+                        cnt[base + color[e]] += 1
+                    for c in range(1, q1):
+                        if cnt[base + c] == len(es):
+                            nviol += 1
+                            for e in es:
+                                make[e] += 1
+                        elif cnt[base + c] == len(es) - 1:
+                            for e in es:
+                                if color[e] != c:
+                                    brk[e * q1 + c] += 1
+                                    break
+                bad = {e for e in free if make[e]}
+                least = nviol
+            if not bad or flips == quota:   # solved, stuck on fixed edges
+                break                       # or out of flips
+            flips += 1
+            since += 1
+            moves: list[tuple[int, int]] = []
+            if rng.random() >= _LS_WALK:
+                low = len(copy_list)        # d never exceeds it
+                for e in bad:
+                    a, m, base = color[e], make[e], e * q1
+                    for b in range(1, q1):
+                        d = brk[base + b] - m
+                        if b == a or d > low or (tabu[base + b] >= since
+                                                 and nviol + d >= least):
+                            continue
+                        if d < low:
+                            low = d
+                            moves = [(e, b)]
+                        else:
+                            moves.append((e, b))
+            if moves:
+                e, b = moves[rng.randrange(len(moves))]
+            else:
+                e = rng.choice(sorted(bad))
+                b = rng.choice([c for c in range(1, q1) if c != color[e]])
+            a = color[e]
+            tabu[e * q1 + a] = since + _LS_TENURE
+            for base, k, es in occ[e]:
+                i = base + a
+                n = cnt[i] - 1
+                cnt[i] = n
+                if n == k - 1:              # the copy was monochromatic in a
+                    nviol -= 1
+                    for f in es:
+                        make[f] -= 1
+                        if not make[f]:
+                            bad.discard(f)
+                    brk[e * q1 + a] += 1
+                elif n == k - 2:            # its one edge not colored a
+                    for f in es:
+                        if color[f] != a:
+                            brk[f * q1 + a] -= 1
+                            break
+                i = base + b
+                n = cnt[i] + 1
+                cnt[i] = n
+                if n == k:                  # it turns monochromatic in b
+                    brk[e * q1 + b] -= 1
+                    nviol += 1
+                    for f in es:
+                        make[f] += 1
+                        if f not in fixed:
+                            bad.add(f)
+                elif n == k - 1:            # its one edge not colored b
+                    for f in es:
+                        if f != e and color[f] != b:
+                            brk[f * q1 + b] += 1
+                            break
+            color[e] = b
+            if nviol < least:
+                least = nviol
+            if deadline is not None and flips & 255 == 0 \
+                    and time.monotonic() > deadline:
+                break
+        found = None if nviol else dict(enumerate(color))
+        quota = yield flips, found
+
+
 def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
            max_nodes: Optional[int], max_seconds: Optional[float]):
     """Search for a total coloring with no monochromatic copy.
@@ -141,15 +294,22 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     removals.  Edges in no copy are not searched and get color 1 unless
     fixed.
 
-    Returns (status, assignment, nodes): status True with a total
+    The search stops when its decision count reaches _LS_START and
+    then each time it doubles, hands 1/_LS_SHARE of the decisions made
+    so far as flips to one `_local_search` generator, and goes on where
+    it stopped unless that found a coloring.  Only the exhaustive search
+    can show that no coloring exists.
+
+    Returns (status, assignment, nodes, flips): status True with a total
     assignment dict, False when no coloring exists, or None on budget
-    exhaustion.  `nodes` counts decisions; `max_nodes` bounds them.
+    exhaustion.  `nodes` counts decisions and `flips` local-search
+    recolorings; `max_nodes` bounds their sum.
     """
     deadline = time.monotonic() + max_seconds if max_seconds else None
     q1 = q + 1
     full = (1 << q1) - 2                      # bits 1..q
     if any(len(es) == 1 for es in copy_list):
-        return False, None, 0                 # a one-edge copy forbids all colors
+        return False, None, 0, 0              # a one-edge copy forbids all colors
     num_copies = [0] * num_edges
     for es in copy_list:
         for e in es:
@@ -246,7 +406,7 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
         dom[e] = 1 << c
         queue.append(e)
     if not propagate():
-        return False, None, 0
+        return False, None, 0, 0
 
     order = sorted((e for e in range(num_edges)
                     if num_copies[e] and e not in fixed),
@@ -256,7 +416,9 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
         rank[e] = i
     pos = 0                                   # order[:pos] is assigned
     stack: list[tuple[int, list[int], int, int, int]] = []
-    nodes = 0
+    nodes = flips = 0
+    local = None                              # the _local_search generator
+    stop = _LS_START
     ok = True
     while True:
         if ok:
@@ -271,21 +433,36 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
                     pos += 1
                 if pos == len(order):
                     return True, {f: color[f] or 1
-                                  for f in range(num_edges)}, nodes
+                                  for f in range(num_edges)}, nodes, flips
                 e = order[pos]
-            if max_nodes is not None and nodes >= max_nodes:
-                return None, None, nodes
+            if nodes == stop:
+                stop *= 2
+                if local is None:
+                    local = _local_search(num_edges, q, copy_list, fixed,
+                                          deadline)
+                    next(local)
+                quota = nodes // _LS_SHARE
+                if max_nodes is not None:
+                    quota = min(quota, max_nodes - nodes - flips)
+                done, found = local.send(quota)
+                flips += done
+                if found is not None:
+                    return True, found, nodes, flips
+                if deadline is not None and time.monotonic() > deadline:
+                    return None, None, nodes, flips
+            if max_nodes is not None and nodes + flips >= max_nodes:
+                return None, None, nodes, flips
             nodes += 1
             if deadline is not None and nodes % 256 == 0 \
                     and time.monotonic() > deadline:
-                return None, None, nodes
+                return None, None, nodes, flips
             top = min(q, max_used + 1)
             colors = [c for c in range(top, 0, -1) if dom[e] >> c & 1]
             stack.append((e, colors, len(trail), pos, max_used))
         while stack and not stack[-1][1]:
             stack.pop()
         if not stack:
-            return False, None, nodes
+            return False, None, nodes, flips
         e, colors, length, pos, max_used = stack[-1]
         undo(length)
         ok = assign(e, colors.pop()) and propagate()
@@ -314,9 +491,9 @@ def arrows(instance: ArrowInstance) -> ArrowResult:
     start = time.monotonic()
     m, q = instance.host.num_edges, instance.q
     budget = instance.budget
-    status, payload, nodes = _solve(m, q, instance.copies, {},
-                                    budget.max_nodes, budget.max_seconds)
-    stats = SearchStats(nodes, time.monotonic() - start)
+    status, payload, nodes, flips = _solve(
+        m, q, instance.copies, {}, budget.max_nodes, budget.max_seconds)
+    stats = SearchStats(nodes, flips, time.monotonic() - start)
     if status is True:
         witness = EdgeColoring.from_map(q, payload)
         if not verify_witness(instance, witness):
@@ -341,12 +518,12 @@ def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
     cert = _mono_copy(instance.copies, partial)
     if cert is not None:
         return ExtendResult(NOT_EXTENDABLE, None, cert,
-                            SearchStats(0, time.monotonic() - start))
+                            SearchStats(0, 0, time.monotonic() - start))
 
-    status, payload, nodes = _solve(
+    status, payload, nodes, flips = _solve(
         host.num_edges, q, instance.copies, partial.as_dict(),
         instance.budget.max_nodes, instance.budget.max_seconds)
-    stats = SearchStats(nodes, time.monotonic() - start)
+    stats = SearchStats(nodes, flips, time.monotonic() - start)
     if status is True:
         witness = EdgeColoring.from_map(q, payload)
         if not verify_witness(instance, witness):

@@ -133,7 +133,7 @@ def cmd_arrow(args) -> int:
     inst = ArrowInstance.create(host, target, args.q, _budget(args))
     res = arrows(inst)
     payload = {"verdict": res.verdict, "nodes": res.stats.nodes,
-               "copies": len(inst.copies)}
+               "flips": res.stats.flips, "copies": len(inst.copies)}
     if res.witness is not None:
         payload["witness"] = res.witness.to_json()
     if getattr(args, "dimacs_out", None):
@@ -148,7 +148,8 @@ def cmd_color(args) -> int:
     target = _load_graph(args.target)
     inst = ArrowInstance.create(host, target, args.q, _budget(args))
     res = arrows(inst)
-    payload = {"verdict": res.verdict, "nodes": res.stats.nodes}
+    payload = {"verdict": res.verdict, "nodes": res.stats.nodes,
+               "flips": res.stats.flips}
     if res.witness is not None:
         payload["coloring"] = res.witness.to_json()
     _emit(args, "color", payload)
@@ -160,7 +161,8 @@ def cmd_extend(args) -> int:
     target = _load_graph(args.target)
     partial = EdgeColoring.from_json(args.q, _load_json(args.partial))
     res = extendable(host, partial, target, args.q, _budget(args))
-    payload = {"verdict": res.verdict, "nodes": res.stats.nodes}
+    payload = {"verdict": res.verdict, "nodes": res.stats.nodes,
+               "flips": res.stats.flips}
     if res.witness is not None:
         payload["witness"] = res.witness.to_json()
     if res.certificate is not None:

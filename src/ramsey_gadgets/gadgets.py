@@ -537,6 +537,8 @@ def _attach_indicator_core(asm: _Assembly, f_eids: list[int]) -> int:
 def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
                     provider: SenderProvider,
                     d: Optional[int] = None) -> IndicatorSpec:
+    if q < 2:
+        raise GraphError("need q >= 2")
     if d is None:
         d = h.n + 1
     if f.num_edges < 2:
@@ -714,6 +716,8 @@ def build_gni(h: Graph, f: Graph, g: Graph,
     """Rainbow-forcing gadget: when the subgraph f is monochromatic,
     the declared classes of g must each be monochromatic and use all
     remaining colors."""
+    if q < 2:
+        raise GraphError("need q >= 2")
     if d is None:
         d = h.n + 1
     if d <= h.n:

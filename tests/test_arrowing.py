@@ -1,5 +1,6 @@
 import itertools
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -79,12 +80,52 @@ def test_budgets_bound_the_search():
                   budget=Budget(max_nodes=n))
         assert res.verdict == UNKNOWN
         assert res.stats.nodes <= n
-    # R(4,4) = 18: K13 has a K4-free 2-coloring that is out of reach here
+    # R(3,3,3) = 17: K17 ->3 K3 arrows, so the local search finds nothing
+    # and the exhaustive search needs far more than the budget
     start = time.monotonic()
-    res = run(complete_graph(13), complete_graph(4),
+    res = run(complete_graph(17), complete_graph(3), 3,
               budget=Budget(max_seconds=0.5))
     assert res.verdict == UNKNOWN
     assert time.monotonic() - start < 2
+
+
+def test_max_nodes_bounds_decisions_plus_flips():
+    host, k3 = complete_graph(17), complete_graph(3)
+    for n in (arrowing._LS_START, arrowing._LS_START + 100, 3000, 5000):
+        res = run(host, k3, 3, budget=Budget(max_nodes=n))
+        assert res.verdict == UNKNOWN
+        assert res.stats.nodes + res.stats.flips <= n
+        assert res.stats.flips > 0 or n == arrowing._LS_START
+
+
+def test_max_seconds_stops_a_local_search_round():
+    host, k3 = complete_graph(17), complete_graph(3)
+    inst = ArrowInstance.create(host, k3, 3)
+    start = time.monotonic()
+    local = arrowing._local_search(host.num_edges, 3, inst.copies, {},
+                                   start + 0.2)
+    next(local)
+    flips, found = local.send(10 ** 9)
+    assert found is None and 0 < flips < 10 ** 9
+    assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("n,t,q", [(13, 4, 2), (17, 4, 2), (16, 3, 3)])
+def test_ramsey_witnesses_are_found(n, t, q):
+    # R(4,4) = 18 and R(3,3,3) = 17: each host has a free coloring
+    host, target = complete_graph(n), complete_graph(t)
+    inst = ArrowInstance.create(host, target, q, Budget(max_seconds=5))
+    res = arrows(inst)
+    assert res.verdict == DOES_NOT_ARROW
+    assert verify_witness(inst, res.witness)
+    assert res.stats.flips > 0
+
+
+def test_search_is_reproducible():
+    a, b = (run(complete_graph(17), complete_graph(4)) for _ in range(2))
+    assert a.witness == b.witness
+    assert replace(a.stats, elapsed=0) == replace(b.stats, elapsed=0)
+    assert a.stats.flips > 0
 
 
 @pytest.mark.parametrize("n,q,verdict", [
@@ -237,6 +278,66 @@ def test_arrows_matches_naive_oracle(data):
     if res.verdict == DOES_NOT_ARROW:
         assert verify_witness(inst, res.witness)
         assert free_of(res.witness.as_dict(), nx_copies(host, target))
+
+
+def free_extension_exists(host, target, q, fixed):
+    copies = nx_copies(host, target)
+    free = [e for e in range(host.num_edges) if e not in fixed]
+    return any(free_of({**fixed, **dict(zip(free, colors))}, copies)
+               for colors in itertools.product(range(1, q + 1),
+                                               repeat=len(free)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_local_search_matches_naive_oracle(data):
+    q = data.draw(st.sampled_from([2, 3]))
+    host = small_host(data, q)
+    target = data.draw(st.sampled_from(TARGETS))
+    fixed = data.draw(st.dictionaries(
+        st.integers(0, host.num_edges - 1), st.integers(1, q)))
+    inst = ArrowInstance.create(host, target, q)
+    local = arrowing._local_search(host.num_edges, q, inst.copies, fixed,
+                                   None)
+    next(local)
+    found = None
+    for quota in (0, 1, 40, 400):            # its state carries over
+        flips, found = local.send(quota)
+        assert flips <= quota
+        if found is not None:
+            break
+    if found is None:
+        return
+    assert all(found[e] == c for e, c in fixed.items())
+    assert verify_witness(inst, EdgeColoring.from_map(q, found))
+    assert free_of(found, nx_copies(host, target))
+    assert free_extension_exists(host, target, q, fixed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_alternating_phases_match_naive_oracle(data):
+    # a stop after every doubling from the first decision on, each
+    # handing the local search as many flips as decisions so far
+    q = data.draw(st.sampled_from([2, 3]))
+    host = small_host(data, q)
+    target = data.draw(st.sampled_from(TARGETS))
+    fixed = data.draw(st.dictionaries(
+        st.integers(0, host.num_edges - 1), st.integers(1, q)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrowing, "_LS_START", 1)
+        mp.setattr(arrowing, "_LS_SHARE", 1)
+        inst = ArrowInstance.create(host, target, q)
+        res = arrows(inst)
+        ext = extendable(host, EdgeColoring.from_map(q, fixed), target, q,
+                         instance=inst)
+    assert res.verdict == naive_arrows(host, target, q)
+    if res.verdict == DOES_NOT_ARROW:
+        assert verify_witness(inst, res.witness)
+    assert ext.extendable == free_extension_exists(host, target, q, fixed)
+    if ext.extendable:
+        assert all(ext.witness.color_of(e) == c for e, c in fixed.items())
+        assert verify_witness(inst, ext.witness)
 
 
 @settings(max_examples=150, deadline=None)

@@ -112,6 +112,12 @@ def test_malformed_input_exits_usage(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_one_color_indicator_exits_usage(capsys):
+    assert main(["construct", "indicator", "--target", "K3", "--subgraph",
+                 "P3", "--q", "1", "--senders", "stub"]) == 3
+    assert "q >= 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", [
     lambda d: d.pop("graph"),                               # missing key
     lambda d: d.update(e="0"),                              # wrong type
@@ -141,6 +147,20 @@ def test_reports_are_deterministic(capsys):
     a = run(capsys, "color", "--host", "K5", "--target", "K3")
     b = run(capsys, "color", "--host", "K5", "--target", "K3")
     assert a == b
+
+
+def test_search_reports_count_flips(capsys):
+    # K13 ->2 K4 is decided by the local search, byte for byte the same
+    outs = []
+    for _ in range(2):
+        assert main(["arrow", "--host", "K13", "--target", "K4"]) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["flips"] > 0 and report["nodes"] >= arrowing._LS_START
+    code, report = run(capsys, "extend", "--host", "K5", "--target", "K3",
+                       "--partial", "[[0, 1]]")
+    assert report["flips"] == 0
 
 
 def test_report_file(tmp_path, capsys):

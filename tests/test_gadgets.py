@@ -161,6 +161,13 @@ def test_indicator_preconditions():
         build_indicator(K3, single_edge(), 2, POSITIVE, STUB)
 
 
+def test_indicator_and_gni_need_two_colors():
+    with pytest.raises(GraphError, match="q >= 2"):
+        build_indicator(K3, P3, 1, POSITIVE, STUB)
+    with pytest.raises(GraphError, match="q >= 2"):
+        build_gni(K3, P3, Graph(2, ()), [], 1, STUB)
+
+
 def test_verify_indicator_stub_skips():
     rep = verify_indicator(build_indicator(K3, P3, 2, POSITIVE, STUB))
     assert rep.outcome_of("I1") == PASS
