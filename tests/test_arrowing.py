@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 from dataclasses import replace
@@ -14,8 +15,8 @@ from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             EdgeColoring, GraphError, arrows, complete_graph,
                             cycle_graph, extendable, from_edges,
                             is_minimal, min_degree_stats, minimalize,
-                            path_graph, sq_lower_bound, star_graph,
-                            to_dimacs, verify_witness)
+                            path_graph, phi_coloring, sq_lower_bound,
+                            star_graph, to_dimacs, verify_witness)
 
 
 def run(host, target, q=2, budget=NO_BUDGET):
@@ -126,6 +127,38 @@ def test_search_is_reproducible():
     assert a.witness == b.witness
     assert replace(a.stats, elapsed=0) == replace(b.stats, elapsed=0)
     assert a.stats.flips > 0
+
+
+def _ladder(q, t):
+    # phi(q, t) fixed on K_n inside K_{n+1}: no clique-free extension
+    n = (t - 1) ** q
+    host, kn = complete_graph(n + 1), complete_graph(n)
+    partial = {host.edge_id(*kn.edges[e]): c
+               for e, c in phi_coloring(q, t).colors}
+    return host, EdgeColoring.from_map(q, partial), complete_graph(t)
+
+
+@pytest.mark.parametrize("case,counters,digest", [
+    ("K9 C5 2", (2942, 512), None),
+    ("K13 K4 2", (2048, 10), "272643dac3b21cef"),
+    ("K16 K3 3", (8192, 1863), "caea252d9e6780da"),
+    ("K17 K4 2", (4096, 1098), "18f40c8afbac6dbb"),
+    ("ladder 4 3", (6962, 1536), None),
+])
+def test_search_counters_are_pinned(case, counters, digest):
+    # unit propagation reaches one fixpoint however it is computed, so
+    # the decisions, the flips and the witness must not move
+    kind, a, b = case.split()
+    if kind == "ladder":
+        host, partial, target = _ladder(int(a), int(b))
+        res = extendable(host, partial, target, int(a))
+    else:
+        target = cycle_graph(5) if a == "C5" else complete_graph(int(a[1:]))
+        res = run(complete_graph(int(kind[1:])), target, int(b))
+    assert (res.stats.nodes, res.stats.flips) == counters
+    got = res.witness and hashlib.sha256(
+        bytes(c for _, c in res.witness.colors)).hexdigest()[:16]
+    assert got == digest
 
 
 @pytest.mark.parametrize("n,q,verdict", [
