@@ -6,10 +6,13 @@ constraint "not all edges one color".  One search core, `_solve`,
 serves `arrows`, `extendable`, minimality and every gadget verifier: an
 iterative backtracking search over per-edge color domains with unit
 propagation on those constraints, smallest-domain-first edge choice
-and first-use color symmetry breaking.  It has no recursion, so host
-size has no depth limit.  A search that runs long also hands rounds of
-work to a seeded tabu min-conflicts local search (`_local_search`),
-which can find a free coloring but never proves that none exists.
+and first-use color symmetry breaking.  Propagation keeps, for each
+color, one counter per copy, bit-sliced across big ints so that one
+assignment updates every copy through its edge at once.  It has no
+recursion, so host size has no depth limit.  A search that runs long
+also hands rounds of work to a seeded tabu min-conflicts local search
+(`_local_search`), which can find a free coloring but never proves
+that none exists.
 Budgets (decisions plus flips, wall time) turn into an explicit unknown
 verdict, never a wrong one, and every `does_not_arrow` witness is
 re-verified before it is returned.
@@ -164,8 +167,8 @@ def _local_search(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     starts again from a fresh random coloring.  All randomness comes
     from one `random.Random(0)`, and only int-keyed containers are
     iterated, so a run is reproducible.
-    `deadline` is checked every 256 flips; a round that passes it ends
-    early.
+    `deadline` is checked after every flip, since on a large host one
+    flip can scan thousands of edges; a round that passes it ends early.
     """
     rng = random.Random(0)
     q1 = q + 1
@@ -266,8 +269,7 @@ def _local_search(num_edges: int, q: int, copy_list, fixed: dict[int, int],
             color[e] = b
             if nviol < least:
                 least = nviol
-            if deadline is not None and flips & 255 == 0 \
-                    and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 break
         found = None if nviol else dict(enumerate(color))
         quota = yield flips, found
@@ -281,9 +283,19 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     Every copy gives, for each color c, the clause "not all edges color
     c".  Unit propagation: when a copy has all edges but one colored c,
     c leaves the last edge's domain; an empty domain is a conflict, and
-    a one-color domain is assigned at once.  Each clause watches two of
-    its edges not colored c and is looked at only when one of them
-    takes c, so undoing an assignment touches no clause.
+    a one-color domain is assigned at once.  So a copy never gets all k
+    of its edges one color.
+
+    The clause counts are bit-sliced (Biham's DES, FSE 1997): bit ci of
+    the int inc[e] is set when copy ci contains edge e, and for each
+    color c, hi = (k-1).bit_length() ints ("planes") hold bit j of one
+    counter per copy, the number of its edges colored c plus 2**hi - k.
+    Assigning c to e adds inc[e] into c's planes with a ripple carry;
+    the copies through e whose planes are now all set are one edge
+    short of all c, and only their last edge is looked at.  Undoing the
+    assignment subtracts inc[e] with the matching borrow, so nothing is
+    saved per decision.  The masks cost about m*N/8 bytes for m edges
+    and N copies, and every assignment a few operations on N-bit ints.
 
     A decision picks the unassigned edge with the smallest domain, then
     the most copies, then the lowest id, and tries its colors in
@@ -308,24 +320,22 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     deadline = time.monotonic() + max_seconds if max_seconds else None
     q1 = q + 1
     full = (1 << q1) - 2                      # bits 1..q
-    if any(len(es) == 1 for es in copy_list):
+    sizes = {len(es) for es in copy_list}
+    if 1 in sizes:
         return False, None, 0, 0              # a one-edge copy forbids all colors
+    (k,) = sizes or {2}                       # every copy has the target's k edges
     num_copies = [0] * num_edges
-    for es in copy_list:
+    inc = [0] * num_edges                     # bit ci: copy ci contains e
+    for ci, es in enumerate(copy_list):
         for e in es:
             num_copies[e] += 1
-    # clause (copy ci, color c) watches edges watch[c][2ci], watch[c][2ci+1];
-    # watched[c][e] lists the 2ci of the clauses of color c watching e
-    pair = [es for es in copy_list for _ in (0, 1)]
-    watch = [[], *([e for es in copy_list for e in es[:2]]
-                   for _ in range(q))]
-    watched = [[]]
-    for c in range(1, q1):
-        lists: list[list[int]] = [[] for _ in range(num_edges)]
-        for k in range(0, len(pair), 2):
-            lists[pair[k][0]].append(k)
-            lists[pair[k][1]].append(k)
-        watched.append(lists)
+            inc[e] |= 1 << ci
+    # planes[c][j]: bit j of every copy's count of c-colored edges plus
+    # 2**hi - k, so all hi planes are set where one edge is not c yet
+    hi = (k - 1).bit_length()
+    every = (1 << len(copy_list)) - 1
+    planes = [[], *([every if (2 ** hi - k) >> j & 1 else 0
+                     for j in range(hi)] for _ in range(q))]
     color = [0] * num_edges
     dom = [full] * num_edges
     trail: list[int] = []           # e: assigned; ~(e*q1+c): c removed
@@ -354,33 +364,25 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
         trail.append(e)
         if c > max_used:
             max_used = c
-        wc, wl = watch[c], watched[c]
-        clauses = wl[e]
-        keep = []
-        for i, k in enumerate(clauses):
-            if wc[k] == e:
-                other = wc[k + 1]
-                slot = k
-            else:
-                other = wc[k]
-                slot = k + 1
-            oc = color[other]
-            if oc and oc != c:              # satisfied by the other watch
-                keep.append(k)
-                continue
-            for f in pair[k]:
-                if color[f] != c and f != other and f != e:
-                    wc[slot] = f
-                    wl[f].append(k)
+        p = planes[c]
+        carry = inc[e]
+        for j in range(hi):                 # count e in each copy through it
+            p[j], carry = p[j] ^ carry, p[j] & carry
+            if not carry:
+                break
+        else:                               # propagation prevents this
+            raise InternalError("a copy reached all edges one color")
+        unit = inc[e]
+        for j in range(hi):
+            unit &= p[j]
+        while unit:                         # copies now one edge short of all c
+            ci = unit.bit_length() - 1
+            unit ^= 1 << ci
+            for f in copy_list[ci]:
+                if color[f] != c:
                     break
-            else:
-                keep.append(k)
-                # all edges but `other` are colored c
-                if oc or not remove(other, c):
-                    keep.extend(clauses[i + 1:])
-                    wl[e] = keep
-                    return False
-        wl[e] = keep
+            if not color[f] and not remove(f, c):
+                return False
         return True
 
     def propagate() -> bool:
@@ -395,6 +397,12 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
         while len(trail) > length:
             t = trail.pop()
             if t >= 0:
+                p = planes[color[t]]
+                borrow = inc[t]
+                for j in range(hi):
+                    p[j], borrow = p[j] ^ borrow, borrow & ~p[j]
+                    if not borrow:
+                        break
                 color[t] = 0
             else:
                 f, c = divmod(~t, q1)

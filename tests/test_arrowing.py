@@ -111,6 +111,19 @@ def test_max_seconds_stops_a_local_search_round():
     assert time.monotonic() - start < 1
 
 
+def test_max_seconds_holds_on_a_sparse_host():
+    # 2000 disjoint K5: one flip scans thousands of edges, so a deadline
+    # checked only every 256 flips ran 1.4 s over a 0.5 s budget
+    edges = [(5 * i + u, 5 * i + v) for i in range(2000)
+             for u, v in itertools.combinations(range(5), 2)]
+    inst = ArrowInstance.create(from_edges(10000, edges), complete_graph(3),
+                                2, Budget(max_seconds=0.5))
+    start = time.monotonic()
+    res = arrows(inst)
+    assert time.monotonic() - start < 0.5 + 0.5
+    assert res.verdict in (UNKNOWN, DOES_NOT_ARROW)
+
+
 @pytest.mark.parametrize("n,t,q", [(13, 4, 2), (17, 4, 2), (16, 3, 3)])
 def test_ramsey_witnesses_are_found(n, t, q):
     # R(4,4) = 18 and R(3,3,3) = 17: each host has a free coloring
@@ -313,8 +326,9 @@ def test_arrows_matches_naive_oracle(data):
         assert free_of(res.witness.as_dict(), nx_copies(host, target))
 
 
-def free_extension_exists(host, target, q, fixed):
-    copies = nx_copies(host, target)
+def free_extension_exists(host, target, q, fixed, copies=None):
+    if copies is None:
+        copies = nx_copies(host, target)
     free = [e for e in range(host.num_edges) if e not in fixed]
     return any(free_of({**fixed, **dict(zip(free, colors))}, copies)
                for colors in itertools.product(range(1, q + 1),
@@ -396,6 +410,41 @@ def test_extendable_matches_brute_force(data):
         assert frozenset(res.certificate) in copies
         assert len({fixed.get(e) for e in res.certificate}) == 1
         assert set(res.certificate) <= set(fixed)
+
+
+# the wheel W4: hub 0 and the rim 1-2-3-4
+W4 = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4),
+                    (1, 2), (2, 3), (3, 4), (1, 4)])
+# unfixed edges per color count, so that brute force stays small
+FREE_EDGES = {2: 8, 3: 5, 4: 4}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_wide_copies_match_naive_oracle(data):
+    # copies of 5, 6 and 8 edges need 3, 3 and 4 counter bits below the
+    # all-c bit in the search, and 8 edges fill their 3 low bits exactly
+    q = data.draw(st.sampled_from([2, 3, 4]))
+    target = data.draw(st.sampled_from([cycle_graph(5), complete_graph(4),
+                                        W4]))
+    n = data.draw(st.integers(5, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    gone = data.draw(st.sets(st.sampled_from(pairs), max_size=5))
+    host = from_edges(n, [p for p in pairs if p not in gone])
+    m = host.num_edges
+    keys = data.draw(st.sets(st.integers(0, m - 1), max_size=m,
+                             min_size=max(0, m - FREE_EDGES[q])))
+    fixed = {e: data.draw(st.integers(1, q)) for e in sorted(keys)}
+    inst = ArrowInstance.create(host, target, q)
+    copies = nx_copies(host, target)
+    status, found, _, _ = arrowing._solve(m, q, inst.copies, fixed,
+                                          None, None)
+    assert status == free_extension_exists(host, target, q, fixed, copies)
+    if status:
+        assert all(found[e] == c for e, c in fixed.items())
+        assert free_of(found, copies)
+    if m <= FREE_EDGES[q]:
+        assert arrows(inst).verdict == naive_arrows(host, target, q)
 
 
 @settings(max_examples=120, deadline=None)
