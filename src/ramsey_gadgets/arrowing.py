@@ -324,11 +324,9 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     if 1 in sizes:
         return False, None, 0, 0              # a one-edge copy forbids all colors
     (k,) = sizes or {2}                       # every copy has the target's k edges
-    num_copies = [0] * num_edges
     inc = [0] * num_edges                     # bit ci: copy ci contains e
     for ci, es in enumerate(copy_list):
         for e in es:
-            num_copies[e] += 1
             inc[e] |= 1 << ci
     # planes[c][j]: bit j of every copy's count of c-colored edges plus
     # 2**hi - k, so all hi planes are set where one edge is not c yet
@@ -417,8 +415,8 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
         return False, None, 0, 0
 
     order = sorted((e for e in range(num_edges)
-                    if num_copies[e] and e not in fixed),
-                   key=lambda e: (-num_copies[e], e))
+                    if inc[e] and e not in fixed),
+                   key=lambda e: (-inc[e].bit_count(), e))
     rank = [0] * num_edges
     for i, e in enumerate(order):
         rank[e] = i

@@ -422,8 +422,8 @@ FREE_EDGES = {2: 8, 3: 5, 4: 4}
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_wide_copies_match_naive_oracle(data):
-    # copies of 5, 6 and 8 edges need 3, 3 and 4 counter bits below the
-    # all-c bit in the search, and 8 edges fill their 3 low bits exactly
+    # the search's per-copy counters for copies of 5, 6 and 8 edges have
+    # 3 bits each and start at 3, 2 and 0: the wheel fills all 3 bits
     q = data.draw(st.sampled_from([2, 3, 4]))
     target = data.draw(st.sampled_from([cycle_graph(5), complete_graph(4),
                                         W4]))
