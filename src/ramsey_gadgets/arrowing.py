@@ -49,9 +49,10 @@ class Budget:
     """Bounds on the work of one call: search steps (`max_nodes`,
     decisions plus local-search flips) and wall time (`max_seconds`).
     `max_nodes` bounds each search on its own.
-    `max_seconds` bounds each search of `arrows` and `extendable`, and a
-    whole `is_minimal` or `minimalize` call: each of its searches gets
-    the time left."""
+    `max_seconds` bounds each search of `arrows` and `extendable`
+    together with the enumeration of its instance's copies, and a whole
+    `is_minimal` or `minimalize` call: each of its searches gets the
+    time left."""
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
@@ -77,21 +78,33 @@ class ArrowInstance:
     host: Graph
     target: Graph
     q: int
-    copies: tuple[tuple[int, ...], ...]   # distinct copies as sorted edge-id tuples
+    # distinct copies as sorted edge-id tuples; None when their
+    # enumeration ran out of time, and every search is then unknown
+    copies: Optional[tuple[tuple[int, ...], ...]]
     budget: Budget = NO_BUDGET
 
     @classmethod
     def create(cls, host: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> "ArrowInstance":
+        """The instance with every copy of `target` in `host`.  The
+        `max_seconds` clock starts before the enumeration: the instance
+        keeps the time left as its budget's `max_seconds`, or gets no
+        copies if none is left."""
         if q < 2:
             raise GraphError("need at least 2 colors")
         if target.num_edges == 0:
             raise GraphError("target must have edges")
-        if target.num_edges > host.num_edges:
-            copies: tuple[tuple[int, ...], ...] = ()
-        else:
-            copies = tuple(tuple(sorted(emb.edge_set))
-                           for emb in enumerate_copies(host, target))
+        deadline = _deadline(budget)
+        copies: Optional[tuple[tuple[int, ...], ...]] = ()
+        if target.num_edges <= host.num_edges:
+            found = enumerate_copies(host, target, deadline)
+            copies = None if found is None else tuple(
+                tuple(sorted(emb.edge_set)) for emb in found)
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if copies is None or left <= 0:
+                return cls(host, target, q, None, budget)
+            budget = replace(budget, max_seconds=left)
         return cls(host, target, q, copies, budget)
 
 
@@ -495,6 +508,8 @@ def verify_witness(instance: ArrowInstance, coloring: EdgeColoring) -> bool:
 
 def arrows(instance: ArrowInstance) -> ArrowResult:
     start = time.monotonic()
+    if instance.copies is None:
+        return ArrowResult(UNKNOWN, None, SearchStats(0, 0, 0.0))
     m, q = instance.host.num_edges, instance.q
     budget = instance.budget
     status, payload, nodes, flips = _solve(
@@ -521,6 +536,9 @@ def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
     start = time.monotonic()
     if instance is None:
         instance = ArrowInstance.create(host, target, q, budget)
+    if instance.copies is None:
+        return ExtendResult(UNKNOWN, None, None,
+                            SearchStats(0, 0, time.monotonic() - start))
     cert = _mono_copy(instance.copies, partial)
     if cert is not None:
         return ExtendResult(NOT_EXTENDABLE, None, cert,
@@ -556,6 +574,8 @@ def _avoiding(instance: ArrowInstance, dropped) -> ArrowInstance:
     """The instance of the host minus the `dropped` edges: the copies of
     the target there are exactly the host's copies that avoid them.  The
     host and its edge ids stay, so every edge is still colored."""
+    if instance.copies is None:
+        return instance
     return replace(instance, copies=tuple(
         es for es in instance.copies if dropped.isdisjoint(es)))
 
@@ -661,6 +681,8 @@ def sq_lower_bound(h: Graph, q: int) -> int:
 def to_dimacs(instance: ArrowInstance) -> str:
     """CNF that is satisfiable iff the host has a target-free total
     q-coloring.  Variable x_{e,c} = e*q + c (1-based colors)."""
+    if instance.copies is None:
+        raise GraphError("the copies were not enumerated within the budget")
     m, q = instance.host.num_edges, instance.q
 
     def var(e: int, c: int) -> int:

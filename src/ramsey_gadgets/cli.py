@@ -133,10 +133,11 @@ def cmd_arrow(args) -> int:
     inst = ArrowInstance.create(host, target, args.q, _budget(args))
     res = arrows(inst)
     payload = {"verdict": res.verdict, "nodes": res.stats.nodes,
-               "flips": res.stats.flips, "copies": len(inst.copies)}
+               "flips": res.stats.flips,
+               "copies": None if inst.copies is None else len(inst.copies)}
     if res.witness is not None:
         payload["witness"] = res.witness.to_json()
-    if getattr(args, "dimacs_out", None):
+    if getattr(args, "dimacs_out", None) and inst.copies is not None:
         with open(args.dimacs_out, "w") as fh:
             fh.write(to_dimacs(inst))
     _emit(args, "arrow", payload)

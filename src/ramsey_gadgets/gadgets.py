@@ -830,9 +830,10 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
 
     # GI4: any non-constant subgraph coloring + any target-free coloring
     # of g extends; the copies inside g are the host copies within g_eids
+    # (with no copies in time, every case is unknown)
     g_eids = spec.g_eids
     g_set = set(g_eids)
-    g_copies = [es for es in inst.copies if g_set.issuperset(es)]
+    g_copies = [es for es in inst.copies or () if g_set.issuperset(es)]
     g_sorted = sorted(g_eids)
     phi_fs = [a for a in product(range(1, q + 1), repeat=len(spec.f_eids))
               if len(set(a)) > 1]

@@ -1,17 +1,22 @@
-"""Immutable labeled simple graphs with bitset adjacency.
+"""Immutable labeled simple graphs.
 
 Vertices are 0..n-1.  Edges are stored as a tuple of (u, v) pairs with
 u < v; the index of an edge in that tuple is its stable edge id.  Edge
 ids are assigned in construction order and never renumbered, so
 replaying a construction recipe reproduces identical ids.  A graph built
 from many gadgets grows in a `_GraphDraft`, which appends to lists and
-builds the `Graph` once.
+builds the `Graph` once.  Derived structure (bitset adjacency, degrees,
+the degree-ranked adjacency that copy enumeration runs on, a pattern's
+symmetry conditions) is computed on first read and kept, so a graph that
+is only composed, replayed or serialized never builds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union,
                     get_args, get_origin)
@@ -37,6 +42,14 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _bitsets(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     n: int
@@ -55,7 +68,6 @@ class Graph:
             if lab in seen_labels:
                 raise GraphError(f"duplicate vertex label {lab!r}")
             seen_labels.add(lab)
-        adj = [0] * self.n
         index: dict[tuple[int, int], int] = {}
         for eid, (u, v) in enumerate(self.edges):
             if not (0 <= u < v < self.n):
@@ -63,13 +75,41 @@ class Graph:
             if (u, v) in index:
                 raise GraphError(f"duplicate edge ({u},{v})")
             index[(u, v)] = eid
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_edge_index", index)
 
-    # derived, set in __post_init__
-    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """Adjacency bitsets: bit v of adj[u] is set when uv is an edge."""
+        return _bitsets(self.n, self.edges)
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
+
+    @cached_property
+    def ranked(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(order, ranked_adj): the vertices by increasing (degree, id),
+        and the adjacency bitsets of the graph with vertex order[r]
+        renamed r.  When the order is the identity (degrees never fall,
+        as on a regular graph), ranked_adj is `adj` itself."""
+        deg = self._degrees
+        order = tuple(sorted(range(self.n), key=deg.__getitem__))
+        if all(a <= b for a, b in zip(deg, deg[1:])):
+            return order, self.adj
+        rank = [0] * self.n
+        for r, v in enumerate(order):
+            rank[v] = r
+        return order, _bitsets(self.n, ((rank[u], rank[v])
+                                        for u, v in self.edges))
+
+    @cached_property
+    def symmetry_conditions(self) -> tuple[tuple[int, int], ...]:
+        """`_symmetry_conditions` of this graph as a pattern."""
+        return tuple(_symmetry_conditions(self))
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -116,10 +156,10 @@ class Graph:
         return _bits_to_list(self.adj[v])
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        return self._degrees[v]
 
     def degrees(self) -> list[int]:
-        return [self.degree(v) for v in range(self.n)]
+        return list(self._degrees)
 
     def vertex_by_label(self, label: str) -> int:
         for v, lab in enumerate(self.labels):
@@ -154,7 +194,7 @@ class Graph:
         return Graph(len(vs), edges, labels)
 
     def without_isolated(self) -> "Graph":
-        keep = [v for v in range(self.n) if self.adj[v]]
+        keep = [v for v in range(self.n) if self._degrees[v]]
         if len(keep) == self.n:
             return self
         return self.induced(keep)
@@ -384,7 +424,8 @@ class Embedding:
 
 def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
            visit: Callable[[dict], bool],
-           conditions: Sequence[tuple[int, int]] = ()) -> bool:
+           conditions: Sequence[tuple[int, int]] = (),
+           deadline: Optional[float] = None) -> bool:
     """Backtracking search for embeddings of `pattern` into the host whose
     adjacency bitsets are `adj`.
 
@@ -394,10 +435,13 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
     `(a, b)` of `conditions`: image[a] < image[b].  Vertices are placed
     in an order that grows from the pinned ones along pattern edges
     (each later component from its vertex of largest degree), and
-    candidates are tried in increasing host vertex order.  A condition
+    candidates are tried in increasing host vertex number, which is
+    rank order when `adj` is a `Graph.ranked` adjacency.  A condition
     masks the candidates of whichever of its two vertices is placed
     second.  `visit(image)` is called on each full map; when it returns
-    True the search stops and returns True."""
+    True the search stops and returns True.  It also stops and returns
+    True when, before a candidate for the first unpinned vertex is
+    tried, the clock (`time.monotonic`) is past `deadline`."""
     full = (1 << len(adj)) - 1
     host_deg = [a.bit_count() for a in adj]
     pat_deg = pattern.degrees()
@@ -437,10 +481,13 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
         for w in above[p]:
             if w in image:
                 cand &= (1 << image[w]) - 1
+        timed = deadline is not None and idx == first
         while cand:
             hv = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             if host_deg[hv] >= pat_deg[p]:
+                if timed and time.monotonic() > deadline:
+                    return True
                 image[p] = hv
                 if extend(idx + 1, used | 1 << hv):
                     return True
@@ -451,8 +498,8 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
         pinned = tuple(start)
         if pinned not in orders:
             orders[pinned] = grow(pinned)
-        order, image = orders[pinned], dict(start)
-        if extend(len(start), sum(1 << v for v in start.values())):
+        order, image, first = orders[pinned], dict(start), len(start)
+        if extend(first, sum(1 << v for v in start.values())):
             return True
     return False
 
@@ -465,7 +512,8 @@ def _symmetry_conditions(pattern: Graph) -> list[tuple[int, int]]:
     the pattern into itself.  While more than the identity is left, take
     the largest orbit (lowest vertex first on ties), require its lowest
     vertex to map below the rest of the orbit, and keep only the
-    automorphisms that fix that vertex."""
+    automorphisms that fix that vertex.  Computed once per pattern, as
+    `Graph.symmetry_conditions`."""
     auts: list[dict[int, int]] = []
     _embed(pattern.adj, pattern, [{}], lambda image: auts.append(dict(image)))
     conditions: list[tuple[int, int]] = []
@@ -477,29 +525,40 @@ def _symmetry_conditions(pattern: Graph) -> list[tuple[int, int]]:
     return conditions
 
 
-def enumerate_copies(host: Graph, pattern: Graph) -> list[Embedding]:
+def enumerate_copies(host: Graph, pattern: Graph,
+                     deadline: Optional[float] = None
+                     ) -> Optional[list[Embedding]]:
     """All distinct copies of `pattern` in `host`, one per edge set.
     Isolated pattern vertices are ignored: a copy is determined by its
-    edges.  The search meets `_symmetry_conditions`, so it finds each
-    copy exactly once; a second visit of one edge set is a bug and
-    raises InternalError.  Deterministic order (sorted by edge set); the
-    `vertex_map` of a copy is the one embedding of it that meets the
-    conditions."""
+    edges.  The search runs on `host.ranked`, the host relabelled by
+    increasing degree, so the symmetry conditions root each copy at its
+    lowest-degree vertex and the few high-degree vertices are placed
+    last (Chiba & Nishizeki, SIAM J. Comput. 1985).  It meets
+    `pattern.symmetry_conditions`, so it finds each copy exactly once; a
+    second visit of one edge set is a bug and raises InternalError.
+    Deterministic order (sorted by edge set).  The `vertex_map` of a
+    copy is the one embedding of it whose ranks meet the conditions; it
+    maps isolated pattern vertices to -1.  None if the clock
+    (`time.monotonic`) passes `deadline` before the search ends."""
     if pattern.num_edges == 0:
         raise GraphError("pattern must have at least one edge")
+    order, adj = host.ranked
     found: dict[frozenset[int], Embedding] = {}
 
     def visit(image: dict) -> bool:
-        edge_ids = tuple(host.edge_id(image[u], image[v])
+        vmap = tuple(order[image[v]] if v in image else -1
+                     for v in range(pattern.n))
+        edge_ids = tuple(host.edge_id(vmap[u], vmap[v])
                          for u, v in pattern.edges)
         key = frozenset(edge_ids)
         if key in found:
             raise InternalError("symmetry breaking let a copy through twice")
-        found[key] = Embedding(
-            tuple(image.get(v, -1) for v in range(pattern.n)), edge_ids, key)
+        found[key] = Embedding(vmap, edge_ids, key)
         return False
 
-    _embed(host.adj, pattern, [{}], visit, _symmetry_conditions(pattern))
+    if _embed(adj, pattern, [{}], visit, pattern.symmetry_conditions,
+              deadline):
+        return None
     return [found[k] for k in sorted(found, key=sorted)]
 
 

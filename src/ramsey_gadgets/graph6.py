@@ -69,20 +69,13 @@ def _token_bytes(text: str) -> bytes:
 
 
 def write_graph6(g: Graph) -> str:
-    bits = []
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    out = bytearray(_encode_n(g.n))
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return out.decode("ascii")
+    """The upper triangle column by column, six bits to a byte; edge
+    (i, j), i < j, is bit j(j-1)/2 + i, set straight from the edge list."""
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        pos = j * (j - 1) // 2 + i
+        body[pos // 6] |= 32 >> pos % 6
+    return (_encode_n(g.n) + bytes(b + 63 for b in body)).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

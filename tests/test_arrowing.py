@@ -12,7 +12,8 @@ from conftest import (naive_arrows, naive_is_minimal, naive_minimalize,
 from ramsey_gadgets import arrowing
 from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             NO_BUDGET, UNKNOWN, ArrowInstance, Budget,
-                            EdgeColoring, GraphError, arrows, complete_graph,
+                            EdgeColoring, GraphError, StubSenderProvider,
+                            arrows, build_cycle_abundant, complete_graph,
                             cycle_graph, extendable, from_edges,
                             is_minimal, min_degree_stats, minimalize,
                             path_graph, phi_coloring, sq_lower_bound,
@@ -122,6 +123,29 @@ def test_max_seconds_holds_on_a_sparse_host():
     res = arrows(inst)
     assert time.monotonic() - start < 0.5 + 0.5
     assert res.verdict in (UNKNOWN, DOES_NOT_ARROW)
+
+
+def test_max_seconds_covers_copy_enumeration():
+    # 24 174 vertices and 1152 copies of C4: enumerating them takes
+    # several times the budget, so the verdict is unknown with no search
+    host = build_cycle_abundant(3, 4, 2, StubSenderProvider()).graph
+    c4, budget = cycle_graph(4), Budget(max_seconds=0.05)
+    start = time.monotonic()
+    res = run(host, c4, 2, budget)
+    assert time.monotonic() - start < 0.5
+    assert res.verdict == UNKNOWN and res.stats.nodes == 0
+    start = time.monotonic()
+    ext = extendable(host, EdgeColoring.from_map(2, {0: 1}), c4, 2, budget)
+    assert time.monotonic() - start < 0.5
+    assert ext.verdict == UNKNOWN and ext.stats.nodes == 0
+    with pytest.raises(GraphError):
+        to_dimacs(ArrowInstance.create(host, c4, 2, budget))
+    # with time to spare the instance keeps what the enumeration left
+    inst = ArrowInstance.create(complete_graph(6), complete_graph(3), 2,
+                                Budget(max_nodes=10 ** 6, max_seconds=60))
+    assert 0 < inst.budget.max_seconds < 60
+    assert inst.budget.max_nodes == 10 ** 6
+    assert len(inst.copies) == 20 and arrows(inst).verdict == ARROWS
 
 
 @pytest.mark.parametrize("n,t,q", [(13, 4, 2), (17, 4, 2), (16, 3, 3)])
@@ -470,8 +494,8 @@ def test_minimalize_enumerates_copies_once(monkeypatch):
     calls = []
     enumerate_copies = arrowing.enumerate_copies
     monkeypatch.setattr(arrowing, "enumerate_copies",
-                        lambda host, pattern: calls.append(host)
-                        or enumerate_copies(host, pattern))
+                        lambda host, pattern, *rest: calls.append(host)
+                        or enumerate_copies(host, pattern, *rest))
     g, verdict = minimalize(star_graph(7), star_graph(3), 2)
     assert verdict == MINIMAL and g.num_edges == 5
     assert len(calls) == 1

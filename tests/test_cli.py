@@ -47,6 +47,18 @@ def test_budget_exhaustion_exit(capsys):
     assert report["verdict"] == "unknown_budget_exhausted"
 
 
+def test_budget_spent_on_copies_exit(capsys, tmp_path):
+    # the budget runs out while the copies are enumerated: no search,
+    # no copy count and no CNF
+    dimacs = tmp_path / "k12.cnf"
+    code, report = run(capsys, "arrow", "--host", "K12", "--target", "K4",
+                       "--max-seconds", "1e-9", "--dimacs-out", str(dimacs))
+    assert code == 2
+    assert report["verdict"] == "unknown_budget_exhausted"
+    assert report["copies"] is None and report["nodes"] == 0
+    assert not dimacs.exists()
+
+
 def test_usage_errors(capsys):
     assert main(["arrow", "--host", "K6"]) == 3          # missing --target
     assert main(["arrow", "--host", "nonsense", "--target", "K3"]) == 3

@@ -1,4 +1,5 @@
 import json
+import time
 
 import networkx as nx
 import pytest
@@ -8,13 +9,17 @@ from hypothesis import strategies as st
 from conftest import nx_copies, to_networkx
 from ramsey_gadgets import graph as graph_module
 from ramsey_gadgets import (ComposeError, Graph, GraphError, InternalError,
+                            StubSenderProvider, build_clique_gtilde,
+                            build_cycle_abundant, build_indicator,
                             complete_graph,
                             compose, cycle_graph, clique_with_pendant,
                             disjoint_union, distance, edge_distance,
                             enumerate_copies, from_edges, girth,
                             graph_from_name, graphs_isomorphic,
-                            is_k_connected, matching_graph, path_graph,
-                            single_edge, star_graph)
+                            is_k_connected, matching_graph, parse_any,
+                            path_graph, single_edge, star_graph,
+                            write_graph6, write_sparse6)
+from ramsey_gadgets.gadgets import POSITIVE
 
 
 def test_basic_constructors():
@@ -158,13 +163,15 @@ def test_random_copies_match_networkx(data):
 
 
 def counting_embed(monkeypatch, host) -> list:
-    """Counts the full maps `graph._embed` visits in `host`."""
+    """Counts the full maps `graph._embed` visits in `host`, whose
+    adjacency it recognises by size: the search runs on `host.ranked`,
+    which is `host.adj` only when the degree order is the identity."""
     visits = []
     embed = graph_module._embed
 
     def counted(adj, pattern, starts, visit, *rest):
         def seen(image):
-            if adj is host.adj:
+            if len(adj) == host.n:
                 visits.append(1)
             return visit(image)
         return embed(adj, pattern, starts, seen, *rest)
@@ -178,6 +185,92 @@ def test_each_copy_is_visited_once(monkeypatch, n, t, count):
     visits = counting_embed(monkeypatch, host)
     assert len(enumerate_copies(host, complete_graph(t))) == count
     assert len(visits) == count            # not |Aut(K_t)| times as many
+
+
+def wheel(rim: int) -> Graph:
+    """A hub, vertex 0, joined to every vertex of a cycle 1..rim."""
+    return from_edges(rim + 1, [(0, i) for i in range(1, rim + 1)]
+                      + [(i, i % rim + 1) for i in range(1, rim + 1)])
+
+
+STUB_INDICATOR = build_indicator(complete_graph(4), complete_graph(3), 2,
+                                 POSITIVE, StubSenderProvider()).graph
+
+
+@pytest.mark.parametrize("host,pattern", [
+    (wheel(8), complete_graph(3)), (wheel(8), cycle_graph(4)),
+    (STUB_INDICATOR, complete_graph(3)), (STUB_INDICATOR, cycle_graph(4))])
+def test_each_copy_is_visited_once_in_a_non_regular_host(monkeypatch, host,
+                                                         pattern):
+    assert host.ranked[0] != tuple(range(host.n))    # the hubs move last
+    visits = counting_embed(monkeypatch, host)
+    count = len(nx_copies(host, pattern))
+    assert len(enumerate_copies(host, pattern)) == count > 0
+    assert len(visits) == count
+
+
+def test_ranked_orders_by_degree_then_id():
+    host = star_graph(3)                            # degrees 3, 1, 1, 1
+    order, adj = host.ranked
+    assert order == (1, 2, 3, 0)
+    assert adj == (0b1000, 0b1000, 0b1000, 0b0111)
+    regular = cycle_graph(5)
+    assert regular.ranked == (tuple(range(5)), regular.adj)
+    assert regular.ranked[1] is regular.adj
+
+
+STUB = StubSenderProvider()
+
+
+@pytest.mark.parametrize("host,pattern", [
+    (build_clique_gtilde(4, 2, STUB).graph, complete_graph(3)),
+    (build_clique_gtilde(4, 2, STUB).graph, cycle_graph(4)),
+    (build_cycle_abundant(2, 4, 1, STUB).graph, cycle_graph(4)),
+    (build_cycle_abundant(2, 5, 1, STUB).graph, cycle_graph(5))])
+def test_copies_in_stub_gadgets_match_networkx(host, pattern):
+    # hundreds of vertices, most of degree 2, a few hubs of degree 9-28
+    assert host.n > 150 and max(host.degrees()) > 12
+    copies = enumerate_copies(host, pattern)
+    assert {e.edge_set for e in copies} == nx_copies(host, pattern)
+    assert len(copies) == len({e.edge_set for e in copies}) > 0
+    for emb in copies:
+        assert emb.edge_map == tuple(
+            host.edge_id(emb.vertex_map[u], emb.vertex_map[v])
+            for u, v in pattern.edges)
+        assert emb.edge_set == frozenset(emb.edge_map)
+
+
+def test_symmetry_conditions_are_computed_once_per_pattern(monkeypatch):
+    calls = []
+    conditions = graph_module._symmetry_conditions
+    monkeypatch.setattr(graph_module, "_symmetry_conditions",
+                        lambda p: calls.append(p) or conditions(p))
+    pattern = cycle_graph(5)
+    first = enumerate_copies(complete_graph(7), pattern)
+    second = enumerate_copies(wheel(6), pattern)
+    assert len(calls) == 1
+    assert len(first) == 252 and len(second) == len(nx_copies(wheel(6),
+                                                              pattern))
+
+
+def test_serialized_graph_builds_no_adjacency():
+    # only composed, written and parsed: no n-bit adjacency, no ranking
+    g = build_cycle_abundant(2, 4, 1, STUB).graph
+    json.dumps(g.to_json())
+    back = Graph.from_json(g.to_json())
+    text = write_graph6(g)
+    assert write_sparse6(g) and set(parse_any(text).edges) == set(g.edges)
+    for graph in (g, back):
+        assert "adj" not in vars(graph) and "ranked" not in vars(graph)
+    assert g.degrees() and "adj" not in vars(g)
+
+
+def test_enumeration_stops_at_its_deadline():
+    host = complete_graph(12)
+    assert enumerate_copies(host, complete_graph(4),
+                            time.monotonic() - 1) is None
+    assert len(enumerate_copies(host, complete_graph(4),
+                                time.monotonic() + 60)) == 495
 
 
 def test_second_visit_of_a_copy_is_a_bug(monkeypatch):
