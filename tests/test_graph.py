@@ -193,8 +193,9 @@ def wheel(rim: int) -> Graph:
                       + [(i, i % rim + 1) for i in range(1, rim + 1)])
 
 
+STUB = StubSenderProvider()
 STUB_INDICATOR = build_indicator(complete_graph(4), complete_graph(3), 2,
-                                 POSITIVE, StubSenderProvider()).graph
+                                 POSITIVE, STUB).graph
 
 
 @pytest.mark.parametrize("host,pattern", [
@@ -219,16 +220,13 @@ def test_ranked_orders_by_degree_then_id():
     assert regular.ranked[1] is regular.adj
 
 
-STUB = StubSenderProvider()
-
-
 @pytest.mark.parametrize("host,pattern", [
     (build_clique_gtilde(4, 2, STUB).graph, complete_graph(3)),
     (build_clique_gtilde(4, 2, STUB).graph, cycle_graph(4)),
     (build_cycle_abundant(2, 4, 1, STUB).graph, cycle_graph(4)),
     (build_cycle_abundant(2, 5, 1, STUB).graph, cycle_graph(5))])
 def test_copies_in_stub_gadgets_match_networkx(host, pattern):
-    # hundreds of vertices, most of degree 2, a few hubs of degree 9-28
+    # hundreds of vertices, most of degree 2, a few hubs of degree 13-28
     assert host.n > 150 and max(host.degrees()) > 12
     copies = enumerate_copies(host, pattern)
     assert {e.edge_set for e in copies} == nx_copies(host, pattern)
@@ -258,9 +256,9 @@ def test_serialized_graph_builds_no_adjacency():
     g = build_cycle_abundant(2, 4, 1, STUB).graph
     json.dumps(g.to_json())
     back = Graph.from_json(g.to_json())
-    text = write_graph6(g)
-    assert write_sparse6(g) and set(parse_any(text).edges) == set(g.edges)
-    for graph in (g, back):
+    parsed = parse_any(write_graph6(g))
+    assert write_sparse6(g) and set(parsed.edges) == set(g.edges)
+    for graph in (g, back, parsed):
         assert "adj" not in vars(graph) and "ranked" not in vars(graph)
     assert g.degrees() and "adj" not in vars(g)
 
