@@ -13,7 +13,8 @@ from conftest import nx_copies
 
 from ramsey_gadgets import (EXACT, Budget, EdgeColoring, Graph, GraphError,
                             IndicatorSpec, PatternFamily, PatternGadgetSpec,
-                            SenderSpec, StubSenderProvider, ArrowInstance,
+                            SenderSpec, StubSenderProvider,
+                            ThreeConnectedSeed, ArrowInstance,
                             build_3connected_abundant, build_clique_gtilde,
                             build_cycle_abundant, build_gni, build_indicator,
                             build_ktk2_abundant, build_pattern_gadget,
@@ -624,9 +625,14 @@ def _golden_builds():
             yield key, spec
     for q, t, k in ((2, 5, 3), (3, 4, 1)):
         yield f"cycle_abundant {q},{t},{k}", build_cycle_abundant(q, t, k, STUB)
-    yield "ktk2_abundant 3,2", build_ktk2_abundant(3, 2, STUB)
-    yield ("3connected_abundant default,2",
-           build_3connected_abundant(default_three_connected_seed(), 2, STUB))
+    for t, k in ((3, 2), (4, 1)):
+        yield f"ktk2_abundant {t},{k}", build_ktk2_abundant(t, k, STUB)
+    c7 = cycle_graph(7)
+    for name, seed, k in (
+            ("default", default_three_connected_seed(), 2),
+            ("C7", ThreeConnectedSeed(c7, 0, c7.edge_id(3, 4), P3, 2), 3)):
+        yield (f"3connected_abundant {name},{k}",
+               build_3connected_abundant(seed, k, STUB))
     for t, q in ((3, 2), (3, 3)):
         yield f"clique_gtilde {t},{q}", build_clique_gtilde(t, q, STUB)
     yield "string_senders", string_senders(
