@@ -506,23 +506,29 @@ def verify_witness(instance: ArrowInstance, coloring: EdgeColoring) -> bool:
 # ---------------------------------------------------------------------------
 # public operations
 
+def _verified_search(instance: ArrowInstance, fixed: dict[int, int],
+                     start: float, found: str, exhausted: str):
+    """The search core on the instance with the `fixed` colors: (verdict,
+    re-verified witness or None, stats).  The verdict is `found` for an
+    H-free coloring, `exhausted` if none exists, unknown past the budget."""
+    status, payload, nodes, flips = _solve(
+        instance.host.num_edges, instance.q, instance.copies, fixed,
+        instance.budget.max_nodes, instance.budget.max_seconds)
+    stats = SearchStats(nodes, flips, time.monotonic() - start)
+    if status is not True:
+        return (UNKNOWN if status is None else exhausted), None, stats
+    witness = EdgeColoring.from_map(instance.q, payload)
+    if not verify_witness(instance, witness):
+        raise InternalError("witness failed re-verification")
+    return found, witness, stats
+
+
 def arrows(instance: ArrowInstance) -> ArrowResult:
     start = time.monotonic()
     if instance.copies is None:
         return ArrowResult(UNKNOWN, None, SearchStats(0, 0, 0.0))
-    m, q = instance.host.num_edges, instance.q
-    budget = instance.budget
-    status, payload, nodes, flips = _solve(
-        m, q, instance.copies, {}, budget.max_nodes, budget.max_seconds)
-    stats = SearchStats(nodes, flips, time.monotonic() - start)
-    if status is True:
-        witness = EdgeColoring.from_map(q, payload)
-        if not verify_witness(instance, witness):
-            raise InternalError("witness failed re-verification")
-        return ArrowResult(DOES_NOT_ARROW, witness, stats)
-    if status is None:
-        return ArrowResult(UNKNOWN, None, stats)
-    return ArrowResult(ARROWS, None, stats)
+    return ArrowResult(*_verified_search(instance, {}, start,
+                                         DOES_NOT_ARROW, ARROWS))
 
 
 def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
@@ -543,19 +549,9 @@ def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
     if cert is not None:
         return ExtendResult(NOT_EXTENDABLE, None, cert,
                             SearchStats(0, 0, time.monotonic() - start))
-
-    status, payload, nodes, flips = _solve(
-        host.num_edges, q, instance.copies, partial.as_dict(),
-        instance.budget.max_nodes, instance.budget.max_seconds)
-    stats = SearchStats(nodes, flips, time.monotonic() - start)
-    if status is True:
-        witness = EdgeColoring.from_map(q, payload)
-        if not verify_witness(instance, witness):
-            raise InternalError("witness failed re-verification")
-        return ExtendResult(EXTENDABLE, witness, None, stats)
-    if status is None:
-        return ExtendResult(UNKNOWN, None, None, stats)
-    return ExtendResult(NOT_EXTENDABLE, None, None, stats)
+    verdict, witness, stats = _verified_search(
+        instance, partial.as_dict(), start, EXTENDABLE, NOT_EXTENDABLE)
+    return ExtendResult(verdict, witness, None, stats)
 
 
 @dataclass(frozen=True)

@@ -77,8 +77,7 @@ def _provider(args, budget: Budget):
     if token == "stub":
         return StubSenderProvider()
     if token == "search":
-        return SearchSenderProvider(getattr(args, "max_order", 6) or 6,
-                                    budget=budget)
+        return SearchSenderProvider(args.max_order, budget=budget)
     return FixedSenderProvider(decode_json(
         tuple[SenderSpec, ...], _load_json(token), "--senders"))
 

@@ -2,17 +2,20 @@
 
 Builds the abundance recipes (many minimum-degree vertices in one
 minimal Ramsey graph) for long cycles, cliques with a pendant edge, and
-targets supplied via a seed graph, plus the sender-free verifiable
-pieces: the recursive clique coloring ladder, the star arrowing
-predicate, the degree-one counting check, and the pendant-cycle example
-for the 3-edge path.
+targets supplied via a seed graph.  The three share one path,
+`_abundance_recipe`: a pattern gadget over k disjoint copies of a base
+block, then one new vertex joined to each block's attachment points;
+each recipe supplies only its base, patterns, attachment points and
+checks.  Also builds the sender-free verifiable pieces: the recursive
+clique coloring ladder, the star arrowing predicate, the degree-one
+counting check, and the pendant-cycle example for the 3-edge path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
                        ArrowInstance, Budget, _avoiding, arrows, extendable,
@@ -22,7 +25,7 @@ from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
                       _Assembly, build_pattern_gadget)
 from .graph import (Graph, GraphError, InternalError, clique_with_pendant,
-                    complete_graph, cycle_graph, disjoint_union, distance,
+                    complete_graph, cycle_graph, distance,
                     enumerate_copies, from_edges, graphs_isomorphic,
                     is_k_connected, matching_graph, path_graph, single_edge,
                     star_graph)
@@ -218,10 +221,12 @@ class AbundanceRecipe:
 
 
 def _blocks_graph(base: Graph, k: int) -> Graph:
-    g = base
-    for _ in range(k - 1):
-        g = disjoint_union(g, base)
-    return g
+    """k disjoint copies of base; block i holds vertices i*n..(i+1)*n-1
+    and edges i*m..(i+1)*m-1."""
+    return Graph(base.n * k,
+                 tuple((u + i * base.n, v + i * base.n)
+                       for i in range(k) for (u, v) in base.edges),
+                 base.labels * k)
 
 
 def _block_pattern(g: Graph, base_m: int, k: int, i: int,
@@ -246,6 +251,43 @@ def _attach_low_degree_vertex(builder: ManifestBuilder, w_hosts, tag: str,
     res = builder.compose(star, {j + 1: hv for j, hv in enumerate(w_hosts)},
                           label_prefix=tag, note=note)
     return res.vertex_map[0], tuple(res.edge_map)
+
+
+def _abundance_recipe(h: Graph, q: int, k: int, base: Graph,
+                      specials: tuple[ColorPattern, ...], other: ColorPattern,
+                      points: Sequence[int], provider: SenderProvider,
+                      d: Optional[int], budget: Budget,
+                      per_block: Optional[Callable] = None) -> AbundanceRecipe:
+    """The scheme every abundance recipe shares.  The family has one
+    member per (block, special pattern): that block colored per the
+    special pattern, every other block per `other`.  After the pattern
+    gadget, each block gets a new vertex joined to its attachment points
+    (vertices of `base`, in attachment order); `per_block(builder, i,
+    hosts)` then adds block i's own pieces."""
+    g = _blocks_graph(base, k)
+    members = tuple(_block_pattern(g, base.num_edges, k, i, sp, other)
+                    for i in range(k) for sp in specials)
+    family = PatternFamily(g, members, EXACT)
+    gadget = build_pattern_gadget(h, g, family, q, provider, d, budget=budget)
+
+    builder = ManifestBuilder.resume(gadget.graph, gadget.manifest)
+    hosts = [[i * base.n + w for w in points] for i in range(k)]
+    v_vertices, attach = [], []
+    for i, w_hosts in enumerate(hosts):
+        v, eids = _attach_low_degree_vertex(
+            builder, w_hosts, f"b{i + 1}.",
+            note=f"degree-{len(points)} vertex for block {i + 1}")
+        v_vertices.append(v)
+        attach.append(eids)
+        if per_block is not None:
+            per_block(builder, i, w_hosts)
+
+    blocks = tuple(tuple(range(i * base.n, (i + 1) * base.n))
+                   for i in range(k))
+    return AbundanceRecipe(h, q, k, builder.graph, base, blocks,
+                           tuple(tuple(sorted(w)) for w in hosts),
+                           tuple(v_vertices), tuple(attach), len(points),
+                           family, gadget, builder.manifest)
 
 
 def _cycle_base(q: int, t: int):
@@ -290,7 +332,7 @@ def _cycle_patterns(q: int, f: Graph, pair_paths):
 
 
 def build_cycle_abundant(q: int, t: int, k: int, provider: SenderProvider,
-                         d: Optional[int] = None, check_base: bool = True,
+                         d: Optional[int] = None,
                          budget: Budget = NO_BUDGET) -> AbundanceRecipe:
     if q < 2 or k < 1:
         raise GraphError("need q >= 2 and k >= 1")
@@ -303,34 +345,13 @@ def build_cycle_abundant(q: int, t: int, k: int, provider: SenderProvider,
     f1, f2 = _cycle_patterns(q, f, pair_paths)
     if not _all_h_free((f1, f2), h):
         raise InternalError("base pattern is not target-free")
-
-    g = _blocks_graph(f, k)
-    members = tuple(_block_pattern(g, f.num_edges, k, i, f1, f2)
-                    for i in range(k))
-    family = PatternFamily(g, members, EXACT)
-    gadget = build_pattern_gadget(h, g, family, q, provider, d,
-                                  check_base=check_base, budget=budget)
-
-    builder = ManifestBuilder.resume(gadget.graph, gadget.manifest)
-    blocks, w_sets, v_vertices, attach = [], [], [], []
-    for i in range(k):
-        off = i * f.n
-        blocks.append(tuple(range(off, off + f.n)))
-        wset = tuple(off + wv for wv in range(q + 1))
-        w_sets.append(wset)
-        v, eids = _attach_low_degree_vertex(
-            builder, wset, f"b{i + 1}.",
-            note=f"degree-{q + 1} vertex for block {i + 1}")
-        v_vertices.append(v)
-        attach.append(eids)
-
-    return AbundanceRecipe(h, q, k, builder.graph, f, tuple(blocks),
-                           tuple(w_sets), tuple(v_vertices), tuple(attach),
-                           q + 1, family, gadget, builder.manifest)
+    # the low-degree vertex of each block is joined to its hubs
+    return _abundance_recipe(h, q, k, f, (f1,), f2, range(q + 1), provider,
+                             d, budget)
 
 
 def build_ktk2_abundant(t: int, k: int, provider: SenderProvider,
-                        d: Optional[int] = None, check_base: bool = True,
+                        d: Optional[int] = None,
                         budget: Budget = NO_BUDGET) -> AbundanceRecipe:
     """Clique-with-pendant target, 2 colors only."""
     if t < 3 or k < 1:
@@ -349,30 +370,14 @@ def build_ktk2_abundant(t: int, k: int, provider: SenderProvider,
     f2 = pattern_of(f, EdgeColoring.from_map(q, c2))
     if not _all_h_free((f1, f2), h):
         raise InternalError("base pattern is not target-free")
-
-    g = _blocks_graph(f, k)
-    if enumerate_copies(g, h):
+    # the target is connected, so one block holds a copy if the k-block
+    # graph does
+    if enumerate_copies(f, h):
         raise InternalError("block graph contains the target")
-    members = tuple(_block_pattern(g, f.num_edges, k, i, f1, f2)
-                    for i in range(k))
-    family = PatternFamily(g, members, EXACT)
-    gadget = build_pattern_gadget(h, g, family, q, provider, d,
-                                  check_base=check_base, budget=budget)
 
-    builder = ManifestBuilder.resume(gadget.graph, gadget.manifest)
-    blocks, w_sets, v_vertices, attach = [], [], [], []
     pendants, clique_edges = [], []
-    for i in range(k):
-        off = i * f.n
-        blocks.append(tuple(range(off, off + f.n)))
-        # one marked vertex (the first) per clique of the block
-        wset = tuple(off + c * t for c in range(t - 1))
-        w_sets.append(wset)
-        v, eids = _attach_low_degree_vertex(
-            builder, wset, f"b{i + 1}.",
-            note=f"degree-{t - 1} vertex for block {i + 1}")
-        v_vertices.append(v)
-        attach.append(eids)
+
+    def interface_clique_and_pendant(builder, i, wset):
         clique_edges.append(tuple(builder.add_edges(
             [(wset[a], wset[b]) for a, b in combinations(range(t - 1), 2)],
             note=f"clique on the interface set of block {i + 1}")))
@@ -381,12 +386,13 @@ def build_ktk2_abundant(t: int, k: int, provider: SenderProvider,
                               note=f"pendant edge for block {i + 1}")
         pendants.append(res.edge_map[0])
 
-    return AbundanceRecipe(
-        h, q, k, builder.graph, f, tuple(blocks), tuple(w_sets),
-        tuple(v_vertices), tuple(attach), t - 1, family, gadget,
-        builder.manifest,
-        extras={"pendant_edges": tuple(pendants),
-                "interface_clique_edges": tuple(clique_edges)})
+    # one marked vertex (the first) per clique of the block
+    recipe = _abundance_recipe(h, q, k, f, (f1,), f2,
+                               [c * t for c in range(t - 1)], provider, d,
+                               budget, interface_clique_and_pendant)
+    recipe.extras.update(pendant_edges=tuple(pendants),
+                         interface_clique_edges=tuple(clique_edges))
+    return recipe
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +463,6 @@ def check_seed(seed: ThreeConnectedSeed,
 def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
                               provider: SenderProvider,
                               d: Optional[int] = None,
-                              check_base: bool = True,
                               budget: Budget = NO_BUDGET) -> AbundanceRecipe:
     if k < 1:
         raise GraphError("need k >= 1")
@@ -495,41 +500,18 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
         specials.append(local_pattern(part_seed))
     f2 = local_pattern({eid: witnesses[he][eid] for eid in keep})
 
-    g = _blocks_graph(fprime, k)
-    members = tuple(_block_pattern(g, fprime.num_edges, k, i, sp, f2)
-                    for i in range(k) for sp in specials)
-    family = PatternFamily(g, members, EXACT)
-    gadget = build_pattern_gadget(h, g, family, q, provider, d,
-                                  check_base=check_base, budget=budget)
-
-    deg = len(g_edges)
-    builder = ManifestBuilder.resume(gadget.graph, gadget.manifest)
-    blocks, w_sets, v_vertices, attach = [], [], [], []
-    for i in range(k):
-        off = i * fprime.n
-        blocks.append(tuple(range(off, off + fprime.n)))
-        # attachment order follows the seed's edge order at the marked
-        # vertex, so attachment_edges[i][j] represents g_edges[j]
-        w_hosts = []
-        for g_eid in g_edges:
-            a, b = f.edges[g_eid]
-            other = b if a == hv else a
-            w_hosts.append(off + pos[other])
-        w_sets.append(tuple(sorted(w_hosts)))
-        v, eids = _attach_low_degree_vertex(
-            builder, w_hosts, f"b{i + 1}.",
-            note=f"degree-{deg} vertex for block {i + 1}")
-        v_vertices.append(v)
-        attach.append(eids)
-
-    return AbundanceRecipe(
-        h, q, k, builder.graph, fprime, tuple(blocks), tuple(w_sets),
-        tuple(v_vertices), tuple(attach), deg, family, gadget,
-        builder.manifest,
-        extras={"seed_flags": dict(seed.flags),
-                "target_hypothesis_ok":
-                    is_k_connected(h, 3) or graphs_isomorphic(h, complete_graph(3)),
-                "expected_family_size": k * deg})
+    # attachment order follows the seed's edge order at the marked
+    # vertex, so attachment_edges[i][j] represents g_edges[j]
+    points = [pos[a if b == hv else b]
+              for a, b in (f.edges[e] for e in g_edges)]
+    recipe = _abundance_recipe(h, q, k, fprime, tuple(specials), f2, points,
+                               provider, d, budget)
+    recipe.extras.update(
+        seed_flags=dict(seed.flags),
+        target_hypothesis_ok=(is_k_connected(h, 3)
+                              or graphs_isomorphic(h, complete_graph(3))),
+        expected_family_size=k * len(g_edges))
+    return recipe
 
 
 # ---------------------------------------------------------------------------

@@ -890,7 +890,6 @@ def choose_r(q: int, t_patterns: int) -> int:
 
 def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
                          provider: SenderProvider, d: Optional[int] = None,
-                         check_base: bool = True,
                          budget: Budget = NO_BUDGET) -> PatternGadgetSpec:
     if d is None:
         d = h.n + 1
@@ -903,7 +902,7 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
     for m in family.members:
         if m.q != q:
             raise GraphError("family pattern has wrong color count")
-    if check_base and g.num_edges >= h.num_edges:
+    if g.num_edges >= h.num_edges:
         res = arrows(ArrowInstance.create(g, h, q, budget))
         if res.verdict == ARROWS:
             raise GraphError("base graph must not force the target")

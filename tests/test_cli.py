@@ -130,6 +130,13 @@ def test_one_color_indicator_exits_usage(capsys):
     assert "q >= 2" in capsys.readouterr().err
 
 
+def test_max_order_zero_is_kept(capsys):
+    # --max-order 0 searches no corpus graph; it is not read as the default
+    assert main(["construct", "indicator", "--target", "K3", "--subgraph",
+                 "P3", "--senders", "search", "--max-order", "0"]) == 3
+    assert "order <= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", [
     lambda d: d.pop("graph"),                               # missing key
     lambda d: d.update(e="0"),                              # wrong type
