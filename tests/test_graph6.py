@@ -35,20 +35,56 @@ def test_graph6_round_trip_matches_networkx(n, data):
     assert back.n == g.n and set(back.edges) == set(g.edges)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 9), st.data())
+def nx_sparse6(g):
+    return nx.to_sparse6_bytes(to_networkx(g), header=False).decode().strip()
+
+
+# n = 2, 4, 8, 16 reach the padding rule for n = 2^k
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 17), st.data())
 def test_sparse6_round_trip(n, data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = data.draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))
                        if pairs else st.just(set()))
     g = from_edges(n, sorted(chosen))
     text = write_sparse6(g)
-    assert text.startswith(":")
+    assert text == nx_sparse6(g)
     back = parse_sparse6(text)
     assert back.n == g.n and set(back.edges) == set(g.edges)
-    # networkx parses our sparse6 to the same graph
-    nxg = nx.from_sparse6_bytes(text.encode())
-    assert nx.is_isomorphic(nxg, to_networkx(g))
+
+
+# the one-, four- and eight-byte size fields meet at 62/63 and 258047/258048
+@pytest.mark.parametrize("n", [62, 63, 258047, 258048])
+def test_size_field_boundaries(n):
+    g = from_edges(n, [(0, n - 1)])
+    text = write_sparse6(g)
+    assert text == nx_sparse6(g)
+    back = parse_any(text)
+    assert back.n == n and back.edges == g.edges
+
+
+@pytest.mark.parametrize("token, message", [
+    ("D~|", "nonzero padding bits"),
+    ("D~", "graph6 length mismatch: n=5 needs 2 body bytes, got 1"),
+    ("D~{{", "graph6 length mismatch: n=5 needs 2 body bytes, got 3"),
+    ("~?", "truncated size field"),
+    ("~~??", "truncated size field"),
+    ("", "empty token"),
+    (":", "empty token"),
+    (":A?", "loop in sparse6 stream"),
+    ("D\x7f\x01", "out-of-range byte 127"),     # the first bad byte
+    (">>graph6<<D~|", "nonzero padding bits"),
+    (">>sparse6<<:A?", "loop in sparse6 stream"),
+])
+def test_malformed_tokens(token, message):
+    with pytest.raises(FormatError) as err:
+        parse_any(token)
+    assert str(err.value) == message
+
+
+def test_sparse6_needs_its_lead():
+    with pytest.raises(FormatError, match="sparse6 token must start with ':'"):
+        parse_sparse6("A_")
 
 
 def test_parse_any_dispatch():
