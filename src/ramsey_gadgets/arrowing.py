@@ -51,8 +51,8 @@ class Budget:
     `max_nodes` bounds each search on its own.
     `max_seconds` bounds each search of `arrows` and `extendable`
     together with the enumeration of its instance's copies, and a whole
-    `is_minimal` or `minimalize` call: each of its searches gets the
-    time left."""
+    `is_minimal` or `minimalize` call: every enumeration and search in
+    it shares the call's one deadline and gets the time left."""
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
@@ -582,22 +582,30 @@ def _deadline(budget: Budget) -> Optional[float]:
     return time.monotonic() + budget.max_seconds
 
 
+def _until(budget: Budget, deadline: Optional[float]) -> Optional[Budget]:
+    """`budget` with its time cut to what is left before `deadline`
+    (None: no deadline); None if no time is left."""
+    if deadline is None:
+        return budget
+    left = deadline - time.monotonic()
+    return Budget(budget.max_nodes, left) if left > 0 else None
+
+
 def _arrows_until(instance: ArrowInstance, deadline: Optional[float]) -> str:
     """The `arrows` verdict with the search's time cut to what is left
-    before `deadline` (None: no deadline); unknown if none is left."""
-    if deadline is not None:
-        left = deadline - time.monotonic()
-        if left <= 0:
-            return UNKNOWN
-        instance = replace(instance,
-                           budget=Budget(instance.budget.max_nodes, left))
-    return arrows(instance).verdict
+    before `deadline`; unknown if none is left."""
+    budget = _until(instance.budget, deadline)
+    if budget is None:
+        return UNKNOWN
+    return arrows(replace(instance, budget=budget)).verdict
 
 
 def is_minimal(g: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> MinimalityResult:
     """Arrows, and no single-edge-deleted subgraph does (isolated
-    vertices are dropped since they never affect arrowing)."""
+    vertices are dropped since they never affect arrowing).  Each of its
+    m + 1 instances enumerates its own copies; `budget.max_seconds` is
+    one deadline that every enumeration and search of the call shares."""
     deadline = _deadline(budget)
     base = _arrows_until(ArrowInstance.create(g, target, q, budget), deadline)
     if base == UNKNOWN:
@@ -605,8 +613,9 @@ def is_minimal(g: Graph, target: Graph, q: int,
     if base == DOES_NOT_ARROW:
         return MinimalityResult(NOT_MINIMAL, detail="graph does not arrow")
     for eid in range(g.num_edges):
-        verdict = _arrows_until(ArrowInstance.create(
-            g.delete_edge(eid), target, q, budget), deadline)
+        left = _until(budget, deadline)
+        verdict = UNKNOWN if left is None else _arrows_until(
+            ArrowInstance.create(g.delete_edge(eid), target, q, left), deadline)
         if verdict == UNKNOWN:
             return MinimalityResult(UNKNOWN, eid, "subgraph arrowing unknown")
         if verdict == ARROWS:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .graph import (Graph, GraphError, decode_json, enumerate_copies,
                     graphs_isomorphic)
@@ -84,15 +84,10 @@ class ColorPattern:
     def class_graph(self, i: int) -> Graph:
         return self.graph.edge_induced(self.classes[i])
 
-    def to_coloring(self, order: Optional[Sequence[int]] = None) -> EdgeColoring:
-        """Total coloring assigning color i+1 to class order[i] (identity
-        order by default)."""
-        idx = list(order) if order is not None else list(range(self.q))
-        mapping = {}
-        for color_pos, cls_i in enumerate(idx):
-            for e in self.classes[cls_i]:
-                mapping[e] = color_pos + 1
-        return EdgeColoring.from_map(self.q, mapping)
+    def to_coloring(self) -> EdgeColoring:
+        """Total coloring assigning color i+1 to class i."""
+        return EdgeColoring.from_map(self.q, {
+            e: i + 1 for i, cls in enumerate(self.classes) for e in cls})
 
     def is_h_free(self, h: Graph) -> bool:
         return self.monochromatic_copy(h) is None

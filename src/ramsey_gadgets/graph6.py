@@ -1,38 +1,52 @@
 """graph6 / sparse6 text formats, byte-exact per the de-facto spec.
 
 One graph per line; no ">>graph6<<" headers are written, but they are
-accepted on input.  Supports n up to 258047 (long size encoding).
+accepted on input.  Supports n up to 68719476735 (eight-byte size field).
+Both formats put six bits into each printable byte 63..126.  `_pack` and
+`_unpack` convert between such bytes and strings of "0"/"1"; only
+`write_graph6` sets its bits in place, which keeps its O(n^2) body at one
+byte, not six characters, per six bits.
 """
 
 from __future__ import annotations
 
 import os
 from importlib import resources
+from math import isqrt
 from typing import Iterable, Optional
 
 from .graph import Graph, GraphError
 
 _HEADER_G6 = ">>graph6<<"
 _HEADER_S6 = ">>sparse6<<"
+_ALPHABET = bytes(range(63, 127))
+_SIX = [f"{v:06b}" for v in range(64)]
+_BYTE = {six: v + 63 for v, six in enumerate(_SIX)}
 
 
 class FormatError(GraphError):
     pass
 
 
+def _unpack(data: bytes) -> str:
+    """The six bits of each byte b - 63, most significant first."""
+    return "".join([_SIX[b - 63] for b in data])
+
+
+def _pack(bits: str) -> bytes:
+    """Inverse of `_unpack`; len(bits) is a multiple of 6."""
+    return bytes([_BYTE[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+
+
 def _encode_n(n: int) -> bytes:
     if n < 0:
         raise FormatError("negative vertex count")
     if n <= 62:
-        return bytes([n + 63])
+        return _pack(f"{n:06b}")
     if n <= 258047:
-        return bytes([126,
-                      ((n >> 12) & 63) + 63,
-                      ((n >> 6) & 63) + 63,
-                      (n & 63) + 63])
+        return b"~" + _pack(f"{n:018b}")
     if n <= 68719476735:
-        return bytes([126, 126] + [((n >> s) & 63) + 63
-                                   for s in (30, 24, 18, 12, 6, 0)])
+        return b"~~" + _pack(f"{n:036b}")
     raise FormatError("vertex count too large for graph6")
 
 
@@ -41,30 +55,27 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     if not data:
         raise FormatError("empty token")
     if data[0] != 126:
-        return data[0] - 63, 1
-    if len(data) >= 2 and data[1] != 126:
-        if len(data) < 4:
-            raise FormatError("truncated size field")
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        return n, 4
-    if len(data) < 8:
+        return int(_unpack(data[:1]), 2), 1
+    start, used = (1, 4) if len(data) >= 2 and data[1] != 126 else (2, 8)
+    if len(data) < used:
         raise FormatError("truncated size field")
-    n = 0
-    for b in data[2:8]:
-        n = (n << 6) | (b - 63)
-    return n, 8
+    return int(_unpack(data[start:used]), 2), used
 
 
-def _token_bytes(text: str) -> bytes:
+def _token_bytes(text: str, header: str, lead: str = "") -> bytes:
+    """The token's bytes after the optional header and the lead."""
+    s = text.strip()
+    if s.startswith(header):
+        s = s[len(header):]
+    if not s.startswith(lead):
+        raise FormatError(f"sparse6 token must start with {lead!r}")
     try:
-        data = text.encode("ascii")
+        data = s[len(lead):].encode("ascii")
     except UnicodeEncodeError:
         raise FormatError("non-ASCII character in a graph6/sparse6 token") from None
-    for b in data:
-        if not (63 <= b <= 126):
-            raise FormatError(f"out-of-range byte {b}")
+    bad = data.translate(None, _ALPHABET)
+    if bad:
+        raise FormatError(f"out-of-range byte {bad[0]}")
     return data
 
 
@@ -79,94 +90,56 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
-    if s.startswith(_HEADER_G6):
-        s = s[len(_HEADER_G6):]
-    data = _token_bytes(s)
+    data = _token_bytes(text, _HEADER_G6)
     n, used = _decode_n(data)
-    need = (n * (n - 1) // 2 + 5) // 6
+    size = n * (n - 1) // 2
+    need = (size + 5) // 6
     body = data[used:]
     if len(body) != need:
         raise FormatError(
             f"graph6 length mismatch: n={n} needs {need} body bytes, got {len(body)}")
-    bits = []
-    for b in body:
-        v = b - 63
-        bits.extend(((v >> s) & 1) for s in (5, 4, 3, 2, 1, 0))
+    bits = _unpack(body)
+    if "1" in bits[size:]:
+        raise FormatError("nonzero padding bits")
     edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    for b in bits[idx:]:
-        if b:
-            raise FormatError("nonzero padding bits")
+    p = bits.find("1")
+    while p >= 0:
+        j = (isqrt(8 * p + 1) + 1) // 2
+        edges.append((p - j * (j - 1) // 2, j))
+        p = bits.find("1", p + 1)
     return Graph(n, tuple(edges))
 
 
 def write_sparse6(g: Graph) -> str:
     n = g.n
     k = max(1, (n - 1).bit_length())
-    bits: list[int] = []
-
-    def put(val: int, width: int):
-        for s in range(width - 1, -1, -1):
-            bits.append((val >> s) & 1)
-
+    parts = []
     v = 0
     for (u, w) in sorted(g.edges, key=lambda e: (e[1], e[0])):
         if w == v:
-            put(0, 1)
-            put(u, k)
+            parts.append(f"0{u:0{k}b}")
         elif w == v + 1:
-            v += 1
-            put(1, 1)
-            put(u, k)
+            parts.append(f"1{u:0{k}b}")
         else:
-            v = w
-            put(1, 1)
-            put(w, k)
-            put(0, 1)
-            put(u, k)
+            parts.append(f"1{w:0{k}b}0{u:0{k}b}")
+        v = w
+    bits = "".join(parts)
     if k < 6 and n == (1 << k) and (-len(bits)) % 6 >= k and v < n - 1:
-        bits.append(0)
-    while len(bits) % 6:
-        bits.append(1)
-    out = bytearray(b":")
-    out.extend(_encode_n(n))
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return out.decode("ascii")
+        bits += "0"
+    bits += "1" * (-len(bits) % 6)
+    return ":" + (_encode_n(n) + _pack(bits)).decode("ascii")
 
 
 def parse_sparse6(text: str) -> Graph:
-    s = text.strip()
-    if s.startswith(_HEADER_S6):
-        s = s[len(_HEADER_S6):]
-    if not s.startswith(":"):
-        raise FormatError("sparse6 token must start with ':'")
-    data = _token_bytes(s[1:])
+    data = _token_bytes(text, _HEADER_S6, ":")
     n, used = _decode_n(data)
-    bits = []
-    for b in data[used:]:
-        v = b - 63
-        bits.extend(((v >> sh) & 1) for sh in (5, 4, 3, 2, 1, 0))
+    bits = _unpack(data[used:])
     k = max(1, (n - 1).bit_length())
     edges = set()
     v = 0
-    pos = 0
-    while pos + 1 + k <= len(bits):
-        b = bits[pos]
-        x = 0
-        for bit in bits[pos + 1:pos + 1 + k]:
-            x = (x << 1) | bit
-        pos += 1 + k
-        if b:
+    for pos in range(0, len(bits) - k, k + 1):
+        x = int(bits[pos + 1:pos + 1 + k], 2)
+        if bits[pos] == "1":
             v += 1
         if x >= n or v >= n:
             break

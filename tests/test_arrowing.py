@@ -514,6 +514,23 @@ def test_max_seconds_bounds_a_whole_minimalize_call():
     assert res.verdict == UNKNOWN
 
 
+def test_is_minimal_enumerations_share_one_deadline(monkeypatch):
+    # each edge-deleted instance once got the full max_seconds afresh
+    deadlines = []
+    enumerate_copies = arrowing.enumerate_copies
+
+    def slow(host, pattern, deadline=None):
+        deadlines.append(deadline)
+        time.sleep(0.2)
+        return enumerate_copies(host, pattern, deadline)
+
+    monkeypatch.setattr(arrowing, "enumerate_copies", slow)
+    res = is_minimal(complete_graph(6), complete_graph(3), 2,
+                     Budget(max_seconds=0.3))
+    assert res.verdict == UNKNOWN
+    assert all(abs(d - deadlines[0]) <= 0.01 for d in deadlines)
+
+
 def test_long_cycles_have_no_recursion_limit():
     assert run(cycle_graph(1001), path_graph(3)).verdict == ARROWS
     host = cycle_graph(1000)
