@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 import time
 from dataclasses import replace
 
@@ -181,21 +182,52 @@ def _ladder(q, t):
     ("K16 K3 3", (8192, 1863), "caea252d9e6780da"),
     ("K17 K4 2", (4096, 1098), "18f40c8afbac6dbb"),
     ("ladder 4 3", (6962, 1536), None),
+    ("K8 K3 3", (29, 0), "6d7534277f91498d"),     # smallest domain first
+    ("K10 C5 2", (5508, 1536), None),              # local search, then proof
+    ("K16 K3 3 3000", (2488, 512), None),          # max_nodes runs out
 ])
 def test_search_counters_are_pinned(case, counters, digest):
     # unit propagation reaches one fixpoint however it is computed, so
     # the decisions, the flips and the witness must not move
-    kind, a, b = case.split()
+    kind, a, b, *cap = case.split()
     if kind == "ladder":
         host, partial, target = _ladder(int(a), int(b))
         res = extendable(host, partial, target, int(a))
     else:
         target = cycle_graph(5) if a == "C5" else complete_graph(int(a[1:]))
-        res = run(complete_graph(int(kind[1:])), target, int(b))
+        budget = Budget(max_nodes=int(cap[0])) if cap else NO_BUDGET
+        res = run(complete_graph(int(kind[1:])), target, int(b), budget)
+        assert (res.verdict == UNKNOWN) == bool(cap)
     assert (res.stats.nodes, res.stats.flips) == counters
     got = res.witness and hashlib.sha256(
         bytes(c for _, c in res.witness.colors)).hexdigest()[:16]
     assert got == digest
+
+
+def test_search_corpus_is_pinned():
+    # 400 small seeded searches, with fixed edges and node budgets: the
+    # status, counters and coloring of each are hashed into one digest
+    rng = random.Random(14)
+    targets = (complete_graph(3), path_graph(3), cycle_graph(4),
+               star_graph(3), path_graph(4))
+    digest = hashlib.sha256()
+    total = 0
+    for _ in range(400):
+        n = rng.randint(4, 9)
+        host = from_edges(n, [p for p in itertools.combinations(range(n), 2)
+                              if rng.random() < 0.7])
+        q = rng.randint(2, 4)
+        copies = ArrowInstance.create(host, rng.choice(targets), q).copies
+        fixed = {e: rng.randint(1, q) for e in range(host.num_edges)
+                 if rng.random() < 0.2}
+        max_nodes = rng.choice((None, 50, 200))
+        status, found, nodes, flips = arrowing._solve(
+            host.num_edges, q, copies, fixed, max_nodes, None)[:4]
+        total += nodes
+        digest.update(repr((status, nodes, flips,
+                            found and sorted(found.items()))).encode())
+    assert total == 2579
+    assert digest.hexdigest()[:16] == "1a808f86dcc9ead5"
 
 
 @pytest.mark.parametrize("n,q,verdict", [
