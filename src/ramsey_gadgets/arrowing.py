@@ -70,6 +70,8 @@ NO_BUDGET = Budget()
 class SearchStats:
     nodes: int          # decisions of the exhaustive search
     flips: int          # recolorings made by the local search
+    propagations: int   # assignments made by unit propagation
+    backtracks: int     # restores of the search state from a checkpoint
     elapsed: float
 
 
@@ -305,19 +307,26 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     counter per copy, the number of its edges colored c plus 2**hi - k.
     Assigning c to e adds inc[e] into c's planes with a ripple carry;
     the copies through e whose planes are now all set are one edge
-    short of all c, and only their last edge is looked at.  Undoing the
-    assignment subtracts inc[e] with the matching borrow, so nothing is
-    saved per decision.  The masks cost about m*N/8 bytes for m edges
-    and N copies, and every assignment a few operations on N-bit ints.
+    short of all c, and only their last edge is looked at.  The masks
+    cost about m*N/8 bytes for m edges and N copies, and every
+    assignment a few operations on N-bit ints.
 
     A decision picks the unassigned edge with the smallest domain, then
     the most copies, then the lowest id, and tries its colors in
     increasing order, but only up to one above the largest color used so
     far (fixed colors count as used): propagation removes only used
-    colors, so the unused ones stay interchangeable.  The search runs on
-    an explicit stack of decisions over a trail of assignments and
-    removals.  Edges in no copy are not searched and get color 1 unless
-    fixed.
+    colors, so the unused ones stay interchangeable.  For q >= 3 one
+    bitmask per domain size 2..q-1 holds the ranks (positions in that
+    copy order) of the unassigned edges with that many colors left.
+
+    The search runs on an explicit stack of decisions over a trail of
+    assignments and removals.  Each decision keeps a checkpoint: a copy
+    of the list of planes and size bitmasks, which are immutable ints,
+    so it copies references, and the stack holds about q*hi*N/8 bytes of
+    ints per open decision.  Backtracking clears the colors and restores
+    the domains from the trail, and puts the planes and bitmasks back
+    from the checkpoint.  Edges in no copy are not searched and get
+    color 1 unless fixed.
 
     The search stops when its decision count reaches _LS_START and
     then each time it doubles, hands 1/_LS_SHARE of the decisions made
@@ -325,134 +334,126 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     it stopped unless that found a coloring.  Only the exhaustive search
     can show that no coloring exists.
 
-    Returns (status, assignment, nodes, flips): status True with a total
-    assignment dict, False when no coloring exists, or None on budget
-    exhaustion.  `nodes` counts decisions and `flips` local-search
-    recolorings; `max_nodes` bounds their sum.
+    Returns (status, assignment, nodes, flips, propagations,
+    backtracks): status True with a total assignment dict, False when no
+    coloring exists, or None on budget exhaustion.  `nodes` counts
+    decisions, `flips` local-search recolorings, `propagations` the
+    assignments made by unit propagation and `backtracks` the restores
+    from a checkpoint; `max_nodes` bounds nodes plus flips.
     """
     deadline = time.monotonic() + max_seconds if max_seconds else None
     q1 = q + 1
     full = (1 << q1) - 2                      # bits 1..q
     sizes = {len(es) for es in copy_list}
     if 1 in sizes:
-        return False, None, 0, 0              # a one-edge copy forbids all colors
+        return False, None, 0, 0, 0, 0        # a one-edge copy forbids all colors
     (k,) = sizes or {2}                       # every copy has the target's k edges
     inc = [0] * num_edges                     # bit ci: copy ci contains e
     for ci, es in enumerate(copy_list):
         for e in es:
             inc[e] |= 1 << ci
-    # planes[c][j]: bit j of every copy's count of c-colored edges plus
-    # 2**hi - k, so all hi planes are set where one edge is not c yet
-    hi = (k - 1).bit_length()
-    every = (1 << len(copy_list)) - 1
-    planes = [[], *([every if (2 ** hi - k) >> j & 1 else 0
-                     for j in range(hi)] for _ in range(q))]
-    color = [0] * num_edges
-    dom = [full] * num_edges
-    trail: list[int] = []           # e: assigned; ~(e*q1+c): c removed
-    queue: list[int] = []           # unassigned edges with one color left
-    reduced: set[int] = set()       # edges that lost a color (q >= 3)
-    max_used = 0
-
-    def remove(f: int, c: int) -> bool:
-        d = dom[f]
-        if not d >> c & 1:
-            return True
-        dom[f] = d ^ (1 << c)
-        trail.append(~(f * q1 + c))
-        if d == full and q > 2:
-            reduced.add(f)
-        d ^= 1 << c
-        if d & (d - 1) == 0:
-            if not d:
-                return False
-            queue.append(f)
-        return True
-
-    def assign(e: int, c: int) -> bool:
-        nonlocal max_used
-        color[e] = c
-        trail.append(e)
-        if c > max_used:
-            max_used = c
-        p = planes[c]
-        carry = inc[e]
-        for j in range(hi):                 # count e in each copy through it
-            p[j], carry = p[j] ^ carry, p[j] & carry
-            if not carry:
-                break
-        else:                               # propagation prevents this
-            raise InternalError("a copy reached all edges one color")
-        unit = inc[e]
-        for j in range(hi):
-            unit &= p[j]
-        while unit:                         # copies now one edge short of all c
-            ci = unit.bit_length() - 1
-            unit ^= 1 << ci
-            for f in copy_list[ci]:
-                if color[f] != c:
-                    break
-            if not color[f] and not remove(f, c):
-                return False
-        return True
-
-    def propagate() -> bool:
-        while queue:
-            f = queue.pop()
-            if not assign(f, dom[f].bit_length() - 1):
-                queue.clear()
-                return False
-        return True
-
-    def undo(length: int) -> None:
-        while len(trail) > length:
-            t = trail.pop()
-            if t >= 0:
-                p = planes[color[t]]
-                borrow = inc[t]
-                for j in range(hi):
-                    p[j], borrow = p[j] ^ borrow, borrow & ~p[j]
-                    if not borrow:
-                        break
-                color[t] = 0
-            else:
-                f, c = divmod(~t, q1)
-                dom[f] |= 1 << c
-                if dom[f] == full:
-                    reduced.discard(f)
-
-    for e, c in fixed.items():
-        dom[e] = 1 << c
-        queue.append(e)
-    if not propagate():
-        return False, None, 0, 0
-
     order = sorted((e for e in range(num_edges)
                     if inc[e] and e not in fixed),
                    key=lambda e: (-inc[e].bit_count(), e))
     rank = [0] * num_edges
     for i, e in enumerate(order):
         rank[e] = i
+    # state[c*hi + j], 1 <= c <= q: bit j of every copy's count of
+    # c-colored edges plus 2**hi - k, so all hi planes of c are set where
+    # one edge is not c yet (state[:hi] is unused); state[sized + s],
+    # 2 <= s < q: bit rank[f] for each unassigned edge f with s colors
+    # left.  A checkpoint is a copy of this list.
+    hi = (k - 1).bit_length()
+    every = (1 << len(copy_list)) - 1
+    state = [0] * hi + [every if (2 ** hi - k) >> j & 1 else 0
+                        for _ in range(q) for j in range(hi)] + [0] * q
+    sized = q1 * hi
+    color = [0] * num_edges
+    dom = [full] * num_edges
+    trail: list[int] = []           # e: assigned; ~(e << q1 | 1 << c): c removed
+    queue: list[int] = []           # unassigned edges with one color left
+    max_used = nodes = flips = propagations = backtracks = 0
+
+    def result(status, found=None):
+        return status, found, nodes, flips, propagations, backtracks
+
+    def assign(e: int, c: int) -> bool:
+        """Color e with c, then run unit propagation to its fixpoint;
+        False on a conflict."""
+        nonlocal max_used, propagations
+        while True:
+            color[e] = c
+            trail.append(e)
+            if c > max_used:
+                max_used = c
+            base = c * hi
+            carry = inc[e]
+            for j in range(base, base + hi):   # count e in each copy through it
+                p = state[j]
+                state[j], carry = p ^ carry, p & carry
+                if not carry:
+                    break
+            else:                               # propagation prevents this
+                raise InternalError("a copy reached all edges one color")
+            unit = inc[e]
+            for j in range(base, base + hi):
+                unit &= state[j]
+            while unit:                         # copies now one edge short of all c
+                ci = unit.bit_length() - 1
+                unit ^= 1 << ci
+                for f in copy_list[ci]:
+                    if color[f] != c:
+                        break
+                d = dom[f]
+                if color[f] or not d >> c & 1:
+                    continue
+                dom[f] = d ^ (1 << c)
+                trail.append(~(f << q1 | 1 << c))
+                if q > 2:                       # f goes from s colors to s - 1
+                    s = d.bit_count()
+                    bit = 1 << rank[f]
+                    if 1 < s < q:
+                        state[sized + s] ^= bit
+                    if s > 2:
+                        state[sized + s - 1] ^= bit
+                d ^= 1 << c
+                if d & (d - 1) == 0:
+                    if not d:
+                        queue.clear()
+                        return False
+                    queue.append(f)
+            if not queue:
+                return True
+            e = queue.pop()
+            c = dom[e].bit_length() - 1
+            propagations += 1
+
+    for e, c in fixed.items():
+        dom[e] = 1 << c
+    for e, c in fixed.items():
+        if not assign(e, c):
+            return result(False)
+
     pos = 0                                   # order[:pos] is assigned
-    stack: list[tuple[int, list[int], int, int, int]] = []
-    nodes = flips = 0
+    stack: list[tuple[int, list[int], int, int, int, list[int]]] = []
     local = None                              # the _local_search generator
     stop = _LS_START
     ok = True
     while True:
         if ok:
-            e = -1
-            if reduced:
-                cand = [(dom[f].bit_count(), rank[f], f)
-                        for f in reduced if not color[f]]
-                if cand:
-                    e = min(cand)[2]
-            if e < 0:
+            for s in range(2, q):             # e leaves its size bitmask before
+                ranks = state[sized + s]      # the checkpoint: each retry
+                if ranks:                     # assigns it
+                    r = (ranks & -ranks).bit_length() - 1
+                    state[sized + s] = ranks ^ (1 << r)
+                    e = order[r]
+                    break
+            else:
                 while pos < len(order) and color[order[pos]]:
                     pos += 1
                 if pos == len(order):
-                    return True, {f: color[f] or 1
-                                  for f in range(num_edges)}, nodes, flips
+                    return result(True, {f: color[f] or 1
+                                         for f in range(num_edges)})
                 e = order[pos]
             if nodes == stop:
                 stop *= 2
@@ -466,25 +467,33 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
                 done, found = local.send(quota)
                 flips += done
                 if found is not None:
-                    return True, found, nodes, flips
+                    return result(True, found)
                 if deadline is not None and time.monotonic() > deadline:
-                    return None, None, nodes, flips
+                    return result(None)
             if max_nodes is not None and nodes + flips >= max_nodes:
-                return None, None, nodes, flips
+                return result(None)
             nodes += 1
             if deadline is not None and nodes % 256 == 0 \
                     and time.monotonic() > deadline:
-                return None, None, nodes, flips
+                return result(None)
             top = min(q, max_used + 1)
             colors = [c for c in range(top, 0, -1) if dom[e] >> c & 1]
-            stack.append((e, colors, len(trail), pos, max_used))
-        while stack and not stack[-1][1]:
-            stack.pop()
-        if not stack:
-            return False, None, nodes, flips
-        e, colors, length, pos, max_used = stack[-1]
-        undo(length)
-        ok = assign(e, colors.pop()) and propagate()
+            stack.append((e, colors, len(trail), pos, max_used, state[:]))
+        else:
+            while stack and not stack[-1][1]:
+                stack.pop()
+            if not stack:
+                return result(False)
+            backtracks += 1
+            e, colors, length, pos, max_used, checkpoint = stack[-1]
+            for t in trail[length:]:        # any order: the planes come back whole
+                if t >= 0:
+                    color[t] = 0
+                else:
+                    dom[~t >> q1] |= ~t & full
+            del trail[length:]
+            state[:] = checkpoint
+        ok = assign(e, colors.pop())
 
 
 def _mono_copy(copy_list, coloring: EdgeColoring) -> Optional[tuple[int, ...]]:
@@ -511,10 +520,10 @@ def _verified_search(instance: ArrowInstance, fixed: dict[int, int],
     """The search core on the instance with the `fixed` colors: (verdict,
     re-verified witness or None, stats).  The verdict is `found` for an
     H-free coloring, `exhausted` if none exists, unknown past the budget."""
-    status, payload, nodes, flips = _solve(
+    status, payload, *counts = _solve(
         instance.host.num_edges, instance.q, instance.copies, fixed,
         instance.budget.max_nodes, instance.budget.max_seconds)
-    stats = SearchStats(nodes, flips, time.monotonic() - start)
+    stats = SearchStats(*counts, time.monotonic() - start)
     if status is not True:
         return (UNKNOWN if status is None else exhausted), None, stats
     witness = EdgeColoring.from_map(instance.q, payload)
@@ -526,7 +535,7 @@ def _verified_search(instance: ArrowInstance, fixed: dict[int, int],
 def arrows(instance: ArrowInstance) -> ArrowResult:
     start = time.monotonic()
     if instance.copies is None:
-        return ArrowResult(UNKNOWN, None, SearchStats(0, 0, 0.0))
+        return ArrowResult(UNKNOWN, None, SearchStats(0, 0, 0, 0, 0.0))
     return ArrowResult(*_verified_search(instance, {}, start,
                                          DOES_NOT_ARROW, ARROWS))
 
@@ -544,11 +553,11 @@ def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
         instance = ArrowInstance.create(host, target, q, budget)
     if instance.copies is None:
         return ExtendResult(UNKNOWN, None, None,
-                            SearchStats(0, 0, time.monotonic() - start))
+                            SearchStats(0, 0, 0, 0, time.monotonic() - start))
     cert = _mono_copy(instance.copies, partial)
     if cert is not None:
         return ExtendResult(NOT_EXTENDABLE, None, cert,
-                            SearchStats(0, 0, time.monotonic() - start))
+                            SearchStats(0, 0, 0, 0, time.monotonic() - start))
     verdict, witness, stats = _verified_search(
         instance, partial.as_dict(), start, EXTENDABLE, NOT_EXTENDABLE)
     return ExtendResult(verdict, witness, None, stats)

@@ -126,13 +126,20 @@ def _arrow_exit(verdict: str, claim: str) -> int:
 # ---------------------------------------------------------------------------
 # engine commands
 
+def _counters(stats) -> dict:
+    """The search's deterministic counters; its wall time stays out of
+    reports."""
+    return {"nodes": stats.nodes, "flips": stats.flips,
+            "propagations": stats.propagations,
+            "backtracks": stats.backtracks}
+
+
 def cmd_arrow(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
     inst = ArrowInstance.create(host, target, args.q, _budget(args))
     res = arrows(inst)
-    payload = {"verdict": res.verdict, "nodes": res.stats.nodes,
-               "flips": res.stats.flips,
+    payload = {"verdict": res.verdict, **_counters(res.stats),
                "copies": None if inst.copies is None else len(inst.copies)}
     if res.witness is not None:
         payload["witness"] = res.witness.to_json()
@@ -148,8 +155,7 @@ def cmd_color(args) -> int:
     target = _load_graph(args.target)
     inst = ArrowInstance.create(host, target, args.q, _budget(args))
     res = arrows(inst)
-    payload = {"verdict": res.verdict, "nodes": res.stats.nodes,
-               "flips": res.stats.flips}
+    payload = {"verdict": res.verdict, **_counters(res.stats)}
     if res.witness is not None:
         payload["coloring"] = res.witness.to_json()
     _emit(args, "color", payload)
@@ -161,8 +167,7 @@ def cmd_extend(args) -> int:
     target = _load_graph(args.target)
     partial = EdgeColoring.from_json(args.q, _load_json(args.partial))
     res = extendable(host, partial, target, args.q, _budget(args))
-    payload = {"verdict": res.verdict, "nodes": res.stats.nodes,
-               "flips": res.stats.flips}
+    payload = {"verdict": res.verdict, **_counters(res.stats)}
     if res.witness is not None:
         payload["witness"] = res.witness.to_json()
     if res.certificate is not None:

@@ -203,6 +203,7 @@ def load_corpus(path: Optional[str] = None, max_order: Optional[int] = None) -> 
 
 
 def write_graph_file(path: str, graphs: Iterable[Graph]):
+    """One graph a line, each in the shorter of graph6 and sparse6."""
     with open(path, "w") as fh:
         for g in graphs:
-            fh.write(write_graph6(g) + "\n")
+            fh.write(write_auto(g) + "\n")

@@ -182,6 +182,20 @@ def test_search_reports_count_flips(capsys):
     assert report["flips"] == 0
 
 
+@pytest.mark.parametrize("argv,counters", [
+    (["arrow", "--host", "K6", "--target", "K3"], (10, 0, 16, 9)),
+    (["color", "--host", "K5", "--target", "K3"], (5, 0, 7, 2)),
+    (["extend", "--host", "K5", "--target", "K3", "--partial", "[[0, 1]]"],
+     (4, 0, 7, 2)),
+])
+def test_search_reports_carry_every_counter(argv, counters, capsys):
+    # decisions, flips, propagated assignments and restores, and no time
+    code, report = run(capsys, *argv)
+    assert tuple(report[key] for key in ("nodes", "flips", "propagations",
+                                         "backtracks")) == counters
+    assert "elapsed" not in json.dumps(report)
+
+
 def test_report_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, report = run(capsys, "arrow", "--host", "K6", "--target", "K3",
@@ -212,6 +226,19 @@ def test_construct_p4_then_check_minimal(tmp_path, capsys):
     code, report = run(capsys, "check-minimal", "--host", f"file:{out}",
                        "--target", "P4")
     assert code == 0 and report["verdict"] == "minimal"
+
+
+def test_construct_writes_the_shorter_graph_encoding(tmp_path, capsys):
+    # 1766 vertices and 2097 edges: graph6 would take 259 755 bytes,
+    # sparse6 takes 4413
+    out = tmp_path / "cycle.g6"
+    code, report = run(capsys, "construct", "cycle", "--q", "2", "--t", "4",
+                       "--k", "2", "--out", str(out))
+    assert code == 0
+    assert out.stat().st_size < 10_000
+    (g,) = read_graph_file(str(out))
+    assert g.n == report["graph"]["n"]
+    assert sorted(g.edges) == sorted(map(tuple, report["graph"]["edges"]))
 
 
 def test_minimalize(capsys):
