@@ -321,12 +321,13 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
 
     The search runs on an explicit stack of decisions over a trail of
     assignments and removals.  Each decision keeps a checkpoint: a copy
-    of the list of planes and size bitmasks, which are immutable ints,
-    so it copies references, and the stack holds about q*hi*N/8 bytes of
-    ints per open decision.  Backtracking clears the colors and restores
-    the domains from the trail, and puts the planes and bitmasks back
-    from the checkpoint.  Edges in no copy are not searched and get
-    color 1 unless fixed.
+    of the list of planes and size bitmasks.  They are immutable ints,
+    so it copies references, and the stack holds up to q*hi*N/8 bytes
+    of ints per open decision (less where later decisions leave a plane
+    unchanged).  Backtracking clears the colors and restores the domains
+    from the trail, and puts the planes and bitmasks back from the
+    checkpoint.  Edges in no copy are not searched and get color 1
+    unless fixed.
 
     The search stops when its decision count reaches _LS_START and
     then each time it doubles, hands 1/_LS_SHARE of the decisions made

@@ -183,7 +183,7 @@ def _ladder(q, t):
     ("K17 K4 2", (4096, 1098), "18f40c8afbac6dbb"),
     ("ladder 4 3", (6962, 1536), None),
     ("K8 K3 3", (29, 0), "6d7534277f91498d"),     # smallest domain first
-    ("K10 C5 2", (5508, 1536), None),              # local search, then proof
+    ("K10 C5 2", (5508, 1536), None),              # local search, then refuted
     ("K16 K3 3 3000", (2488, 512), None),          # max_nodes runs out
 ])
 def test_search_counters_are_pinned(case, counters, digest):
