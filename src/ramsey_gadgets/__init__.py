@@ -30,9 +30,9 @@ from .gadgets import (NEGATIVE, POSITIVE, FixedSenderProvider, GNISpec,
 from .graph import (Graph, GraphError, ComposeError, Embedding, InternalError,
                     compose, complete_graph, cycle_graph, clique_with_pendant,
                     disjoint_union, distance, edge_distance, enumerate_copies,
-                    from_edges, girth, graph_from_name, graphs_isomorphic,
-                    is_k_connected, matching_graph, path_graph, single_edge,
-                    star_graph)
+                    far_edge_pairs, from_edges, girth, graph_from_name,
+                    graphs_isomorphic, is_k_connected, matching_graph,
+                    path_graph, single_edge, star_graph)
 from .graph6 import (FormatError, load_corpus, parse_any, parse_graph6,
                      parse_sparse6, read_graph_file, write_auto,
                      write_graph6, write_graph_file, write_sparse6)

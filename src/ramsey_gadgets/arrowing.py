@@ -22,7 +22,8 @@ again: the copies in the host minus some edges are the host's copies
 that avoid them (`_avoiding`), and the copies inside an edge set are
 those it contains.  The host and its edge ids stay.  `minimalize`, the
 seed conditions and the GNI verifier work this way; `is_minimal` still
-builds one instance per edge-deleted subgraph.
+builds one instance per edge-deleted subgraph, except where the deleted
+edge lies in no copy.
 """
 
 from __future__ import annotations
@@ -613,19 +614,27 @@ def _arrows_until(instance: ArrowInstance, deadline: Optional[float]) -> str:
 def is_minimal(g: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> MinimalityResult:
     """Arrows, and no single-edge-deleted subgraph does (isolated
-    vertices are dropped since they never affect arrowing).  Each of its
-    m + 1 instances enumerates its own copies; `budget.max_seconds` is
-    one deadline that every enumeration and search of the call shares."""
+    vertices are dropped since they never affect arrowing).  An edge in
+    no copy of the target is removable with no search: G - e keeps every
+    copy, so it arrows when G does.  Every other G - e is an instance
+    that enumerates its own copies; `budget.max_seconds` is one deadline
+    that every enumeration and search of the call shares."""
     deadline = _deadline(budget)
-    base = _arrows_until(ArrowInstance.create(g, target, q, budget), deadline)
+    inst = ArrowInstance.create(g, target, q, budget)
+    base = _arrows_until(inst, deadline)
     if base == UNKNOWN:
         return MinimalityResult(UNKNOWN, detail="base arrowing unknown")
     if base == DOES_NOT_ARROW:
         return MinimalityResult(NOT_MINIMAL, detail="graph does not arrow")
+    covered = {e for es in inst.copies for e in es}
     for eid in range(g.num_edges):
-        left = _until(budget, deadline)
-        verdict = UNKNOWN if left is None else _arrows_until(
-            ArrowInstance.create(g.delete_edge(eid), target, q, left), deadline)
+        if eid not in covered:
+            verdict = ARROWS
+        else:
+            left = _until(budget, deadline)
+            verdict = UNKNOWN if left is None else _arrows_until(
+                ArrowInstance.create(g.delete_edge(eid), target, q, left),
+                deadline)
         if verdict == UNKNOWN:
             return MinimalityResult(UNKNOWN, eid, "subgraph arrowing unknown")
         if verdict == ARROWS:

@@ -24,8 +24,8 @@ from .arrowing import (ARROWS, DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance
 from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
 from .graph import (Graph, GraphError, _embed, clique_with_pendant,
                     complete_graph, compose, decode_json, disjoint_union,
-                    edge_distance, enumerate_copies, girth, graphs_isomorphic,
-                    matching_graph, single_edge)
+                    edge_distance, enumerate_copies, far_edge_pairs, girth,
+                    graphs_isomorphic, matching_graph, single_edge)
 from .manifest import ConstructionManifest, ManifestBuilder
 
 POSITIVE = "positive"
@@ -268,20 +268,22 @@ def search_sender(h: Graph, q: int, d: int, polarity: str, max_order: int,
                   budget: Budget = NO_BUDGET) -> Optional[SenderSpec]:
     """Scan a corpus of candidate graphs and all designated edge pairs
     at distance >= d; return the first fully verified sender, if any.
-    The graph's own search decides S1 and the distance filter S3, so each
-    pair needs only S2, on the same instance."""
+    S3 is checked first: a graph with no edge pair at distance >= d is
+    skipped before any copy is enumerated.  Otherwise the graph's own
+    search decides S1, and each of its pairs needs only S2, on the same
+    instance."""
     if corpus is None:
         corpus = graph6.load_corpus(max_order=max_order)
     for g in corpus:
-        if g.n > max_order or g.num_edges < 2:
+        if g.n > max_order:
+            continue
+        pairs = far_edge_pairs(g, d)
+        if not pairs:
             continue
         inst = ArrowInstance.create(g, h, q, budget)
-        base = arrows(inst)
-        if base.verdict != DOES_NOT_ARROW:
+        if arrows(inst).verdict != DOES_NOT_ARROW:
             continue
-        for e_id, f_id in combinations(range(g.num_edges), 2):
-            if edge_distance(g, [e_id], [f_id]) < d:
-                continue
+        for e_id, f_id in pairs:
             spec = SenderSpec(g, e_id, f_id, polarity, h, q, d)
             if _sender_s2(spec, inst).outcome == PASS:
                 spec.status = STATUS_FULL

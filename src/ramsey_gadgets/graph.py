@@ -5,10 +5,12 @@ u < v; the index of an edge in that tuple is its stable edge id.  Edge
 ids are assigned in construction order and never renumbered, so
 replaying a construction recipe reproduces identical ids.  A graph built
 from many gadgets grows in a `_GraphDraft`, which appends to lists and
-builds the `Graph` once.  Derived structure (bitset adjacency, degrees,
-the degree-ranked adjacency that copy enumeration runs on, a pattern's
-symmetry conditions) is computed on first read and kept, so a graph that
-is only composed, replayed or serialized never builds it.
+builds the `Graph` once.  Derived structure (bitset adjacency, neighbour
+lists, degrees, the degree-ranked adjacency that copy enumeration runs
+on, a pattern's symmetry conditions) is computed on first read and kept,
+so a graph that is only composed, replayed or serialized never builds
+it.  Distances walk the neighbour lists, so measuring a large sparse
+gadget graph never builds its n-bit bitsets.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union,
                     get_args, get_origin)
 
@@ -81,6 +83,16 @@ class Graph:
     def adj(self) -> tuple[int, ...]:
         """Adjacency bitsets: bit v of adj[u] is set when uv is an edge."""
         return _bitsets(self.n, self.edges)
+
+    @cached_property
+    def adj_lists(self) -> tuple[list[int], ...]:
+        """Neighbour lists: adj_lists[u] holds u's neighbours in edge-id
+        order."""
+        nbrs: tuple[list[int], ...] = tuple([] for _ in range(self.n))
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        return nbrs
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
@@ -339,40 +351,55 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # metrics
 
+def _bfs_layers(g: Graph, sources: Iterable[int]):
+    """Breadth-first search over `g.adj_lists`: yields the vertices at
+    distance 0 (the sources), 1, 2, ... from `sources`, one list a layer,
+    until no vertex is left to reach."""
+    nbrs = g.adj_lists
+    seen = set(sources)
+    layer = list(seen)
+    while layer:
+        yield layer
+        nxt = []
+        for u in layer:
+            for w in nbrs[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        layer = nxt
+
+
 def distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> float:
     """BFS distance (edge count) between two vertex sets; 0 if they
-    intersect, INFINITY if disconnected."""
+    intersect, INFINITY if disconnected.  The search stops at the first
+    layer that meets b."""
     aset = set(a)
     bset = set(b)
     if not aset or not bset:
         raise GraphError("distance requires nonempty sets")
-    if aset & bset:
-        return 0
-    target = 0
-    for v in bset:
-        target |= 1 << v
-    seen = 0
-    for v in aset:
-        seen |= 1 << v
-    frontier = seen
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = 0
-        bts = frontier
-        while bts:
-            v = (bts & -bts).bit_length() - 1
-            bts &= bts - 1
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        if frontier & target:
+    for dist, layer in enumerate(_bfs_layers(g, aset)):
+        if not bset.isdisjoint(layer):
             return dist
-        seen |= frontier
     return INFINITY
 
 
 def edge_distance(g: Graph, eids_a: Iterable[int], eids_b: Iterable[int]) -> float:
     return distance(g, g.edge_vertices(eids_a), g.edge_vertices(eids_b))
+
+
+def far_edge_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
+    """The edge-id pairs (e, f), e < f, at `edge_distance` >= d, in
+    `combinations` order.  One BFS per edge e marks every vertex within
+    distance d - 1 of e's endpoints; f qualifies when neither of its
+    endpoints is marked, unreachable ones (distance INFINITY) included."""
+    pairs = []
+    for e, ends in enumerate(g.edges):
+        near = set()
+        for layer in islice(_bfs_layers(g, ends), max(d, 0)):
+            near.update(layer)
+        pairs.extend((e, f) for f in range(e + 1, g.num_edges)
+                     if near.isdisjoint(g.edges[f]))
+    return pairs
 
 
 def girth(g: Graph) -> float:

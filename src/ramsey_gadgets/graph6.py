@@ -1,7 +1,11 @@
 """graph6 / sparse6 text formats, byte-exact per the de-facto spec.
 
 One graph per line; no ">>graph6<<" headers are written, but they are
-accepted on input.  Supports n up to 68719476735 (eight-byte size field).
+accepted on input.  The eight-byte size field could hold n up to
+68719476735, but a graph's labels and edge index are built in memory,
+so both directions stop at `MAX_ORDER` = 2^22 vertices, far above the
+24 174 of the largest graph the library builds.  A larger size field
+is rejected before anything is allocated.
 Both formats put six bits into each printable byte 63..126.  `_pack` and
 `_unpack` convert between such bytes and strings of "0"/"1"; only
 `write_graph6` sets its bits in place, which keeps its O(n^2) body at one
@@ -22,6 +26,7 @@ _HEADER_S6 = ">>sparse6<<"
 _ALPHABET = bytes(range(63, 127))
 _SIX = [f"{v:06b}" for v in range(64)]
 _BYTE = {six: v + 63 for v, six in enumerate(_SIX)}
+MAX_ORDER = 1 << 22
 
 
 class FormatError(GraphError):
@@ -45,9 +50,9 @@ def _encode_n(n: int) -> bytes:
         return _pack(f"{n:06b}")
     if n <= 258047:
         return b"~" + _pack(f"{n:018b}")
-    if n <= 68719476735:
+    if n <= MAX_ORDER:
         return b"~~" + _pack(f"{n:036b}")
-    raise FormatError("vertex count too large for graph6")
+    raise FormatError(f"vertex count {n} exceeds the limit {MAX_ORDER}")
 
 
 def _decode_n(data: bytes) -> tuple[int, int]:
@@ -59,7 +64,10 @@ def _decode_n(data: bytes) -> tuple[int, int]:
     start, used = (1, 4) if len(data) >= 2 and data[1] != 126 else (2, 8)
     if len(data) < used:
         raise FormatError("truncated size field")
-    return int(_unpack(data[start:used]), 2), used
+    n = int(_unpack(data[start:used]), 2)
+    if n > MAX_ORDER:
+        raise FormatError(f"vertex count {n} exceeds the limit {MAX_ORDER}")
+    return n, used
 
 
 def _token_bytes(text: str, header: str, lead: str = "") -> bytes:

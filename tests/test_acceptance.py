@@ -243,9 +243,11 @@ def test_criterion_8_negative_controls():
 #
 # The coloring-level gadget properties need verified senders at signal
 # distance >= v(target)+1 for a target with at least three edges.  No
-# such sender exists in the bundled corpus (the triangle search below
-# comes back empty), and exhaustive sender verification beyond ~6-vertex
-# graphs is out of desk-scale reach, so this test normally skips; the
+# such sender exists in the bundled corpus: no corpus graph (all have
+# <= 6 vertices) has an edge pair at distance >= 4, so the triangle
+# search below comes back empty without running a single search.
+# Exhaustive sender verification beyond ~6-vertex graphs is out of
+# desk-scale reach, so this test normally skips; the
 # structural and exact robustness checks of criterion 7 stand in for it.
 # Supply verified senders via the environment variable to activate it.
 

@@ -15,10 +15,11 @@ from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             NO_BUDGET, UNKNOWN, ArrowInstance, Budget,
                             EdgeColoring, GraphError, StubSenderProvider,
                             arrows, build_cycle_abundant, complete_graph,
-                            cycle_graph, extendable, from_edges,
-                            is_minimal, min_degree_stats, minimalize,
-                            path_graph, phi_coloring, sq_lower_bound,
-                            star_graph, to_dimacs, verify_witness)
+                            cycle_graph, disjoint_union, extendable,
+                            from_edges, is_minimal, min_degree_stats,
+                            minimalize, path_graph, phi_coloring,
+                            single_edge, sq_lower_bound, star_graph,
+                            to_dimacs, verify_witness)
 
 
 def run(host, target, q=2, budget=NO_BUDGET):
@@ -286,6 +287,19 @@ def test_is_minimal():
     assert is_minimal(complete_graph(5), complete_graph(3), 2).verdict == NOT_MINIMAL
 
 
+def test_edge_in_no_copy_is_removable_without_search(monkeypatch):
+    # edge 0 is a K2 beside a K6: no triangle uses it
+    host = disjoint_union(single_edge(), complete_graph(6))
+    calls = []
+    create = ArrowInstance.create
+    monkeypatch.setattr(ArrowInstance, "create",
+                        lambda *args: calls.append(args) or create(*args))
+    res = is_minimal(host, complete_graph(3), 2)
+    assert (res.verdict, res.removable_edge, res.detail) == (
+        NOT_MINIMAL, 0, "edge 0 is removable")
+    assert len(calls) == 1
+
+
 def test_minimalize_star():
     g, verdict = minimalize(star_graph(7), star_graph(3), 2)
     assert verdict == MINIMAL
@@ -512,11 +526,16 @@ def test_minimality_matches_rebuild_oracle(data):
                                                   min_size=1, max_size=11))))
     target = data.draw(st.sampled_from(TARGETS))
     minimal = naive_is_minimal(host, target, 2)
-    assert (is_minimal(host, target, 2).verdict == MINIMAL) == minimal
+    res = is_minimal(host, target, 2)
+    assert (res.verdict == MINIMAL) == minimal
     if naive_arrows(host, target, 2) == DOES_NOT_ARROW:
         with pytest.raises(GraphError):
             minimalize(host, target, 2)
         return
+    # the first removable edge, whether or not it lies in a copy
+    assert res.removable_edge == next(
+        (e for e in range(host.num_edges)
+         if naive_arrows(host.delete_edge(e), target, 2) == ARROWS), None)
     g, verdict = minimalize(host, target, 2)
     assert verdict == MINIMAL
     assert g == naive_minimalize(host, target, 2)

@@ -106,6 +106,8 @@ def test_library_bug_exits_internal_not_usage(error, monkeypatch, capsys):
 def test_malformed_input_exits_usage(tmp_path, capsys):
     senders = tmp_path / "senders.json"
     senders.write_text("5")
+    huge = tmp_path / "huge.g6"          # a size field of n = 2^36 - 1
+    huge.write_text(":~~~~~~~~\n")
     for argv in (["extend", "--host", "K5", "--target", "K3",
                   "--partial", "[[0]]"],
                  ["extend", "--host", "K5", "--target", "K3",
@@ -119,6 +121,7 @@ def test_malformed_input_exits_usage(tmp_path, capsys):
                  ["construct", "indicator", "--target", "K3",
                   "--subgraph", "P3", "--senders", str(senders)],
                  ["arrow", "--host", "g6:D\u00e9{", "--target", "K3"],
+                 ["arrow", "--host", f"file:{huge}", "--target", "K3"],
                  ["verify", "sender", "--graph", "K3"]):
         assert main(argv) == 3, argv
         assert "error:" in capsys.readouterr().err

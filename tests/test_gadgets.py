@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import nx_copies
 
-from ramsey_gadgets import (EXACT, Budget, EdgeColoring, Graph, GraphError,
+from ramsey_gadgets import (DOES_NOT_ARROW, EXACT, Budget, EdgeColoring,
+                            Graph, GraphError,
                             IndicatorSpec, PatternFamily, PatternGadgetSpec,
                             SenderSpec, StubSenderProvider,
                             ThreeConnectedSeed, ArrowInstance,
@@ -20,9 +21,9 @@ from ramsey_gadgets import (EXACT, Budget, EdgeColoring, Graph, GraphError,
                             build_ktk2_abundant, build_pattern_gadget,
                             check_robust, choose_r, clique_with_pendant,
                             complete_graph, cycle_graph,
-                            default_three_connected_seed, disjoint_union,
-                            edge_distance, extendable, from_edges,
-                            gni_expected_counts,
+                            arrows, default_three_connected_seed,
+                            disjoint_union, edge_distance, extendable,
+                            from_edges, gni_expected_counts, load_corpus,
                             make_stub_sender, matching_graph, path_graph,
                             pattern_of, search_sender, single_edge, star_graph,
                             string_senders, verify_gni, verify_indicator,
@@ -89,16 +90,60 @@ def test_search_sender_for_path_target():
     assert rep.fully_verified
 
 
-def test_search_sender_builds_one_instance_per_graph(monkeypatch):
-    # the graph's own search decides S1 and the distance filter S3; each
-    # of the four edge pairs at distance >= 3 runs S2 on the same instance
+def _count_instances(monkeypatch) -> list:
     calls = []
     create = ArrowInstance.create
     monkeypatch.setattr(ArrowInstance, "create",
                         lambda *args: calls.append(args) or create(*args))
+    return calls
+
+
+def test_search_sender_builds_one_instance_per_graph(monkeypatch):
+    # S3 picks the four edge pairs of C8 at distance >= 3 first; the
+    # graph's own search then decides S1, and each pair runs S2 on the
+    # same instance
+    calls = _count_instances(monkeypatch)
     assert search_sender(P3, 2, 3, NEGATIVE, 8,
                          corpus=[cycle_graph(8)]) is None
     assert len(calls) == 1
+
+
+def test_search_sender_skips_graphs_without_a_far_pair(monkeypatch):
+    # no bundled corpus graph (all have <= 6 vertices) has an edge pair
+    # at distance >= 4, so the search enumerates no copies at all
+    calls = _count_instances(monkeypatch)
+    assert search_sender(K3, 2, 4, POSITIVE, max_order=6) is None
+    assert calls == []
+
+
+def _scan_then_filter(h, q, d, polarity, corpus):
+    """The sender search as it was before S3 came first: search every
+    graph, then test each edge pair's distance with its own BFS."""
+    for g in corpus:
+        if g.num_edges < 2:
+            continue
+        inst = ArrowInstance.create(g, h, q)
+        if arrows(inst).verdict != DOES_NOT_ARROW:
+            continue
+        for e, f in combinations(range(g.num_edges), 2):
+            if edge_distance(g, [e], [f]) < d:
+                continue
+            spec = SenderSpec(g, e, f, polarity, h, q, d)
+            if gadgets._sender_s2(spec, inst).outcome == PASS:
+                return spec
+    return None
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("polarity", [POSITIVE, NEGATIVE])
+@pytest.mark.parametrize("h", [P3, K3], ids=["P3", "K3"])
+def test_search_sender_matches_the_scan_then_filter_oracle(h, polarity, d):
+    def found(spec):
+        return spec and (spec.graph, spec.e, spec.f)
+
+    corpus = load_corpus(max_order=6)
+    assert found(search_sender(h, 2, d, polarity, 6, corpus)) == \
+        found(_scan_then_filter(h, 2, d, polarity, corpus))
 
 
 def test_string_senders():

@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -14,12 +15,13 @@ from ramsey_gadgets import (ComposeError, Graph, GraphError, InternalError,
                             complete_graph,
                             compose, cycle_graph, clique_with_pendant,
                             disjoint_union, distance, edge_distance,
-                            enumerate_copies, from_edges, girth,
-                            graph_from_name, graphs_isomorphic,
+                            enumerate_copies, far_edge_pairs, from_edges,
+                            girth, graph_from_name, graphs_isomorphic,
                             is_k_connected, matching_graph, parse_any,
                             path_graph, single_edge, star_graph,
                             write_graph6, write_sparse6)
 from ramsey_gadgets.gadgets import POSITIVE
+from ramsey_gadgets.graph import INFINITY
 
 
 def test_basic_constructors():
@@ -160,6 +162,28 @@ def test_random_copies_match_networkx(data):
         assert emb.edge_map == tuple(
             host.edge_id(emb.vertex_map[u], emb.vertex_map[v])
             for u, v in pattern.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_distances_match_networkx(data):
+    # up to 10 edges on up to 8 vertices: many hosts are disconnected,
+    # and d runs past the largest finite distance, n - 1
+    n = data.draw(st.integers(1, 8))
+    g = random_graph(data, n, data.draw(st.integers(0, 10)))
+    lengths = dict(nx.all_pairs_shortest_path_length(to_networkx(g)))
+
+    def nx_distance(a, b):
+        return min(lengths[u].get(v, INFINITY) for u in a for v in b)
+
+    vertex_sets = st.sets(st.integers(0, n - 1), min_size=1)
+    a, b = data.draw(vertex_sets), data.draw(vertex_sets)
+    assert distance(g, a, b) == nx_distance(a, b)
+    d = data.draw(st.integers(0, n + 1))
+    assert far_edge_pairs(g, d) == [
+        (e, f) for e, f in combinations(range(g.num_edges), 2)
+        if nx_distance(g.edges[e], g.edges[f]) >= d]
+    assert "adj" not in g.__dict__       # no n-bit bitsets were built
 
 
 def counting_embed(monkeypatch, host) -> list:

@@ -75,6 +75,9 @@ def test_size_field_boundaries(n):
     ("D\x7f\x01", "out-of-range byte 127"),     # the first bad byte
     (">>graph6<<D~|", "nonzero padding bits"),
     (">>sparse6<<:A?", "loop in sparse6 stream"),
+    # size fields above 2^22 = 4194304, rejected before any allocation
+    (":~~~~~~~~", "vertex count 68719476735 exceeds the limit 4194304"),
+    ("~~??O??@", "vertex count 4194305 exceeds the limit 4194304"),
 ])
 def test_malformed_tokens(token, message):
     with pytest.raises(FormatError) as err:
