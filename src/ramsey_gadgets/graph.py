@@ -5,11 +5,11 @@ u < v; the index of an edge in that tuple is its stable edge id.  Edge
 ids are assigned in construction order and never renumbered, so
 replaying a construction recipe reproduces identical ids.  A graph built
 from many gadgets grows in a `_GraphDraft`, which appends to lists and
-builds the `Graph` once.  Derived structure (bitset adjacency, neighbour
-lists, degrees, the degree-ranked adjacency that copy enumeration runs
-on, a pattern's symmetry conditions) is computed on first read and kept,
-so a graph that is only composed, replayed or serialized never builds
-it.  Distances walk the neighbour lists, so measuring a large sparse
+builds the `Graph` once.  Derived structure (bitset adjacency, degrees,
+the degree-ranked adjacency that copy enumeration runs on, a pattern's
+symmetry conditions) is computed on first read and kept, so a graph that
+is only composed, replayed or serialized never builds it.  Distances
+walk neighbour lists built for the call, so measuring a large sparse
 gadget graph never builds its n-bit bitsets.
 """
 
@@ -83,16 +83,6 @@ class Graph:
     def adj(self) -> tuple[int, ...]:
         """Adjacency bitsets: bit v of adj[u] is set when uv is an edge."""
         return _bitsets(self.n, self.edges)
-
-    @cached_property
-    def adj_lists(self) -> tuple[list[int], ...]:
-        """Neighbour lists: adj_lists[u] holds u's neighbours in edge-id
-        order."""
-        nbrs: tuple[list[int], ...] = tuple([] for _ in range(self.n))
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return nbrs
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
@@ -351,11 +341,19 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # metrics
 
-def _bfs_layers(g: Graph, sources: Iterable[int]):
-    """Breadth-first search over `g.adj_lists`: yields the vertices at
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    """nbrs[u] holds u's neighbours in edge-id order."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def _bfs_layers(nbrs: list[list[int]], sources: Iterable[int]):
+    """Breadth-first search over neighbour lists: yields the vertices at
     distance 0 (the sources), 1, 2, ... from `sources`, one list a layer,
     until no vertex is left to reach."""
-    nbrs = g.adj_lists
     seen = set(sources)
     layer = list(seen)
     while layer:
@@ -377,7 +375,7 @@ def distance(g: Graph, a: Iterable[int], b: Iterable[int]) -> float:
     bset = set(b)
     if not aset or not bset:
         raise GraphError("distance requires nonempty sets")
-    for dist, layer in enumerate(_bfs_layers(g, aset)):
+    for dist, layer in enumerate(_bfs_layers(_neighbour_lists(g), aset)):
         if not bset.isdisjoint(layer):
             return dist
     return INFINITY
@@ -392,10 +390,11 @@ def far_edge_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
     `combinations` order.  One BFS per edge e marks every vertex within
     distance d - 1 of e's endpoints; f qualifies when neither of its
     endpoints is marked, unreachable ones (distance INFINITY) included."""
+    nbrs = _neighbour_lists(g)
     pairs = []
     for e, ends in enumerate(g.edges):
         near = set()
-        for layer in islice(_bfs_layers(g, ends), max(d, 0)):
+        for layer in islice(_bfs_layers(nbrs, ends), max(d, 0)):
             near.update(layer)
         pairs.extend((e, f) for f in range(e + 1, g.num_edges)
                      if near.isdisjoint(g.edges[f]))
