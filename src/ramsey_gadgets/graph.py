@@ -389,7 +389,8 @@ def far_edge_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
     """The edge-id pairs (e, f), e < f, at `edge_distance` >= d, in
     `combinations` order.  One BFS per edge e marks every vertex within
     distance d - 1 of e's endpoints; f qualifies when neither of its
-    endpoints is marked, unreachable ones (distance INFINITY) included."""
+    endpoints is marked, so an f out of e's reach (distance INFINITY)
+    qualifies too."""
     nbrs = _neighbour_lists(g)
     pairs = []
     for e, ends in enumerate(g.edges):

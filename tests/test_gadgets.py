@@ -117,8 +117,8 @@ def test_search_sender_skips_graphs_without_a_far_pair(monkeypatch):
 
 
 def _scan_then_filter(h, q, d, polarity, corpus):
-    """The sender search as it was before S3 came first: search every
-    graph, then test each edge pair's distance with its own BFS."""
+    """The sender search without the early distance filter: search
+    every graph, then test each edge pair's distance with its own BFS."""
     for g in corpus:
         if g.num_edges < 2:
             continue
