@@ -60,7 +60,7 @@ class Budget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise GraphError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if self.max_seconds is not None and not self.max_seconds > 0:
             raise GraphError("max_seconds must be positive")
 
 

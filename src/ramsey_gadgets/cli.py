@@ -428,6 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--d", type=int, default=None,
                        help="interface distance parameter")
     build.add_argument("--manifest-out", help="write the build recipe here")
+    # the engine commands decide one arrowing instance under the budget flags
+    engine = argparse.ArgumentParser(add_help=False, parents=[budget])
+    engine.add_argument("--host", required=True)
+    engine.add_argument("--target", required=True)
+    engine.add_argument("--q", type=int, default=2)
 
     p = argparse.ArgumentParser(prog="ramsey-gadgets")
     p.add_argument("--version", action="version", version=__version__)
@@ -438,30 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
         return sp
 
-    sp = cmd("arrow", cmd_arrow, [common, budget])
-    sp.add_argument("--host", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--q", type=int, default=2)
+    sp = cmd("arrow", cmd_arrow, [common, engine])
     sp.add_argument("--dimacs-out")
-
-    sp = cmd("color", cmd_color, [common, budget])
-    sp.add_argument("--host", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--q", type=int, default=2)
-
-    sp = cmd("extend", cmd_extend, [common, budget])
-    sp.add_argument("--host", required=True)
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--q", type=int, default=2)
+    cmd("color", cmd_color, [common, engine])
+    sp = cmd("extend", cmd_extend, [common, engine])
     sp.add_argument("--partial", required=True,
                     help="inline JSON [[edge,color],...] or a file path")
-
-    for name, fn, extra in (("minimalize", cmd_minimalize, [out]),
-                            ("check-minimal", cmd_check_minimal, [])):
-        sp = cmd(name, fn, [common, budget] + extra)
-        sp.add_argument("--host", required=True)
-        sp.add_argument("--target", required=True)
-        sp.add_argument("--q", type=int, default=2)
+    cmd("minimalize", cmd_minimalize, [common, engine, out])
+    cmd("check-minimal", cmd_check_minimal, [common, engine])
 
     sp = cmd("stats", cmd_stats, [common])
     sp.add_argument("--graph", required=True)

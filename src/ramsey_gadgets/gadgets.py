@@ -22,10 +22,11 @@ from . import graph6
 from .arrowing import (ARROWS, DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
                        Budget, _mono_copy, arrows, extendable)
 from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
-from .graph import (Graph, GraphError, _embed, clique_with_pendant,
-                    complete_graph, compose, decode_json, disjoint_union,
-                    edge_distance, enumerate_copies, far_edge_pairs, girth,
-                    graphs_isomorphic, matching_graph, single_edge)
+from .graph import (Graph, GraphError, _bitsets, _embed,
+                    clique_with_pendant, complete_graph, compose, decode_json,
+                    disjoint_union, edge_distance, enumerate_copies,
+                    far_edge_pairs, girth, graphs_isomorphic, matching_graph,
+                    single_edge)
 from .manifest import ConstructionManifest, ManifestBuilder
 
 POSITIVE = "positive"
@@ -1053,7 +1054,7 @@ def check_robust(outer: Graph, inner_vertices: Sequence[int], h: Graph,
             raise GraphError(f"inner vertex {v} out of range")
     n = outer.n + min(s_max, h.n - 1)
     pool = inner + list(range(outer.n, n))
-    adj = list(outer.adj) + [0] * (n - outer.n)
+    adj = list(_bitsets(n, outer.edges))
     added: list[tuple[int, int]] = []
     for u, v in combinations(pool, 2):
         if not (adj[u] >> v) & 1:

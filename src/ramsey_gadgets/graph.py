@@ -5,12 +5,13 @@ u < v; the index of an edge in that tuple is its stable edge id.  Edge
 ids are assigned in construction order and never renumbered, so
 replaying a construction recipe reproduces identical ids.  A graph built
 from many gadgets grows in a `_GraphDraft`, which appends to lists and
-builds the `Graph` once.  Derived structure (bitset adjacency, degrees,
-the degree-ranked adjacency that copy enumeration runs on, a pattern's
-symmetry conditions) is computed on first read and kept, so a graph that
-is only composed, replayed or serialized never builds it.  Distances
-walk neighbour lists built for the call, so measuring a large sparse
-gadget graph never builds its n-bit bitsets.
+builds the `Graph` once.  Derived structure (degrees, the degree-ranked
+bitset adjacency that copy enumeration runs on, a pattern's symmetry
+conditions) is computed on first read and kept, so a graph that is only
+composed, replayed or serialized never builds it.  A graph keeps one
+bitset adjacency, `Graph.ranked`.  Traversals (distances, girth,
+connectivity) walk neighbour lists built for the call, so measuring a
+large sparse gadget graph never builds its n-bit bitsets.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ class Graph:
         object.__setattr__(self, "_edge_index", index)
 
     @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Adjacency bitsets: bit v of adj[u] is set when uv is an edge."""
-        return _bitsets(self.n, self.edges)
-
-    @cached_property
     def _degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -96,12 +92,9 @@ class Graph:
     def ranked(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(order, ranked_adj): the vertices by increasing (degree, id),
         and the adjacency bitsets of the graph with vertex order[r]
-        renamed r.  When the order is the identity (degrees never fall,
-        as on a regular graph), ranked_adj is `adj` itself."""
-        deg = self._degrees
-        order = tuple(sorted(range(self.n), key=deg.__getitem__))
-        if all(a <= b for a, b in zip(deg, deg[1:])):
-            return order, self.adj
+        renamed r: bit s of ranked_adj[r] is set when order[r] and
+        order[s] are adjacent.  The graph's one bitset adjacency."""
+        order = tuple(sorted(range(self.n), key=self._degrees.__getitem__))
         rank = [0] * self.n
         for r, v in enumerate(order):
             rank[v] = r
@@ -153,9 +146,6 @@ class Graph:
             return self._edge_index[_norm_edge(u, v)]
         except KeyError:
             raise GraphError(f"no edge ({u},{v})") from None
-
-    def neighbors(self, v: int) -> list[int]:
-        return _bits_to_list(self.adj[v])
 
     def degree(self, v: int) -> int:
         return self._degrees[v]
@@ -215,18 +205,8 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            b = frontier
-            while b:
-                v = (b & -b).bit_length() - 1
-                b &= b - 1
-                nxt |= self.adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        reached = _bfs_layers(_neighbour_lists(self), [0])
+        return sum(map(len, reached)) == self.n
 
 
 def decode_json(hint, data, where: str):
@@ -249,15 +229,6 @@ def decode_json(hint, data, where: str):
     if type(data) is hint:
         return data
     raise GraphError(f"{where} must be a JSON {hint.__name__}")
-
-
-def _bits_to_list(bits: int) -> list[int]:
-    out = []
-    while bits:
-        v = (bits & -bits).bit_length() - 1
-        out.append(v)
-        bits &= bits - 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +375,7 @@ def far_edge_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
 
 def girth(g: Graph) -> float:
     """Length of a shortest cycle; INFINITY for forests."""
+    nbrs = _neighbour_lists(g)
     best = INFINITY
     for root in range(g.n):
         dist = {root: 0}
@@ -412,7 +384,7 @@ def girth(g: Graph) -> float:
         while queue:
             nq = []
             for u in queue:
-                for w in g.neighbors(u):
+                for w in nbrs[u]:
                     if w not in dist:
                         dist[w] = dist[u] + 1
                         parent[w] = u
@@ -472,7 +444,7 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
     full = (1 << len(adj)) - 1
     host_deg = [a.bit_count() for a in adj]
     pat_deg = pattern.degrees()
-    nbrs = [pattern.neighbors(v) for v in range(pattern.n)]
+    nbrs = [sorted(ws) for ws in _neighbour_lists(pattern)]
     roots = sorted(range(pattern.n), key=lambda v: -pat_deg[v])
     below: list[list[int]] = [[] for _ in range(pattern.n)]
     above: list[list[int]] = [[] for _ in range(pattern.n)]
@@ -542,7 +514,8 @@ def _symmetry_conditions(pattern: Graph) -> list[tuple[int, int]]:
     automorphisms that fix that vertex.  Computed once per pattern, as
     `Graph.symmetry_conditions`."""
     auts: list[dict[int, int]] = []
-    _embed(pattern.adj, pattern, [{}], lambda image: auts.append(dict(image)))
+    _embed(_bitsets(pattern.n, pattern.edges), pattern, [{}],
+           lambda image: auts.append(dict(image)))
     conditions: list[tuple[int, int]] = []
     while len(auts) > 1:
         orbit = {v: {a[v] for a in auts} for v in auts[0]}
@@ -592,12 +565,14 @@ def enumerate_copies(host: Graph, pattern: Graph,
 def graphs_isomorphic(a: Graph, b: Graph) -> bool:
     """Exact isomorphism test for small graphs.  Isolated vertices count.
     With equal orders, sizes and degree sequences, any embedding of a's
-    edges into b maps them onto b's edges, so it is an isomorphism."""
+    edges into b maps them onto b's edges, so it is an isomorphism.  The
+    search runs on `b.ranked`: isomorphism does not depend on the
+    labelling."""
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
     if sorted(a.degrees()) != sorted(b.degrees()):
         return False
-    return a.num_edges == 0 or _embed(b.adj, a, [{}], lambda image: True)
+    return a.num_edges == 0 or _embed(b.ranked[1], a, [{}], lambda image: True)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,14 @@ def test_budget_exhaustion_is_first_class():
     assert res.witness is None
 
 
+@pytest.mark.parametrize("seconds", [0, -1, float("nan")])
+def test_budget_rejects_a_time_bound_that_is_not_positive(seconds):
+    # NaN compares false both ways: accepted, it would mean no bound to
+    # the search but no time left to `_until`
+    with pytest.raises(GraphError):
+        Budget(max_seconds=seconds)
+
+
 def test_budgets_bound_the_search():
     # K9 ->2 C5 takes thousands of decisions
     for n in (1, 10, 100):

@@ -122,6 +122,8 @@ def test_malformed_input_exits_usage(tmp_path, capsys):
                   "--subgraph", "P3", "--senders", str(senders)],
                  ["arrow", "--host", "g6:D\u00e9{", "--target", "K3"],
                  ["arrow", "--host", f"file:{huge}", "--target", "K3"],
+                 ["arrow", "--host", "K6", "--target", "K3",
+                  "--max-seconds", "nan"],
                  ["verify", "sender", "--graph", "K3"]):
         assert main(argv) == 3, argv
         assert "error:" in capsys.readouterr().err

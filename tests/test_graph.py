@@ -183,13 +183,46 @@ def test_distances_match_networkx(data):
     assert far_edge_pairs(g, d) == [
         (e, f) for e, f in combinations(range(g.num_edges), 2)
         if nx_distance(g.edges[e], g.edges[f]) >= d]
-    assert "adj" not in g.__dict__       # no n-bit bitsets were built
+    assert "ranked" not in g.__dict__    # no n-bit bitsets were built
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_traversals_match_networkx(data):
+    # up to 12 edges on up to 8 vertices: many graphs are disconnected or
+    # have isolated vertices
+    n = data.draw(st.integers(1, 8))
+    g = random_graph(data, n, data.draw(st.integers(0, 12)))
+    nxg = to_networkx(g)
+    assert g.is_connected() == nx.is_connected(nxg)
+
+    def shortest_cycle_through(u, v):
+        rest = nxg.copy()
+        rest.remove_edge(u, v)
+        try:
+            return nx.shortest_path_length(rest, u, v) + 1
+        except nx.NetworkXNoPath:
+            return INFINITY
+    assert girth(g) == min((shortest_cycle_through(u, v) for u, v in g.edges),
+                           default=INFINITY)
+    assert "ranked" not in vars(g)       # no n-bit bitsets were built
+
+    perm = data.draw(st.permutations(range(n)))
+    relabelled = from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert graphs_isomorphic(g, relabelled)
+    assert graphs_isomorphic(relabelled, g)
+    non_edges = [e for e in combinations(range(n), 2) if not g.has_edge(*e)]
+    if g.num_edges and non_edges:
+        gone = data.draw(st.integers(0, g.num_edges - 1))
+        moved = from_edges(n, g.delete_edge(gone).edges
+                           + (data.draw(st.sampled_from(non_edges)),))
+        assert graphs_isomorphic(g, moved) == nx.is_isomorphic(
+            nxg, to_networkx(moved))
 
 
 def counting_embed(monkeypatch, host) -> list:
     """Counts the full maps `graph._embed` visits in `host`, whose
-    adjacency it recognises by size: the search runs on `host.ranked`,
-    which is `host.adj` only when the degree order is the identity."""
+    adjacency, `host.ranked`, it recognises by size."""
     visits = []
     embed = graph_module._embed
 
@@ -239,9 +272,9 @@ def test_ranked_orders_by_degree_then_id():
     order, adj = host.ranked
     assert order == (1, 2, 3, 0)
     assert adj == (0b1000, 0b1000, 0b1000, 0b0111)
-    regular = cycle_graph(5)
-    assert regular.ranked == (tuple(range(5)), regular.adj)
-    assert regular.ranked[1] is regular.adj
+    regular = cycle_graph(5)                        # the identity order
+    assert regular.ranked == (tuple(range(5)),
+                              (0b10010, 0b00101, 0b01010, 0b10100, 0b01001))
 
 
 @pytest.mark.parametrize("host,pattern", [
@@ -283,8 +316,8 @@ def test_serialized_graph_builds_no_adjacency():
     parsed = parse_any(write_graph6(g))
     assert write_sparse6(g) and set(parsed.edges) == set(g.edges)
     for graph in (g, back, parsed):
-        assert "adj" not in vars(graph) and "ranked" not in vars(graph)
-    assert g.degrees() and "adj" not in vars(g)
+        assert "ranked" not in vars(graph)
+    assert g.degrees() and "ranked" not in vars(g)
 
 
 def test_enumeration_stops_at_its_deadline():
