@@ -12,6 +12,17 @@ composed, replayed or serialized never builds it.  A graph keeps one
 bitset adjacency, `Graph.ranked`.  Traversals (distances, girth,
 connectivity) walk neighbour lists built for the call, so measuring a
 large sparse gadget graph never builds its n-bit bitsets.
+
+Construction runs at list speed.  `Graph` validates in bulk: the edge
+index is `dict(zip(edges, ids))` and a repeat shows as a shorter index,
+bounds take one loop and labels one set-size test; only a graph that
+fails is scanned again, in the old order, to report its first bad
+label or edge.  `_GraphDraft.compose` maps and appends a gadget's edges
+in one pass and extends the edge list and index in bulk.
+`decode_json` builds one decoder per type hint (cached), so decoding a
+list makes no typing introspection per item, and a list of scalars or
+of edges is type-checked in bulk.  `Graph.from_json` rejects a vertex
+count above `MAX_ORDER` before it allocates anything.
 """
 
 from __future__ import annotations
@@ -19,12 +30,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import combinations, islice
+from functools import cache, cached_property
+from itertools import chain, combinations, islice
 from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union,
                     get_args, get_origin)
 
 INFINITY = math.inf
+# The largest vertex count a graph read from JSON, graph6 or sparse6 may
+# have: labels and the edge index are built in memory, so a larger count
+# is rejected before anything is allocated.  Far above the 24 174
+# vertices of the largest graph the library builds.
+MAX_ORDER = 1 << 22
 
 
 class GraphError(ValueError):
@@ -60,8 +76,23 @@ class Graph:
     labels: tuple[Optional[str], ...] = ()
 
     def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", (None,) * self.n)
+        n, edges, labels = self.n, self.edges, self.labels
+        if not labels:
+            labels = (None,) * n
+            object.__setattr__(self, "labels", labels)
+        index = dict(zip(edges, range(len(edges))))
+        names = set(labels)
+        names.discard(None)
+        if (len(labels) != n or len(names) != n - labels.count(None)
+                or len(index) != len(edges)
+                or not all(0 <= u < v < n for u, v in edges)):
+            self._raise_first_fault()
+        object.__setattr__(self, "_edge_index", index)
+
+    def _raise_first_fault(self):
+        """Raise the GraphError of the first bad label, then the first bad
+        or repeated edge in edge-id order; run only after the bulk checks
+        of `__post_init__` failed."""
         if len(self.labels) != self.n:
             raise GraphError("labels length must equal vertex count")
         seen_labels = set()
@@ -71,14 +102,13 @@ class Graph:
             if lab in seen_labels:
                 raise GraphError(f"duplicate vertex label {lab!r}")
             seen_labels.add(lab)
-        index: dict[tuple[int, int], int] = {}
-        for eid, (u, v) in enumerate(self.edges):
+        seen_edges = set()
+        for u, v in self.edges:
             if not (0 <= u < v < self.n):
                 raise GraphError(f"bad edge ({u},{v}) for n={self.n}")
-            if (u, v) in index:
+            if (u, v) in seen_edges:
                 raise GraphError(f"duplicate edge ({u},{v})")
-            index[(u, v)] = eid
-        object.__setattr__(self, "_edge_index", index)
+            seen_edges.add((u, v))
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
@@ -128,6 +158,9 @@ class Graph:
         """Inverse of `to_json`; malformed input raises GraphError."""
         if not isinstance(data, dict) or type(data.get("n")) is not int:
             raise GraphError('a graph is {"n": int, "edges", "labels"}')
+        if not 0 <= data["n"] <= MAX_ORDER:
+            raise GraphError(f"vertex count {data['n']} is outside "
+                             f"0..{MAX_ORDER}")
         return cls(data["n"],
                    decode_json(tuple[tuple[int, int], ...], data.get("edges"),
                                "graph edges"),
@@ -213,22 +246,75 @@ def decode_json(hint, data, where: str):
     """The value of type `hint` whose JSON form is `data`, for a class with
     a `from_json`, Optional[X], tuple[X, ...], a fixed-length tuple, int,
     str, list or dict; GraphError naming `where` if `data` is not one."""
+    return _decoder(hint)(data, where)
+
+
+@cache
+def _decoder(hint) -> Callable[[object, str], object]:
+    """`decode_json` for one hint, built once: all typing introspection
+    happens here, so decoding a list of N items makes none per item."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:                                  # Optional[X]
-        return None if data is None else decode_json(args[0], data, where)
+        inner = _decoder(args[0])
+        return lambda data, where: None if data is None else inner(data, where)
     if hasattr(hint, "from_json"):
-        return hint.from_json(data)
+        return lambda data, where: hint.from_json(data)
     if origin is tuple:
+        if args[-1] is Ellipsis:
+            return _list_decoder(args[0])
+        items = [_decoder(a) for a in args]
+
+        def fixed(data, where):
+            if not isinstance(data, list):
+                raise GraphError(f"{where} must be a list")
+            if len(data) != len(items):
+                raise GraphError(f"{where} must have {len(items)} entries")
+            return tuple([d(x, where) for d, x in zip(items, data)])
+        return fixed
+
+    def leaf(data, where):
+        if type(data) is hint:
+            return data
+        raise GraphError(f"{where} must be a JSON {hint.__name__}")
+    return leaf
+
+
+def _scalar_types(hint) -> Optional[frozenset]:
+    """The types a JSON value of `hint` may have, when `hint` is a plain
+    type such as int or str, or Optional of one; None otherwise."""
+    if get_origin(hint) is Union:
+        inner = _scalar_types(get_args(hint)[0])
+        return None if inner is None else inner | {type(None)}
+    if isinstance(hint, type) and not hasattr(hint, "from_json") \
+            and get_origin(hint) is None:
+        return frozenset({hint})
+    return None
+
+
+def _list_decoder(item_hint) -> Callable[[object, str], tuple]:
+    """The decoder of tuple[item_hint, ...].  A list of scalars, or of
+    fixed-length lists whose entries are scalars of one kind (edges), is
+    checked in bulk, by set operations over the item types and lengths.
+    Only a list that fails the bulk check goes through the item decoder
+    item by item, which raises the error of the first bad item."""
+    item = _decoder(item_hint)
+    scalars = _scalar_types(item_hint)
+    args = get_args(item_hint) if get_origin(item_hint) is tuple else ()
+    inner = {_scalar_types(a) for a in args}
+    inner_types = inner.pop() if len(inner) == 1 else None
+    only_lists, arity = frozenset({list}), frozenset({len(args)})
+
+    def decode(data, where):
         if not isinstance(data, list):
             raise GraphError(f"{where} must be a list")
-        if args[-1] is Ellipsis:
-            args = (args[0],) * len(data)
-        if len(data) != len(args):
-            raise GraphError(f"{where} must have {len(args)} entries")
-        return tuple(decode_json(a, x, where) for a, x in zip(args, data))
-    if type(data) is hint:
-        return data
-    raise GraphError(f"{where} must be a JSON {hint.__name__}")
+        if scalars is not None and scalars.issuperset(map(type, data)):
+            return tuple(data)
+        if inner_types is not None and only_lists.issuperset(map(type, data)) \
+                and arity.issuperset(map(len, data)) \
+                and inner_types.issuperset(map(type, chain.from_iterable(data))):
+            return tuple(map(tuple, data))
+        return tuple([item(x, where) for x in data])
+    return decode
 
 
 # ---------------------------------------------------------------------------
@@ -610,46 +696,50 @@ class _GraphDraft:
         return self._graph
 
     def _append(self, edges: list[tuple[int, int]]):
-        for e in edges:
-            self._edge_index[e] = len(self.edges)
-            self.edges.append(e)
+        m = len(self.edges)
+        self._edge_index.update(zip(edges, range(m, m + len(edges))))
+        self.edges += edges
         self._graph = None
 
     def compose(self, gadget: Graph, identification: Mapping[int, int],
                 label_prefix: Optional[str] = None) -> ComposeResult:
         """Append `gadget`, identifying the mapped gadget vertices with
         draft vertices; see `compose`."""
+        n, index, m = self.n, self._edge_index, len(self.edges)
         ident = dict(identification)
         if len(set(ident.values())) != len(ident):
             raise ComposeError("identification collapses two gadget vertices")
         for gv, hv in ident.items():
-            if not (0 <= gv < gadget.n) or not (0 <= hv < self.n):
+            if not (0 <= gv < gadget.n) or not (0 <= hv < n):
                 raise ComposeError(f"identification {gv}->{hv} out of range")
 
         vmap, new_labels = [], []
-        for gv in range(gadget.n):
-            if gv in ident:
-                vmap.append(ident[gv])
-                continue
-            vmap.append(self.n + len(new_labels))
-            lab = gadget.labels[gv]
-            if lab is not None and label_prefix is not None:
-                lab = f"{label_prefix}{lab}"
-            new_labels.append(lab)
+        for gv, lab in enumerate(gadget.labels):
+            hv = ident.get(gv)
+            if hv is None:
+                hv = n + len(new_labels)
+                if lab is not None and label_prefix is not None:
+                    lab = f"{label_prefix}{lab}"
+                new_labels.append(lab)
+            vmap.append(hv)
         named = [lab for lab in new_labels if lab is not None]
         if len(set(named)) != len(named) or not self._named.isdisjoint(named):
             raise GraphError("composition repeats a vertex label")
 
+        # identified vertices map below n and new ones to n and above, so
+        # an edge is an interface edge exactly when both images are below n
         emap, new_edges = [], []
         for gu, gv in gadget.edges:
-            e = _norm_edge(vmap[gu], vmap[gv])
-            if gu in ident and gv in ident:
-                if e not in self._edge_index:
+            a, b = vmap[gu], vmap[gv]
+            e = (a, b) if a < b else (b, a)
+            if a < n and b < n:
+                eid = index.get(e)
+                if eid is None:
                     raise ComposeError(f"interface edge ({gu},{gv}) maps onto "
                                        f"host non-edge {e}")
-                emap.append(self._edge_index[e])
+                emap.append(eid)
             else:
-                emap.append(len(self.edges) + len(new_edges))
+                emap.append(m + len(new_edges))
                 new_edges.append(e)
 
         self.labels += new_labels
@@ -659,9 +749,9 @@ class _GraphDraft:
 
     def add_edges(self, pairs: Iterable[tuple[int, int]]) -> list[int]:
         """Append edges between existing vertices; returns their ids."""
-        new: dict[tuple[int, int], None] = {}
+        n, new = self.n, {}
         for u, v in pairs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise ComposeError(f"edge ({u},{v}) out of range")
             e = _norm_edge(u, v)
             if e in self._edge_index or e in new:

@@ -2,10 +2,9 @@
 
 One graph per line; no ">>graph6<<" headers are written, but they are
 accepted on input.  The eight-byte size field could hold n up to
-68719476735, but a graph's labels and edge index are built in memory,
-so both directions stop at `MAX_ORDER` = 2^22 vertices, far above the
-24 174 of the largest graph the library builds.  A larger size field
-is rejected before anything is allocated.
+68719476735, but both directions stop at `graph.MAX_ORDER` = 2^22
+vertices, the cap that `Graph.from_json` applies too.  A larger size
+field is rejected before anything is allocated.
 Both formats put six bits into each printable byte 63..126.  `_pack` and
 `_unpack` convert between such bytes and strings of "0"/"1"; only
 `write_graph6` sets its bits in place, which keeps its O(n^2) body at one
@@ -19,14 +18,13 @@ from importlib import resources
 from math import isqrt
 from typing import Iterable, Optional
 
-from .graph import Graph, GraphError
+from .graph import MAX_ORDER, Graph, GraphError
 
 _HEADER_G6 = ">>graph6<<"
 _HEADER_S6 = ">>sparse6<<"
 _ALPHABET = bytes(range(63, 127))
 _SIX = [f"{v:06b}" for v in range(64)]
 _BYTE = {six: v + 63 for v, six in enumerate(_SIX)}
-MAX_ORDER = 1 << 22
 
 
 class FormatError(GraphError):

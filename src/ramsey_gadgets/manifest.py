@@ -11,6 +11,12 @@ is read.
 The JSON layout stores each distinct step graph once, in the form of
 `Graph.to_json`: {"manifest_version": 2, "parts": [graph, ...], "steps":
 [{"kind", "part", "identification", "label_prefix", "note"}, ...]}.
+`ConstructionManifest.from_json` decodes each field with
+`graph.decode_json` (one cached decoder per type, edges checked in
+bulk) and checks the step order: the first step is the one "base"
+step, every later one a "compose" or "edges" step, `label_prefix` a
+string or null and `note` a string.  Anything else raises GraphError
+there, not later in `replay`.
 """
 
 from __future__ import annotations
@@ -84,16 +90,25 @@ class ConstructionManifest:
             raise GraphError("not a version 2 manifest")
         parts = decode_json(tuple[Graph, ...], data.get("parts"), "parts")
         steps = []
-        for s in decode_json(tuple[dict, ...], data.get("steps"), "steps"):
+        for i, s in enumerate(decode_json(tuple[dict, ...], data.get("steps"),
+                                          "steps")):
+            kind = s.get("kind")
+            if kind not in ("base", "compose", "edges") \
+                    or (kind == "base") != (i == 0):
+                raise GraphError(f"manifest step {i} has kind {kind!r}; "
+                                 "only the first step is a base step, the "
+                                 "others compose or edges steps")
             part = s.get("part")        # none exactly for an edges step
-            if (part is None) != (s.get("kind") == "edges") or part is not None \
+            if (part is None) != (kind == "edges") or part is not None \
                     and (type(part) is not int or not 0 <= part < len(parts)):
                 raise GraphError(f"manifest step part {part!r} names no part")
             steps.append(ManifestStep(
-                s.get("kind"), None if part is None else parts[part],
+                kind, None if part is None else parts[part],
                 decode_json(tuple[tuple[int, int], ...],
                             s.get("identification", []), "identification"),
-                s.get("label_prefix"), s.get("note", "")))
+                decode_json(Optional[str], s.get("label_prefix"),
+                            "label_prefix"),
+                decode_json(str, s.get("note", ""), "note")))
         return cls(steps)
 
     def save(self, path: str):

@@ -10,6 +10,7 @@ from ramsey_gadgets import (ArrowInstance, ConstructionManifest, EdgeColoring,
 from ramsey_gadgets import arrowing, cli
 from ramsey_gadgets.cli import main
 from ramsey_gadgets.gadgets import POSITIVE, SenderSpec
+from ramsey_gadgets.graph import MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -156,6 +157,17 @@ def test_malformed_spec_exits_usage(damage, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["verify", "indicator", "--spec", str(path)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [MAX_ORDER + 1, 2**62])
+def test_spec_graph_over_the_order_cap_exits_usage(n, tmp_path, capsys):
+    # the cap is checked before any label or edge is allocated
+    data = make_stub_sender(complete_graph(3), 2, 3, POSITIVE).to_json()
+    data["graph"] = {"n": n, "edges": []}
+    path = tmp_path / "sender.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "sender", "--spec", str(path)]) == 3
+    assert f"vertex count {n} is outside" in capsys.readouterr().err
 
 
 def test_failed_witness_check_exits_internal(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import json
 import time
 from itertools import combinations
+from typing import Optional, Union, get_args, get_origin
 
 import networkx as nx
 import pytest
@@ -21,7 +22,7 @@ from ramsey_gadgets import (ComposeError, Graph, GraphError, InternalError,
                             path_graph, single_edge, star_graph,
                             write_graph6, write_sparse6)
 from ramsey_gadgets.gadgets import POSITIVE
-from ramsey_gadgets.graph import INFINITY
+from ramsey_gadgets.graph import INFINITY, MAX_ORDER, decode_json
 
 
 def test_basic_constructors():
@@ -80,10 +81,118 @@ def test_json_form_keeps_edge_ids_and_labels():
     {"n": 2, "edges": [], "labels": ["a"]},
     {"n": 2, "edges": [], "labels": ["a", 7]},
     {"n": 2, "edges": [], "labels": ["a", "a"]},
+    {"n": -1, "edges": []},
+    {"n": MAX_ORDER + 1, "edges": []},
+    {"n": 2**62, "edges": []},
 ])
 def test_graph_from_json_rejects_malformed(data):
     with pytest.raises(GraphError):
         Graph.from_json(data)
+
+
+@pytest.mark.parametrize("n, edges, labels, message", [
+    (3, ((0, 5), (0, 1), (0, 1)), (), "bad edge (0,5) for n=3"),
+    (3, ((0, 1), (0, 1), (0, 5)), (), "duplicate edge (0,1)"),
+    (3, ((1, 2), (2, 1), (0, 1)), (), "bad edge (2,1) for n=3"),
+    (3, ((0, 5),), ("a", None, "a"), "duplicate vertex label 'a'"),
+    (3, ((0, 1), (0, 1)), ("a", "b", "b", "a"),
+     "labels length must equal vertex count"),
+    (4, (), (None, "b", None, "b"), "duplicate vertex label 'b'"),
+])
+def test_graph_reports_its_first_fault(n, edges, labels, message):
+    # labels are checked before edges, and edges in edge-id order
+    with pytest.raises(GraphError) as info:
+        Graph(n, edges, labels)
+    assert str(info.value) == message
+
+
+def _reference_decode(hint, data, where):
+    """An independent decoder: the per-element recursion that
+    `decode_json` replaced, kept as the oracle of its results and
+    messages."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return None if data is None else _reference_decode(args[0], data, where)
+    if hasattr(hint, "from_json"):
+        return hint.from_json(data)
+    if origin is tuple:
+        if not isinstance(data, list):
+            raise GraphError(f"{where} must be a list")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(data)
+        if len(data) != len(args):
+            raise GraphError(f"{where} must have {len(args)} entries")
+        return tuple(_reference_decode(a, x, where) for a, x in zip(args, data))
+    if type(data) is hint:
+        return data
+    raise GraphError(f"{where} must be a JSON {hint.__name__}")
+
+
+class _Items(list):
+    """A list subclass: accepted where a list is, off the bulk path."""
+
+
+_GRAPH = {"n": 2, "edges": [[0, 1]]}
+_DECODE_CASES = {
+    tuple[tuple[int, int], ...]: (
+        [[0, 1], [1, 2]], [], [_Items([0, 1])], _Items([[0, 1]]),
+        [[0, True]], [[0, 1.0]], [[0, 1, 2]], [[0]], [(0, 1)], [5],
+        {"0": [0, 1]}, "01", None, [[0, 1], [2, True], [1.5, 0]]),
+    tuple[Optional[str], ...]: (
+        ["a", None], [], [True], [1.0], [["a"]], "ab", None,
+        [None, 7, 1.5]),
+    tuple[Graph, ...]: (
+        [_GRAPH], [True], [1.5], [{"n": 2, "edges": [[0, 1, 1]]}], _GRAPH,
+        [{"n": True, "edges": []}], [{"n": 2, "edges": [[0, 1.0]]}]),
+    tuple[tuple[int, ...], ...]: (
+        [[0, 1, 2], [], [3]], [[True]], [[1.0]], [0, [1]], [[0], 5],
+        {"a": 1}, [[0, 1], [2, False]]),
+    tuple[list, ...]: (
+        [[0], [[1, 2]], []], [True], [1.5], [(0,)], {"a": []}, [[], {}]),
+}
+
+
+@pytest.mark.parametrize("hint, data", [
+    (hint, data) for hint, cases in _DECODE_CASES.items() for data in cases])
+def test_decode_json_matches_the_reference(hint, data):
+    try:
+        expected = _reference_decode(hint, data, "the field")
+    except GraphError as exc:
+        with pytest.raises(type(exc)) as info:
+            decode_json(hint, data, "the field")
+        assert str(info.value) == str(exc)
+    else:
+        assert decode_json(hint, data, "the field") == expected
+
+
+def test_decode_json_messages_name_the_first_fault():
+    edges = tuple[tuple[int, int], ...]
+    for data, message in (
+            ([[0, 1], [0, True], [0, 1.5]], "e must be a JSON int"),
+            ([[0, 1], [0, 1, 2]], "e must have 2 entries"),
+            ([[0, 1], 7], "e must be a list"),
+            ({"edges": []}, "e must be a list")):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            decode_json(edges, data, "e")
+    with pytest.raises(GraphError, match="^l must be a JSON str$"):
+        decode_json(tuple[Optional[str], ...], ["a", None, 7], "l")
+
+
+def test_decode_json_introspects_a_hint_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graph_module, "get_origin",
+                        lambda hint: calls.append(hint) or get_origin(hint))
+    graph_module._decoder.cache_clear()
+    hint = tuple[tuple[int, int], ...]
+    decode_json(hint, [[0, 1]] * 10, "edges")
+    first = len(calls)
+    assert first > 0
+    decode_json(hint, [[0, 1]] * 1000, "edges")
+    decode_json(hint, [_Items([0, 1])] * 1000, "edges")     # item by item
+    with pytest.raises(GraphError):
+        decode_json(hint, [[0, 1]] * 1000 + [[0, True]], "edges")
+    assert len(calls) == first
+    graph_module._decoder.cache_clear()
 
 
 def test_delete_and_induced():

@@ -2,6 +2,8 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_acceptance import K3, STUB, _c4_family
 
@@ -134,3 +136,108 @@ def test_other_versions_are_rejected():
     for version in (1, 3, None):
         with pytest.raises(GraphError, match="version 2"):
             ConstructionManifest.from_json({**data, "manifest_version": version})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("label_prefix", ["x"]), ("label_prefix", 5), ("note", 5),
+    ("note", None), ("note", ["ear"])])
+def test_step_text_fields_must_be_strings(field, value):
+    data = build_sample().manifest.to_json()
+    data["steps"][1][field] = value
+    with pytest.raises(GraphError, match=field):
+        ConstructionManifest.from_json(data)
+
+
+@pytest.mark.parametrize("position, kind", [
+    (1, "glue"), (1, None), (1, ["compose"]), (2, "base"), (0, "compose"),
+    (0, "edges")])
+def test_step_kinds_follow_the_base_step(position, kind):
+    # a base step only first, compose or edges steps only after it
+    data = build_sample().manifest.to_json()
+    data["steps"][position]["kind"] = kind
+    with pytest.raises(GraphError, match=f"manifest step {position} "):
+        ConstructionManifest.from_json(data)
+
+
+def _oracle_compose(edges, labels, gadget, ident, prefix):
+    """Plain-list model of a compose step: the new edges and labels and
+    the (vertex_map, edge_map), or the error message it must raise."""
+    n, vmap, new_labels = len(labels), [], []
+    for gv in range(gadget.n):
+        if gv in ident:
+            vmap.append(ident[gv])
+        else:
+            vmap.append(n + len(new_labels))
+            lab = gadget.labels[gv]
+            new_labels.append(lab if lab is None or prefix is None
+                              else prefix + lab)
+    named = [lab for lab in labels + new_labels if lab is not None]
+    if len(set(named)) != len(named):
+        return "composition repeats a vertex label"
+    emap, new_edges = [], []
+    for gu, gv in gadget.edges:
+        e = tuple(sorted((vmap[gu], vmap[gv])))
+        if gu in ident and gv in ident:
+            if e not in edges:
+                return f"interface edge ({gu},{gv}) maps onto host non-edge {e}"
+            emap.append(edges.index(e))
+        else:
+            emap.append(len(edges) + len(new_edges))
+            new_edges.append(e)
+    return new_edges, new_labels, (tuple(vmap), tuple(emap))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_builder_matches_a_list_model(data):
+    draw = data.draw
+    base = draw(st.sampled_from([complete_graph(3), path_graph(4),
+                                 star_graph(3).relabel({0: "c"})]))
+    b = ManifestBuilder(base)
+    edges, labels = list(base.edges), list(base.labels)
+    for _ in range(draw(st.integers(1, 6))):
+        n = len(labels)
+        if draw(st.booleans()):
+            k = draw(st.integers(1, 4))
+            pairs = [(u, v) for u, v in combinations(range(k), 2)
+                     if draw(st.booleans())]
+            names = draw(st.lists(st.sampled_from("wxyz"), unique=True,
+                                  min_size=k, max_size=k))
+            gadget = Graph(k, tuple(pairs), tuple(
+                lab if draw(st.booleans()) else None for lab in names))
+            hosts = draw(st.lists(st.integers(0, n - 1), unique=True,
+                                  max_size=min(k, n)))
+            pinned = draw(st.permutations(range(k)))[:len(hosts)]
+            ident = dict(zip(pinned, hosts))
+            prefix = draw(st.sampled_from([None, "p.", f"s{len(edges)}."]))
+            expected = _oracle_compose(edges, labels, gadget, ident, prefix)
+            if isinstance(expected, str):
+                before = (b.graph, list(b.manifest.steps))
+                with pytest.raises(GraphError) as info:
+                    b.compose(gadget, ident, label_prefix=prefix)
+                assert str(info.value) == expected
+                assert (b.graph, b.manifest.steps) == before
+                continue
+            res = b.compose(gadget, ident, label_prefix=prefix)
+            new_edges, new_labels, maps = expected
+            assert (res.vertex_map, res.edge_map) == maps
+            edges += new_edges
+            labels += new_labels
+        else:
+            absent = [e for e in combinations(range(n), 2) if e not in edges]
+            if not absent:
+                continue
+            pairs = draw(st.lists(st.sampled_from(absent), unique=True,
+                                  min_size=1, max_size=3))
+            pairs = [(v, u) if draw(st.booleans()) else (u, v)
+                     for u, v in pairs]
+            assert b.add_edges(pairs) == list(range(len(edges),
+                                                    len(edges) + len(pairs)))
+            edges += [tuple(sorted(p)) for p in pairs]
+        assert b.edges == edges and b.labels == labels
+    g = b.graph
+    assert g.edges == tuple(edges) and g.labels == tuple(labels)
+    assert all(g.edge_id(u, v) == i for i, (u, v) in enumerate(edges))
+    text = json.dumps(b.manifest.to_json())
+    replayed = ConstructionManifest.from_json(json.loads(text)).replay()
+    assert replayed == g and replayed.edges == g.edges
