@@ -295,8 +295,9 @@ def _list_decoder(item_hint) -> Callable[[object, str], tuple]:
     """The decoder of tuple[item_hint, ...].  A list of scalars, or of
     fixed-length lists whose entries are scalars of one kind (edges), is
     checked in bulk, by set operations over the item types and lengths.
-    Only a list that fails the bulk check goes through the item decoder
-    item by item, which raises the error of the first bad item."""
+    Only a list that fails the bulk check is decoded item by item, which
+    accepts what the check is too strict for (a list subclass) and
+    otherwise raises the error of the first bad item."""
     item = _decoder(item_hint)
     scalars = _scalar_types(item_hint)
     args = get_args(item_hint) if get_origin(item_hint) is tuple else ()

@@ -11,12 +11,11 @@ is read.
 The JSON layout stores each distinct step graph once, in the form of
 `Graph.to_json`: {"manifest_version": 2, "parts": [graph, ...], "steps":
 [{"kind", "part", "identification", "label_prefix", "note"}, ...]}.
-`ConstructionManifest.from_json` decodes each field with
-`graph.decode_json` (one cached decoder per type, edges checked in
-bulk) and checks the step order: the first step is the one "base"
-step, every later one a "compose" or "edges" step, `label_prefix` a
-string or null and `note` a string.  Anything else raises GraphError
-there, not later in `replay`.
+`ConstructionManifest.from_json` decodes every field with
+`graph.decode_json` and checks the step order: the first step is the
+one "base" step, every later one a "compose" or "edges" step,
+`label_prefix` is a string or null and `note` a string.  Anything else
+raises GraphError while loading, not later in `replay`.
 """
 
 from __future__ import annotations
@@ -85,13 +84,17 @@ class ConstructionManifest:
 
     @classmethod
     def from_json(cls, data) -> "ConstructionManifest":
-        """Inverse of `to_json`; malformed input raises GraphError."""
+        """Inverse of `to_json` for a manifest with its base step;
+        malformed input raises GraphError."""
         if not isinstance(data, dict) or data.get("manifest_version") != 2:
             raise GraphError("not a version 2 manifest")
         parts = decode_json(tuple[Graph, ...], data.get("parts"), "parts")
+        raw = decode_json(tuple[dict, ...], data.get("steps"), "steps")
+        if not raw:
+            raise GraphError("manifest step 0 is missing; it must be the "
+                             "base step")
         steps = []
-        for i, s in enumerate(decode_json(tuple[dict, ...], data.get("steps"),
-                                          "steps")):
+        for i, s in enumerate(raw):
             kind = s.get("kind")
             if kind not in ("base", "compose", "edges") \
                     or (kind == "base") != (i == 0):

@@ -159,6 +159,12 @@ def test_step_kinds_follow_the_base_step(position, kind):
         ConstructionManifest.from_json(data)
 
 
+def test_step_list_starts_with_a_base_step():
+    data = build_sample().manifest.to_json()
+    with pytest.raises(GraphError, match="manifest step 0 "):
+        ConstructionManifest.from_json({**data, "steps": []})
+
+
 def _oracle_compose(edges, labels, gadget, ident, prefix):
     """Plain-list model of a compose step: the new edges and labels and
     the (vertex_map, edge_map), or the error message it must raise."""
