@@ -73,7 +73,9 @@ class SearchStats:
     flips: int          # recolorings made by the local search
     propagations: int   # assignments made by unit propagation
     backtracks: int     # restores of the search state from a checkpoint
-    elapsed: float
+
+
+_NO_SEARCH = SearchStats(0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -518,14 +520,14 @@ def verify_witness(instance: ArrowInstance, coloring: EdgeColoring) -> bool:
 # public operations
 
 def _verified_search(instance: ArrowInstance, fixed: dict[int, int],
-                     start: float, found: str, exhausted: str):
+                     found: str, exhausted: str):
     """The search core on the instance with the `fixed` colors: (verdict,
     re-verified witness or None, stats).  The verdict is `found` for an
     H-free coloring, `exhausted` if none exists, unknown past the budget."""
     status, payload, *counts = _solve(
         instance.host.num_edges, instance.q, instance.copies, fixed,
         instance.budget.max_nodes, instance.budget.max_seconds)
-    stats = SearchStats(*counts, time.monotonic() - start)
+    stats = SearchStats(*counts)
     if status is not True:
         return (UNKNOWN if status is None else exhausted), None, stats
     witness = EdgeColoring.from_map(instance.q, payload)
@@ -535,11 +537,9 @@ def _verified_search(instance: ArrowInstance, fixed: dict[int, int],
 
 
 def arrows(instance: ArrowInstance) -> ArrowResult:
-    start = time.monotonic()
     if instance.copies is None:
-        return ArrowResult(UNKNOWN, None, SearchStats(0, 0, 0, 0, 0.0))
-    return ArrowResult(*_verified_search(instance, {}, start,
-                                         DOES_NOT_ARROW, ARROWS))
+        return ArrowResult(UNKNOWN, None, _NO_SEARCH)
+    return ArrowResult(*_verified_search(instance, {}, DOES_NOT_ARROW, ARROWS))
 
 
 def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
@@ -550,18 +550,15 @@ def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
     for eid, _ in partial.colors:
         if not (0 <= eid < host.num_edges):
             raise GraphError(f"partial coloring mentions unknown edge {eid}")
-    start = time.monotonic()
     if instance is None:
         instance = ArrowInstance.create(host, target, q, budget)
     if instance.copies is None:
-        return ExtendResult(UNKNOWN, None, None,
-                            SearchStats(0, 0, 0, 0, time.monotonic() - start))
+        return ExtendResult(UNKNOWN, None, None, _NO_SEARCH)
     cert = _mono_copy(instance.copies, partial)
     if cert is not None:
-        return ExtendResult(NOT_EXTENDABLE, None, cert,
-                            SearchStats(0, 0, 0, 0, time.monotonic() - start))
+        return ExtendResult(NOT_EXTENDABLE, None, cert, _NO_SEARCH)
     verdict, witness, stats = _verified_search(
-        instance, partial.as_dict(), start, EXTENDABLE, NOT_EXTENDABLE)
+        instance, partial.as_dict(), EXTENDABLE, NOT_EXTENDABLE)
     return ExtendResult(verdict, witness, None, stats)
 
 

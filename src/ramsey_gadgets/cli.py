@@ -25,9 +25,9 @@ from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, UNKNOWN,
 from .coloring import EXACT, UP_TO_ISO, EdgeColoring, PatternFamily, pattern_of
 from .constructions import (ThreeConnectedSeed, build_3connected_abundant,
                             build_clique_gtilde, build_cycle_abundant,
-                            build_ktk2_abundant, default_three_connected_seed,
-                            p4_abundant, phi_coloring, psi_coloring,
-                            star_arrow_predicate, star_degree_one_count_check)
+                            build_ktk2_abundant, p4_abundant, phi_coloring,
+                            psi_coloring, star_arrow_predicate,
+                            star_degree_one_count_check)
 from .gadgets import (EXHAUSTED, FixedSenderProvider, GNISpec, IndicatorSpec,
                       PatternGadgetSpec, SearchSenderProvider, SenderSpec,
                       StubSenderProvider, VerificationReport, build_gni,
@@ -247,12 +247,8 @@ def cmd_construct_ktk2(args) -> int:
 
 
 def cmd_construct_3conn(args) -> int:
-    if args.graph:
-        f = _load_graph(args.graph)
-        seed = ThreeConnectedSeed(f, args.vertex, args.edge,
-                                  _load_graph(args.target), args.q)
-    else:
-        seed = default_three_connected_seed()
+    seed = ThreeConnectedSeed(_load_graph(args.graph), args.vertex, args.edge,
+                              _load_graph(args.target), args.q)
     recipe = build_3connected_abundant(seed, args.k,
                                        _provider(args, _budget(args)),
                                        d=args.d, budget=_budget(args))
@@ -476,9 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = ccmd("3conn", cmd_construct_3conn, [common, out, build])
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--graph", help="seed graph (defaults to a built-in one)")
+    # the defaults are the built-in seed: C5, vertex 0, edge (2,3), P3, q 2
+    sp.add_argument("--graph", default="C5")
     sp.add_argument("--vertex", type=int, default=0)
-    sp.add_argument("--edge", type=int, default=0)
+    sp.add_argument("--edge", type=int, default=2)
     sp.add_argument("--target", default="P3")
     sp.add_argument("--q", type=int, default=2)
 

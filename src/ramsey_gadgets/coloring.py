@@ -179,3 +179,19 @@ class PatternFamily:
 
     def all_h_free(self, h: Graph) -> bool:
         return _all_h_free(self.members, h)
+
+    def to_json(self) -> dict:
+        """The base graph once, and each member as its edge-id classes."""
+        return {"base": self.base.to_json(), "mode": self.mode,
+                "members": [[sorted(c) for c in m.classes]
+                            for m in self.members]}
+
+    @classmethod
+    def from_json(cls, data) -> "PatternFamily":
+        """Inverse of `to_json`; malformed input raises GraphError."""
+        data = data if isinstance(data, dict) else {}
+        base = Graph.from_json(data.get("base"))
+        members = decode_json(tuple[tuple[tuple[int, ...], ...], ...],
+                              data.get("members"), "pattern family members")
+        return cls(base, tuple(ColorPattern(base, tuple(map(frozenset, m)))
+                               for m in members), data.get("mode", EXACT))

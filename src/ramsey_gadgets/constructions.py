@@ -6,9 +6,10 @@ targets supplied via a seed graph.  The three share one path,
 `_abundance_recipe`: a pattern gadget over k disjoint copies of a base
 block, then one new vertex joined to each block's attachment points;
 each recipe supplies only its base, patterns, attachment points and
-checks.  Also builds the sender-free verifiable pieces: the recursive
-clique coloring ladder, the star arrowing predicate, the degree-one
-counting check, and the pendant-cycle example for the 3-edge path.
+checks.  Also builds the sender-free verifiable pieces: the clique
+coloring ladder (each edge colored by the base-(t-1) digits of its
+ends), the star arrowing predicate, the degree-one counting check, and
+the pendant-cycle example for the 3-edge path.
 """
 
 from __future__ import annotations
@@ -48,75 +49,46 @@ def _ladder_order(q: int, t: int) -> int:
     return n
 
 
-def _phi_map(q: int, t: int) -> dict[tuple[int, int], int]:
-    """Blocked coloring of the complete graph on (t-1)^q vertices:
-    recursive inside each of t-1 equal blocks, color q between blocks."""
-    n = (t - 1) ** q
-    size = (t - 1) ** (q - 1)
-    inner = _phi_map(q - 1, t) if q > 2 else {}
-    out = {}
-    for u in range(n):
-        for w in range(u + 1, n):
-            if u // size != w // size:
-                out[(u, w)] = q
-            elif q == 2:
-                out[(u, w)] = 1
-            else:
-                off = (u // size) * size
-                out[(u, w)] = inner[(u - off, w - off)]
-    return out
-
-
-def _psi_map(q: int, t: int) -> dict[tuple[int, int], int]:
-    """Clique-free coloring of the complete graph on (t-1)^q + 1
-    vertices; the last vertex is the extra one."""
-    n = (t - 1) ** q
-    size = (t - 1) ** (q - 1)
-    v = n
-    if q == 2:
-        out = dict(_phi_map(2, t))
-        # one marked vertex per block (its first); the edge between the
-        # first two marked vertices flips to color 1, the extra vertex
-        # sees the marked vertices in color 2 and everything else in 1
-        out[(0, size)] = 1
-        marked = {i * size for i in range(t - 1)}
-        for w in range(n):
-            out[(w, v)] = 2 if w in marked else 1
-        return out
-    inner = _psi_map(q - 1, t)
-    out = {}
-    for i in range(t - 1):
-        off = i * size
-        for u in range(size):
-            for w in range(u + 1, size):
-                out[(off + u, off + w)] = inner[(u, w)]
-            out[(off + u, v)] = inner[(u, size)]
-    for u in range(n):
-        for w in range(u + 1, n):
-            if u // size != w // size:
-                out[(u, w)] = q
-    return out
+def _phi_color(b: int, u: int, w: int) -> int:
+    """1 plus the position of the most significant base-b digit where u
+    and w differ: the number of floor divisions by b that make them
+    equal."""
+    color = 0
+    while u != w:
+        u, w, color = u // b, w // b, color + 1
+    return color
 
 
 def phi_coloring(q: int, t: int) -> EdgeColoring:
-    """Total q-coloring of the complete graph on (t-1)^q vertices that
+    """Total q-coloring of the complete graph on n = (t-1)^q vertices that
     avoids monochromatic t-cliques but admits no clique-free extension
-    by one more dominating vertex."""
-    n = _ladder_order(q, t)
-    kn = complete_graph(n)
-    cmap = _phi_map(q, t)
-    return EdgeColoring.from_map(q, {kn.edge_id(u, w): c
-                                     for (u, w), c in cmap.items()})
+    by one more dominating vertex.  With b = t-1, edge uw gets 1 plus the
+    position of the most significant base-b digit where u and w differ:
+    color q between the b blocks of b^(q-1) vertices, the coloring for
+    q-1 inside each block, and color 1 inside the blocks of size b."""
+    b = t - 1
+    kn = complete_graph(_ladder_order(q, t))
+    return EdgeColoring(q, tuple((eid, _phi_color(b, u, w))
+                                 for eid, (u, w) in enumerate(kn.edges)))
 
 
 def psi_coloring(q: int, t: int) -> EdgeColoring:
-    """Clique-free total q-coloring of the complete graph on
-    (t-1)^q + 1 vertices."""
+    """Clique-free total q-coloring of the complete graph on n + 1
+    vertices, n = (t-1)^q, whose last vertex n is the extra one.  With
+    b = t-1, the extra vertex sees the multiples of b in color 2 and
+    every other vertex in color 1; edge (u, u+b) for u a multiple of b^2
+    gets color 1; every other edge keeps its phi color."""
+    b = t - 1
     n = _ladder_order(q, t)
-    kn = complete_graph(n + 1)
-    cmap = _psi_map(q, t)
-    return EdgeColoring.from_map(q, {kn.edge_id(u, w): c
-                                     for (u, w), c in cmap.items()})
+
+    def color(u: int, w: int) -> int:
+        if w == n:
+            return 2 if u % b == 0 else 1
+        if w == u + b and u % (b * b) == 0:
+            return 1
+        return _phi_color(b, u, w)
+    return EdgeColoring(q, tuple((eid, color(u, w)) for eid, (u, w)
+                                 in enumerate(complete_graph(n + 1).edges)))
 
 
 @dataclass(frozen=True)
@@ -187,11 +159,8 @@ class AbundanceRecipe:
     q: int
     k: int
     graph: Graph
-    base: Graph                                  # one block, local coordinates
-    block_vertices: tuple[tuple[int, ...], ...]  # host vertices per block
     w_sets: tuple[tuple[int, ...], ...]          # interface vertices per block
     v_vertices: tuple[int, ...]                  # the added low-degree vertices
-    attachment_edges: tuple[tuple[int, ...], ...]
     expected_degree: int
     family: PatternFamily
     gadget: PatternGadgetSpec
@@ -244,13 +213,12 @@ def _block_pattern(g: Graph, base_m: int, k: int, i: int,
 
 
 def _attach_low_degree_vertex(builder: ManifestBuilder, w_hosts, tag: str,
-                              note: str):
-    """New vertex joined to each host vertex in w_hosts; returns
-    (vertex, edge ids in w_hosts order)."""
+                              note: str) -> int:
+    """New vertex joined to each host vertex in w_hosts; returns it."""
     star = star_graph(len(w_hosts)).relabel({0: "v"})
     res = builder.compose(star, {j + 1: hv for j, hv in enumerate(w_hosts)},
                           label_prefix=tag, note=note)
-    return res.vertex_map[0], tuple(res.edge_map)
+    return res.vertex_map[0]
 
 
 def _abundance_recipe(h: Graph, q: int, k: int, base: Graph,
@@ -272,21 +240,16 @@ def _abundance_recipe(h: Graph, q: int, k: int, base: Graph,
 
     builder = ManifestBuilder.resume(gadget.graph, gadget.manifest)
     hosts = [[i * base.n + w for w in points] for i in range(k)]
-    v_vertices, attach = [], []
+    v_vertices = []
     for i, w_hosts in enumerate(hosts):
-        v, eids = _attach_low_degree_vertex(
+        v_vertices.append(_attach_low_degree_vertex(
             builder, w_hosts, f"b{i + 1}.",
-            note=f"degree-{len(points)} vertex for block {i + 1}")
-        v_vertices.append(v)
-        attach.append(eids)
+            note=f"degree-{len(points)} vertex for block {i + 1}"))
         if per_block is not None:
             per_block(builder, i, w_hosts)
-
-    blocks = tuple(tuple(range(i * base.n, (i + 1) * base.n))
-                   for i in range(k))
-    return AbundanceRecipe(h, q, k, builder.graph, base, blocks,
+    return AbundanceRecipe(h, q, k, builder.graph,
                            tuple(tuple(sorted(w)) for w in hosts),
-                           tuple(v_vertices), tuple(attach), len(points),
+                           tuple(v_vertices), len(points),
                            family, gadget, builder.manifest)
 
 
@@ -501,7 +464,7 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     f2 = local_pattern({eid: witnesses[he][eid] for eid in keep})
 
     # attachment order follows the seed's edge order at the marked
-    # vertex, so attachment_edges[i][j] represents g_edges[j]
+    # vertex, so a block's j-th low-degree edge represents g_edges[j]
     points = [pos[a if b == hv else b]
               for a, b in (f.edges[e] for e in g_edges)]
     recipe = _abundance_recipe(h, q, k, fprime, tuple(specials), f2, points,
@@ -523,7 +486,6 @@ class CliqueGtildeSpec:
     t: int
     q: int
     base_vertices: tuple[int, ...]
-    base_pattern: ColorPattern
     m_eids: tuple[int, ...]
     v: int
     senders_status: str
@@ -582,8 +544,8 @@ def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
             asm.attach_sender(POSITIVE, m_eids[i], e_local,
                               note=f"positive sender class {i + 1}")
 
-    v, _ = _attach_low_degree_vertex(asm.builder, list(range(base.n)), "x.",
-                                     note="low-degree vertex")
+    v = _attach_low_degree_vertex(asm.builder, list(range(base.n)), "x.",
+                                  note="low-degree vertex")
     dist = distance(asm.builder.graph, [v],
                     asm.builder.graph.edge_vertices(m_eids))
     asm.counts["dist_v_matching"] = dist
@@ -591,5 +553,5 @@ def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
         raise InternalError("low-degree vertex too close to the signal "
                             "matching")
     graph, senders_status, counts, manifest = asm.finish()
-    return CliqueGtildeSpec(graph, t, q, tuple(range(base.n)), base_pattern,
-                            m_eids, v, senders_status, counts, manifest)
+    return CliqueGtildeSpec(graph, t, q, tuple(range(base.n)), m_eids, v,
+                            senders_status, counts, manifest)

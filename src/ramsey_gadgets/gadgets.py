@@ -21,7 +21,7 @@ from typing import ClassVar, Optional, Protocol, Sequence, get_type_hints
 from . import graph6
 from .arrowing import (ARROWS, DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
                        Budget, _mono_copy, arrows, extendable)
-from .coloring import EXACT, ColorPattern, EdgeColoring, PatternFamily, pattern_of
+from .coloring import EdgeColoring, PatternFamily, pattern_of
 from .graph import (Graph, GraphError, _bitsets, _embed,
                     clique_with_pendant, complete_graph, compose, decode_json,
                     disjoint_union, edge_distance, enumerate_copies,
@@ -101,25 +101,9 @@ class VerificationReport:
 # JSON codec of the gadget specs
 
 def _encode(value):
-    if isinstance(value, PatternFamily):      # the base graph is stored once
-        return {"base": value.base.to_json(), "mode": value.mode,
-                "members": [[sorted(c) for c in m.classes]
-                            for m in value.members]}
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     return value.to_json() if hasattr(value, "to_json") else value
-
-
-def _decode(hint, data, where: str):
-    if hint is not PatternFamily:
-        return decode_json(hint, data, where)
-    data = data if isinstance(data, dict) else {}
-    base = Graph.from_json(data.get("base"))
-    members = decode_json(tuple[tuple[tuple[int, ...], ...], ...],
-                          data.get("members"), where)
-    return PatternFamily(base, tuple(
-        ColorPattern(base, tuple(map(frozenset, m))) for m in members),
-        data.get("mode", EXACT))
 
 
 def _spec_to_json(spec) -> dict:
@@ -136,8 +120,8 @@ def _spec_from_json(cls, data):
     for f in fields(cls):
         if f.name not in data and f.default is f.default_factory is MISSING:
             raise GraphError(f"{cls.KIND} spec lacks {f.name!r}")
-    spec = cls(**{f.name: _decode(hints[f.name], data[f.name],
-                                  f"{cls.KIND} {f.name}")
+    spec = cls(**{f.name: decode_json(hints[f.name], data[f.name],
+                                      f"{cls.KIND} {f.name}")
                   for f in fields(cls) if f.name in data})
     manifest = getattr(spec, "manifest", None)
     if manifest is not None and manifest.replay() != spec.graph:

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -172,7 +171,7 @@ def test_ramsey_witnesses_are_found(n, t, q):
 def test_search_is_reproducible():
     a, b = (run(complete_graph(17), complete_graph(4)) for _ in range(2))
     assert a.witness == b.witness
-    assert replace(a.stats, elapsed=0) == replace(b.stats, elapsed=0)
+    assert a.stats == b.stats
     assert a.stats.flips > 0
 
 

@@ -4,9 +4,10 @@ import pytest
 
 from ramsey_gadgets import (ArrowInstance, ConstructionManifest, EdgeColoring,
                             GNISpec, IndicatorSpec, PatternGadgetSpec,
-                            StubSenderProvider, build_indicator,
-                            complete_graph, make_stub_sender, path_graph,
-                            read_graph_file, verify_witness)
+                            StubSenderProvider, build_3connected_abundant,
+                            build_indicator, complete_graph,
+                            default_three_connected_seed, make_stub_sender,
+                            path_graph, read_graph_file, verify_witness)
 from ramsey_gadgets import arrowing, cli
 from ramsey_gadgets.cli import main
 from ramsey_gadgets.gadgets import POSITIVE, SenderSpec
@@ -339,6 +340,25 @@ def test_construct_recipes_smoke(tmp_path, capsys):
     assert code == 0 and report["expected_degree"] == 2
     code, report = run(capsys, "construct", "clique", "--t", "3")
     assert code == 0 and report["degree"] == 4
+
+
+def test_construct_3conn_builds_its_seed_from_the_flags(capsys):
+    # the flag defaults are the built-in seed: C5, vertex 0, edge (2,3), P3
+    code, report = run(capsys, "construct", "3conn", "--k", "2")
+    assert code == 0
+    recipe = build_3connected_abundant(default_three_connected_seed(), 2,
+                                       StubSenderProvider())
+    assert report["graph"] == recipe.graph.to_json()
+    params = report["parameters"]
+    assert (params["graph"], params["vertex"], params["edge"],
+            params["target"], params["q"]) == ("C5", 0, 2, "P3", 2)
+    # without --graph the other seed flags are used too: edge 4 is (0,4),
+    # which touches vertex 0, and C5 does not force a monochromatic K3
+    base = ["construct", "3conn", "--k", "1", "--q", "3", "--target", "K3"]
+    assert main(base + ["--edge", "4"]) == 3
+    assert "must not touch" in capsys.readouterr().err
+    assert main(base) == 3
+    assert "condition F1 fails" in capsys.readouterr().err
 
 
 def test_verify_robust_cli(capsys):

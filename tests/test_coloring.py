@@ -94,6 +94,33 @@ def test_family_rejects_foreign_pattern():
         PatternFamily(c4, (foreign,), EXACT)
 
 
+def test_family_json_form():
+    c4 = cycle_graph(4)
+    member = pattern_of(c4, EdgeColoring.from_map(2, {0: 1, 1: 2, 2: 1, 3: 2}))
+    family = PatternFamily(c4, (member,), UP_TO_ISO)
+    data = family.to_json()
+    assert data == {"base": c4.to_json(), "mode": UP_TO_ISO,
+                    "members": [[[0, 2], [1, 3]]]}
+    assert PatternFamily.from_json(data) == family
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: "not a family",
+    lambda d: {**d, "base": None},                      # no base graph
+    lambda d: {**d, "members": [[[0, 2], [1]]]},        # edge 3 uncovered
+    lambda d: {**d, "members": [[[0, 2], [1, 3, 9]]]},  # no edge 9
+    lambda d: {**d, "members": [[[0, "2"], [1, 3]]]},   # not an edge id
+    lambda d: {**d, "members": None},
+    lambda d: {**d, "mode": "sometimes"},
+    lambda d: {**d, "mode": []},
+])
+def test_family_from_malformed_json_raises_graph_error(damage):
+    c4 = cycle_graph(4)
+    member = pattern_of(c4, EdgeColoring.from_map(2, {0: 1, 1: 2, 2: 1, 3: 2}))
+    with pytest.raises(GraphError):
+        PatternFamily.from_json(damage(PatternFamily(c4, (member,)).to_json()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_to_coloring_round_trips_partition(data):

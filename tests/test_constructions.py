@@ -82,6 +82,74 @@ def test_psi_is_clique_free(q, t):
     assert mono_clique_free(n, col, t)
 
 
+def _phi_map(q: int, t: int) -> dict[tuple[int, int], int]:
+    """Blocked coloring of the complete graph on (t-1)^q vertices:
+    recursive inside each of t-1 equal blocks, color q between blocks."""
+    n = (t - 1) ** q
+    size = (t - 1) ** (q - 1)
+    inner = _phi_map(q - 1, t) if q > 2 else {}
+    out = {}
+    for u in range(n):
+        for w in range(u + 1, n):
+            if u // size != w // size:
+                out[(u, w)] = q
+            elif q == 2:
+                out[(u, w)] = 1
+            else:
+                off = (u // size) * size
+                out[(u, w)] = inner[(u - off, w - off)]
+    return out
+
+
+def _psi_map(q: int, t: int) -> dict[tuple[int, int], int]:
+    """Clique-free coloring of the complete graph on (t-1)^q + 1
+    vertices; the last vertex is the extra one."""
+    n = (t - 1) ** q
+    size = (t - 1) ** (q - 1)
+    v = n
+    if q == 2:
+        out = dict(_phi_map(2, t))
+        # one marked vertex per block (its first); the edge between the
+        # first two marked vertices flips to color 1, the extra vertex
+        # sees the marked vertices in color 2 and everything else in 1
+        out[(0, size)] = 1
+        marked = {i * size for i in range(t - 1)}
+        for w in range(n):
+            out[(w, v)] = 2 if w in marked else 1
+        return out
+    inner = _psi_map(q - 1, t)
+    out = {}
+    for i in range(t - 1):
+        off = i * size
+        for u in range(size):
+            for w in range(u + 1, size):
+                out[(off + u, off + w)] = inner[(u, w)]
+            out[(off + u, v)] = inner[(u, size)]
+    for u in range(n):
+        for w in range(u + 1, n):
+            if u // size != w // size:
+                out[(u, w)] = q
+    return out
+
+
+# every (q, t) under the 512-vertex cap: q <= 9 as 2^10 > 512, and
+# t <= 23 as 23^2 = 529 > 512
+LADDER_PAIRS = [(q, t) for q in range(2, 10) for t in range(3, 24)
+                if (t - 1) ** q <= 512]
+
+
+@pytest.mark.parametrize("q,t", LADDER_PAIRS)
+def test_ladder_matches_its_recursive_definition(q, t):
+    # the recursive block construction is the reference for the digit rule
+    n = (t - 1) ** q
+    for col, cmap, order in ((phi_coloring(q, t), _phi_map(q, t), n),
+                             (psi_coloring(q, t), _psi_map(q, t), n + 1)):
+        kn = complete_graph(order)
+        assert col.q == q
+        assert col.as_dict() == {kn.edge_id(u, w): c
+                                 for (u, w), c in cmap.items()}
+
+
 def test_clique_ladder_bundle():
     lad = clique_ladder(2, 4)
     assert lad.n_q == 9
@@ -92,6 +160,8 @@ def test_clique_ladder_bundle():
 def test_ladder_size_guard():
     with pytest.raises(GraphError):
         phi_coloring(5, 6)      # 5^5 = 3125 vertices
+    with pytest.raises(GraphError):
+        psi_coloring(2, 24)     # 23^2 = 529 vertices, just over the cap
 
 
 # ---------------------------------------------------------------------------

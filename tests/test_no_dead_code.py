@@ -1,8 +1,9 @@
 """Dead-code guard: every top-level function and class of the package is
 used, that is, named somewhere in `src/` or `tests/` outside its own
 definition (an import in `__init__.py` counts, so the public API passes),
-so is every method of a package class other than the dunder ones, and
-every name a module imports is used in that module."""
+so is every method of a package class other than the dunder ones, every
+field of a package dataclass is read, and every name a module imports is
+used in that module."""
 
 import ast
 from collections import Counter
@@ -56,6 +57,36 @@ def test_every_method_is_referenced():
               and not meth.name.startswith("__")
               and everywhere[meth.name] == _mentions(meth)[meth.name]]
     assert unused == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", "")
+               == "dataclass" for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """An annotated field of a package dataclass is read as an attribute
+    (`x.field`) somewhere in `src/` or `tests/`.  The gadget specs, the
+    classes with a `KIND`, are exempt: `fields()` serializes them field by
+    field.  Like the guards above, this matches by name only."""
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            names = [stmt.target.id for stmt in cls.body
+                     if isinstance(stmt, ast.AnnAssign)
+                     and isinstance(stmt.target, ast.Name)]
+            if "KIND" not in names:
+                unread += [f"{path.name}:{cls.name}.{name}" for name in names
+                           if name not in read]
+    assert unread == []
 
 
 def test_every_import_is_used():
