@@ -7,9 +7,10 @@ __version__ = "0.1.0"
 
 from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET,
                        NOT_MINIMAL, UNKNOWN, ArrowInstance, ArrowResult,
-                       Budget, DegreeStats, ExtendResult, MinimalityResult,
-                       arrows, extendable, is_minimal, min_degree_stats,
-                       minimalize, sq_lower_bound, to_dimacs, verify_witness)
+                       Budget, BudgetExhausted, DegreeStats, ExtendResult,
+                       MinimalityResult, arrows, extendable, is_minimal,
+                       min_degree_stats, minimalize, sq_lower_bound,
+                       to_dimacs, verify_witness)
 from .coloring import (EXACT, UP_TO_ISO, ColorPattern, EdgeColoring,
                        PatternFamily, pattern_of, patterns_isomorphic)
 from .constructions import (AbundanceRecipe, CliqueGtildeSpec, CliqueLadder,

@@ -15,7 +15,9 @@ also hands rounds of work to a seeded tabu min-conflicts local search
 that none exists.
 Budgets (decisions plus flips, wall time) turn into an explicit unknown
 verdict, never a wrong one, and every `does_not_arrow` witness is
-re-verified before it is returned.
+re-verified before it is returned.  A call keeps one clock: its budget
+is started once (`Budget.start`), and every enumeration and search in
+it, nested calls included, stops at that one deadline.
 
 A subgraph check filters one copy list instead of enumerating copies
 again: the copies in the host minus some edges are the host's copies
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
 
@@ -39,6 +41,8 @@ from .graph import Graph, GraphError, InternalError, enumerate_copies
 
 ARROWS = "arrows"
 DOES_NOT_ARROW = "does_not_arrow"
+EXTENDABLE = "extendable"
+NOT_EXTENDABLE = "not_extendable"
 UNKNOWN = "unknown_budget_exhausted"
 
 MINIMAL = "minimal"
@@ -49,13 +53,15 @@ NOT_MINIMAL = "not_minimal"
 class Budget:
     """Bounds on the work of one call: search steps (`max_nodes`,
     decisions plus local-search flips) and wall time (`max_seconds`).
-    `max_nodes` bounds each search on its own.
-    `max_seconds` bounds each search of `arrows` and `extendable`
-    together with the enumeration of its instance's copies, and a whole
-    `is_minimal` or `minimalize` call: every enumeration and search in
-    it shares the call's one deadline and gets the time left."""
+    `max_nodes` bounds each search on its own.  `max_seconds` bounds the
+    whole public call the budget is given to: the call starts the clock
+    (`start`), which fixes `deadline`, and its enumerations, searches
+    and case loops, nested calls included, all stop there.  A started
+    budget stays started, so a caller's clock bounds what it calls."""
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
+    # the `time.monotonic()` value at which the clock runs out; `start` sets it
+    deadline: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
@@ -63,8 +69,26 @@ class Budget:
         if self.max_seconds is not None and not self.max_seconds > 0:
             raise GraphError("max_seconds must be positive")
 
+    def start(self) -> "Budget":
+        """A copy whose deadline is `max_seconds` from now; the budget
+        itself if it has no time bound or is already started."""
+        if self.max_seconds is None or self.deadline is not None:
+            return self
+        started = Budget(self.max_nodes, self.max_seconds)
+        object.__setattr__(started, "deadline",
+                           time.monotonic() + self.max_seconds)
+        return started
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.monotonic() > self.deadline
+
 
 NO_BUDGET = Budget()
+
+
+class BudgetExhausted(Exception):
+    """A result was needed where the budget left it unknown: neither a
+    refutation nor a usage error."""
 
 
 @dataclass(frozen=True)
@@ -91,25 +115,21 @@ class ArrowInstance:
     @classmethod
     def create(cls, host: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> "ArrowInstance":
-        """The instance with every copy of `target` in `host`.  The
-        `max_seconds` clock starts before the enumeration: the instance
-        keeps the time left as its budget's `max_seconds`, or gets no
-        copies if none is left."""
+        """The instance with every copy of `target` in `host`.  It keeps
+        `budget` started (`Budget.start`), so the clock runs from before
+        the enumeration; it gets no copies if the clock runs out."""
         if q < 2:
             raise GraphError("need at least 2 colors")
         if target.num_edges == 0:
             raise GraphError("target must have edges")
-        deadline = _deadline(budget)
+        budget = budget.start()
         copies: Optional[tuple[tuple[int, ...], ...]] = ()
         if target.num_edges <= host.num_edges:
-            found = enumerate_copies(host, target, deadline)
+            found = enumerate_copies(host, target, budget.deadline)
             copies = None if found is None else tuple(
                 tuple(sorted(emb.edge_set)) for emb in found)
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if copies is None or left <= 0:
-                return cls(host, target, q, None, budget)
-            budget = replace(budget, max_seconds=left)
+        if budget.expired():
+            copies = None
         return cls(host, target, q, copies, budget)
 
 
@@ -122,7 +142,7 @@ class ArrowResult:
     @property
     def arrows(self) -> bool:
         if self.verdict == UNKNOWN:
-            raise GraphError("verdict is unknown (budget exhausted)")
+            raise BudgetExhausted("the verdict is unknown")
         return self.verdict == ARROWS
 
 
@@ -136,12 +156,8 @@ class ExtendResult:
     @property
     def extendable(self) -> bool:
         if self.verdict == UNKNOWN:
-            raise GraphError("verdict is unknown (budget exhausted)")
-        return self.verdict == "extendable"
-
-
-EXTENDABLE = "extendable"
-NOT_EXTENDABLE = "not_extendable"
+            raise BudgetExhausted("the verdict is unknown")
+        return self.verdict == EXTENDABLE
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +310,7 @@ def _local_search(num_edges: int, q: int, copy_list, fixed: dict[int, int],
 
 
 def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
-           max_nodes: Optional[int], max_seconds: Optional[float]):
+           max_nodes: Optional[int], deadline: Optional[float]):
     """Search for a total coloring with no monochromatic copy.
 
     Each edge has a domain of colors (a bitmask, bit c for color c).
@@ -343,9 +359,9 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     coloring exists, or None on budget exhaustion.  `nodes` counts
     decisions, `flips` local-search recolorings, `propagations` the
     assignments made by unit propagation and `backtracks` the restores
-    from a checkpoint; `max_nodes` bounds nodes plus flips.
+    from a checkpoint; `max_nodes` bounds nodes plus flips, `deadline`
+    (a `time.monotonic()` value) the clock.
     """
-    deadline = time.monotonic() + max_seconds if max_seconds else None
     q1 = q + 1
     full = (1 << q1) - 2                      # bits 1..q
     sizes = {len(es) for es in copy_list}
@@ -524,9 +540,11 @@ def _verified_search(instance: ArrowInstance, fixed: dict[int, int],
     """The search core on the instance with the `fixed` colors: (verdict,
     re-verified witness or None, stats).  The verdict is `found` for an
     H-free coloring, `exhausted` if none exists, unknown past the budget."""
+    if instance.budget.expired():
+        return UNKNOWN, None, _NO_SEARCH
     status, payload, *counts = _solve(
         instance.host.num_edges, instance.q, instance.copies, fixed,
-        instance.budget.max_nodes, instance.budget.max_seconds)
+        instance.budget.max_nodes, instance.budget.deadline)
     stats = SearchStats(*counts)
     if status is not True:
         return (UNKNOWN if status is None else exhausted), None, stats
@@ -570,7 +588,7 @@ class MinimalityResult:
 
     def __bool__(self) -> bool:
         if self.verdict == UNKNOWN:
-            raise GraphError("verdict is unknown (budget exhausted)")
+            raise BudgetExhausted("the verdict is unknown")
         return self.verdict == MINIMAL
 
 
@@ -584,41 +602,15 @@ def _avoiding(instance: ArrowInstance, dropped) -> ArrowInstance:
         es for es in instance.copies if dropped.isdisjoint(es)))
 
 
-def _deadline(budget: Budget) -> Optional[float]:
-    if budget.max_seconds is None:
-        return None
-    return time.monotonic() + budget.max_seconds
-
-
-def _until(budget: Budget, deadline: Optional[float]) -> Optional[Budget]:
-    """`budget` with its time cut to what is left before `deadline`
-    (None: no deadline); None if no time is left."""
-    if deadline is None:
-        return budget
-    left = deadline - time.monotonic()
-    return Budget(budget.max_nodes, left) if left > 0 else None
-
-
-def _arrows_until(instance: ArrowInstance, deadline: Optional[float]) -> str:
-    """The `arrows` verdict with the search's time cut to what is left
-    before `deadline`; unknown if none is left."""
-    budget = _until(instance.budget, deadline)
-    if budget is None:
-        return UNKNOWN
-    return arrows(replace(instance, budget=budget)).verdict
-
-
 def is_minimal(g: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> MinimalityResult:
     """Arrows, and no single-edge-deleted subgraph does (isolated
     vertices are dropped since they never affect arrowing).  An edge in
     no copy of the target is removable with no search: G - e keeps every
     copy, so it arrows when G does.  Every other G - e is an instance
-    that enumerates its own copies; `budget.max_seconds` is one deadline
-    that every enumeration and search of the call shares."""
-    deadline = _deadline(budget)
+    that enumerates its own copies, on the clock the first one started."""
     inst = ArrowInstance.create(g, target, q, budget)
-    base = _arrows_until(inst, deadline)
+    base = arrows(inst).verdict
     if base == UNKNOWN:
         return MinimalityResult(UNKNOWN, detail="base arrowing unknown")
     if base == DOES_NOT_ARROW:
@@ -628,10 +620,8 @@ def is_minimal(g: Graph, target: Graph, q: int,
         if eid not in covered:
             verdict = ARROWS
         else:
-            left = _until(budget, deadline)
-            verdict = UNKNOWN if left is None else _arrows_until(
-                ArrowInstance.create(g.delete_edge(eid), target, q, left),
-                deadline)
+            verdict = arrows(ArrowInstance.create(
+                g.delete_edge(eid), target, q, inst.budget)).verdict
         if verdict == UNKNOWN:
             return MinimalityResult(UNKNOWN, eid, "subgraph arrowing unknown")
         if verdict == ARROWS:
@@ -646,9 +636,8 @@ def minimalize(g: Graph, target: Graph, q: int,
     graph is minimal.  Returns (graph, verdict); verdict is unknown if
     a budget ran out mid-way (the partial result is still arrowing).
     The copies are enumerated once: each check filters them."""
-    deadline = _deadline(budget)
     inst = ArrowInstance.create(g, target, q, budget)
-    base = _arrows_until(inst, deadline)
+    base = arrows(inst).verdict
     if base == UNKNOWN:
         return g, UNKNOWN
     if base == DOES_NOT_ARROW:
@@ -656,7 +645,7 @@ def minimalize(g: Graph, target: Graph, q: int,
     dropped: set[int] = set()
     verdict = MINIMAL
     for eid in range(g.num_edges):
-        sub = _arrows_until(_avoiding(inst, dropped | {eid}), deadline)
+        sub = arrows(_avoiding(inst, dropped | {eid})).verdict
         if sub == UNKNOWN:
             verdict = UNKNOWN
             break

@@ -3,10 +3,11 @@
 Exit codes: 0 = claim verified / construction succeeded, 1 = claim
 refuted (counterexample in the report), 2 = budget exhausted / unknown,
 3 = usage or I/O error, 4 = internal error (traceback on stderr).  A
-JSON report is printed on 0/1/2 and can also be written to a file with
---report.  Timing is deliberately left out of reports so runs are
-byte-identical.  The budget flags --max-nodes and --max-seconds are
-accepted only by the commands that search.
+JSON report is printed on 0/1/2 (none when a construction or sender
+search runs out of budget: the reason goes to stderr) and can also be
+written to a file with --report.  Timing is left out of reports so runs
+are byte-identical.  Only the commands that search take the budget
+flags: --max-seconds bounds the whole command, --max-nodes each search.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, graph6
-from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, UNKNOWN,
-                       ArrowInstance, Budget, arrows, extendable, is_minimal,
-                       min_degree_stats, minimalize, sq_lower_bound, to_dimacs)
+from .arrowing import (ARROWS, DOES_NOT_ARROW, EXTENDABLE, MINIMAL, UNKNOWN,
+                       ArrowInstance, Budget, BudgetExhausted, arrows,
+                       extendable, is_minimal, min_degree_stats, minimalize,
+                       sq_lower_bound, to_dimacs)
 from .coloring import EXACT, UP_TO_ISO, EdgeColoring, PatternFamily, pattern_of
 from .constructions import (ThreeConnectedSeed, build_3connected_abundant,
                             build_clique_gtilde, build_cycle_abundant,
@@ -34,7 +36,7 @@ from .gadgets import (EXHAUSTED, FixedSenderProvider, GNISpec, IndicatorSpec,
                       build_indicator, build_pattern_gadget, check_robust,
                       search_sender, verify_gni, verify_indicator,
                       verify_pattern_gadget, verify_sender)
-from .graph import Graph, GraphError, decode_json, graph_from_name
+from .graph import Graph, GraphError, decode_json, graph_from_name, star_graph
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -67,24 +69,19 @@ def _load_json(token: str):
         raise GraphError(f"cannot read JSON from {token[:40]!r}: {exc}") from None
 
 
-def _budget(args) -> Budget:
-    return Budget(getattr(args, "max_nodes", None),
-                  getattr(args, "max_seconds", None))
-
-
-def _provider(args, budget: Budget):
+def _provider(args):
     token = getattr(args, "senders", "stub")
     if token == "stub":
         return StubSenderProvider()
     if token == "search":
-        return SearchSenderProvider(args.max_order, budget=budget)
+        return SearchSenderProvider(args.max_order, budget=args.budget)
     return FixedSenderProvider(decode_json(
         tuple[SenderSpec, ...], _load_json(token), "--senders"))
 
 
 def _emit(args, command: str, payload: dict) -> None:
     params = {k: v for k, v in sorted(vars(args).items())
-              if k != "func" and not callable(v)}
+              if k not in ("func", "budget") and not callable(v)}
     report = {"tool": "ramsey-gadgets", "version": __version__,
               "command": command, "parameters": params}
     report.update(payload)
@@ -117,7 +114,7 @@ def _report_exit(report: VerificationReport) -> int:
     return EXIT_OK
 
 
-def _arrow_exit(verdict: str, claim: str) -> int:
+def _verdict_exit(verdict: str, claim: str) -> int:
     if verdict == UNKNOWN:
         return EXIT_UNKNOWN
     return EXIT_OK if verdict == claim else EXIT_REFUTED
@@ -137,7 +134,7 @@ def _counters(stats) -> dict:
 def cmd_arrow(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
-    inst = ArrowInstance.create(host, target, args.q, _budget(args))
+    inst = ArrowInstance.create(host, target, args.q, args.budget)
     res = arrows(inst)
     payload = {"verdict": res.verdict, **_counters(res.stats),
                "copies": None if inst.copies is None else len(inst.copies)}
@@ -147,39 +144,39 @@ def cmd_arrow(args) -> int:
         with open(args.dimacs_out, "w") as fh:
             fh.write(to_dimacs(inst))
     _emit(args, "arrow", payload)
-    return _arrow_exit(res.verdict, ARROWS)
+    return _verdict_exit(res.verdict, ARROWS)
 
 
 def cmd_color(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
-    inst = ArrowInstance.create(host, target, args.q, _budget(args))
+    inst = ArrowInstance.create(host, target, args.q, args.budget)
     res = arrows(inst)
     payload = {"verdict": res.verdict, **_counters(res.stats)}
     if res.witness is not None:
         payload["coloring"] = res.witness.to_json()
     _emit(args, "color", payload)
-    return _arrow_exit(res.verdict, DOES_NOT_ARROW)
+    return _verdict_exit(res.verdict, DOES_NOT_ARROW)
 
 
 def cmd_extend(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
     partial = EdgeColoring.from_json(args.q, _load_json(args.partial))
-    res = extendable(host, partial, target, args.q, _budget(args))
+    res = extendable(host, partial, target, args.q, args.budget)
     payload = {"verdict": res.verdict, **_counters(res.stats)}
     if res.witness is not None:
         payload["witness"] = res.witness.to_json()
     if res.certificate is not None:
         payload["monochromatic_copy"] = list(res.certificate)
     _emit(args, "extend", payload)
-    return _arrow_exit(res.verdict, "extendable")
+    return _verdict_exit(res.verdict, EXTENDABLE)
 
 
 def cmd_minimalize(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
-    g, verdict = minimalize(host, target, args.q, _budget(args))
+    g, verdict = minimalize(host, target, args.q, args.budget)
     stats = min_degree_stats(g)
     payload = {"verdict": verdict, "graph": g.to_json(),
                "vertices": g.n, "edges": g.num_edges,
@@ -193,14 +190,12 @@ def cmd_minimalize(args) -> int:
 def cmd_check_minimal(args) -> int:
     host = _load_graph(args.host)
     target = _load_graph(args.target)
-    res = is_minimal(host, target, args.q, _budget(args))
+    res = is_minimal(host, target, args.q, args.budget)
     payload = {"verdict": res.verdict, "detail": res.detail}
     if res.removable_edge is not None:
         payload["edge"] = res.removable_edge
     _emit(args, "check-minimal", payload)
-    if res.verdict == UNKNOWN:
-        return EXIT_UNKNOWN
-    return EXIT_OK if res.verdict == MINIMAL else EXIT_REFUTED
+    return _verdict_exit(res.verdict, MINIMAL)
 
 
 def cmd_stats(args) -> int:
@@ -233,31 +228,27 @@ def _emit_built(args, name: str, built, artifact=None) -> int:
 
 
 def cmd_construct_cycle(args) -> int:
-    recipe = build_cycle_abundant(args.q, args.t, args.k,
-                                  _provider(args, _budget(args)),
-                                  d=args.d, budget=_budget(args))
+    recipe = build_cycle_abundant(args.q, args.t, args.k, _provider(args),
+                                  d=args.d, budget=args.budget)
     return _emit_built(args, "construct cycle", recipe, recipe.graph)
 
 
 def cmd_construct_ktk2(args) -> int:
-    recipe = build_ktk2_abundant(args.t, args.k,
-                                 _provider(args, _budget(args)),
-                                 d=args.d, budget=_budget(args))
+    recipe = build_ktk2_abundant(args.t, args.k, _provider(args),
+                                 d=args.d, budget=args.budget)
     return _emit_built(args, "construct ktk2", recipe, recipe.graph)
 
 
 def cmd_construct_3conn(args) -> int:
     seed = ThreeConnectedSeed(_load_graph(args.graph), args.vertex, args.edge,
                               _load_graph(args.target), args.q)
-    recipe = build_3connected_abundant(seed, args.k,
-                                       _provider(args, _budget(args)),
-                                       d=args.d, budget=_budget(args))
+    recipe = build_3connected_abundant(seed, args.k, _provider(args),
+                                       d=args.d, budget=args.budget)
     return _emit_built(args, "construct 3conn", recipe, recipe.graph)
 
 
 def cmd_construct_clique(args) -> int:
-    spec = build_clique_gtilde(args.t, args.q,
-                               _provider(args, _budget(args)), d=args.d)
+    spec = build_clique_gtilde(args.t, args.q, _provider(args), d=args.d)
     return _emit_built(args, "construct clique", spec, spec.graph)
 
 
@@ -289,7 +280,7 @@ def cmd_construct_psi(args) -> int:
 def cmd_construct_indicator(args) -> int:
     spec = build_indicator(_load_graph(args.target),
                            _load_graph(args.subgraph), args.q, args.polarity,
-                           _provider(args, _budget(args)), args.d)
+                           _provider(args), args.d)
     return _emit_built(args, "construct indicator", spec)
 
 
@@ -298,7 +289,7 @@ def cmd_construct_gni(args) -> int:
                             _load_json(args.partition), "--partition")
     spec = build_gni(_load_graph(args.target), _load_graph(args.subgraph),
                      _load_graph(args.classes_graph), partition, args.q,
-                     _provider(args, _budget(args)), args.d)
+                     _provider(args), args.d)
     return _emit_built(args, "construct gni", spec)
 
 
@@ -311,8 +302,7 @@ def cmd_construct_pattern_gadget(args) -> int:
     mode = UP_TO_ISO if args.up_to_iso else EXACT
     family = PatternFamily(base, members, mode)
     spec = build_pattern_gadget(_load_graph(args.target), base, family, q,
-                                _provider(args, _budget(args)), args.d,
-                                budget=_budget(args))
+                                _provider(args), args.d, budget=args.budget)
     return _emit_built(args, "construct pattern-gadget", spec)
 
 
@@ -328,14 +318,14 @@ def cmd_verify_sender(args) -> int:
         spec = SenderSpec(_load_graph(args.graph), args.e, args.f,
                           args.polarity, _load_graph(args.target), args.q,
                           args.d)
-    report = verify_sender(spec, _budget(args))
+    report = verify_sender(spec, args.budget)
     _emit(args, "verify sender", report.to_json())
     return _report_exit(report)
 
 
 def _verify_from_spec(args, name: str, spec_cls, verify_fn) -> int:
     spec = spec_cls.from_json(_load_json(args.spec))
-    report = verify_fn(spec, _budget(args))
+    report = verify_fn(spec, args.budget)
     _emit(args, name, report.to_json())
     return _report_exit(report)
 
@@ -369,7 +359,7 @@ def cmd_verify_robust(args) -> int:
 
 def cmd_search_sender(args) -> int:
     spec = search_sender(_load_graph(args.target), args.q, args.d,
-                         args.polarity, args.max_order, budget=_budget(args))
+                         args.polarity, args.max_order, budget=args.budget)
     if spec is None:
         _emit(args, "search-sender", {"found": False})
         return EXIT_REFUTED
@@ -385,17 +375,14 @@ def cmd_star_check(args) -> int:
     payload: dict = {"predicate": predicted}
     code = EXIT_OK
     if not args.predicate_only:
-        from .graph import star_graph
         res = arrows(ArrowInstance.create(g, star_graph(args.m), 2,
-                                          _budget(args)))
+                                          args.budget))
         payload["engine"] = res.verdict
-        if res.verdict == UNKNOWN:
-            code = EXIT_UNKNOWN
-        elif predicted != (res.verdict == ARROWS):
-            code = EXIT_REFUTED
+        code = _verdict_exit(res.verdict,
+                           ARROWS if predicted else DOES_NOT_ARROW)
     if args.count_check:
         payload["degree_one_count_ok"] = star_degree_one_count_check(
-            g, args.m, args.q, _budget(args))
+            g, args.m, args.q, args.budget)
         if not payload["degree_one_count_ok"]:
             code = max(code, EXIT_REFUTED)
     _emit(args, "star-check", payload)
@@ -570,7 +557,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
+        args.budget = Budget(getattr(args, "max_nodes", None),
+                             getattr(args, "max_seconds", None)).start()
         return args.func(args)
+    except BudgetExhausted as exc:
+        print(f"unknown: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

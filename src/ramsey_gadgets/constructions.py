@@ -19,8 +19,8 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
-                       ArrowInstance, Budget, _avoiding, arrows, extendable,
-                       is_minimal)
+                       ArrowInstance, Budget, BudgetExhausted, _avoiding,
+                       arrows, extendable, is_minimal)
 from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
                        _all_h_free, pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
@@ -128,6 +128,8 @@ def star_degree_one_count_check(g: Graph, m: int, q: int = 2,
     """For a minimal graph arrowing the m-leaf star, the number of
     degree-one vertices must be 0 or q(m-1)+1."""
     res = is_minimal(g, star_graph(m), q, budget)
+    if res.verdict == UNKNOWN:
+        raise BudgetExhausted(f"minimality undecided: {res.detail}")
     if res.verdict != MINIMAL:
         raise GraphError(
             f"input must be minimal for the star target ({res.verdict}: {res.detail})")
@@ -383,9 +385,10 @@ def default_three_connected_seed() -> ThreeConnectedSeed:
 
 def check_seed(seed: ThreeConnectedSeed,
                budget: Budget = NO_BUDGET) -> dict:
-    """Verify the four seed conditions with the search engine; raises a
-    named error on the first failure, returns the found colorings
-    (in seed edge ids) keyed by the deleted edge."""
+    """Verify the four seed conditions with the search engine, under one
+    clock; raises a named error on the first failure (BudgetExhausted
+    on one left undecided), returns the found colorings (in seed edge
+    ids) keyed by the deleted edge."""
     f, hv, he, h, q = seed.f, seed.v, seed.e, seed.h, seed.q
     if not (0 <= hv < f.n) or not (0 <= he < f.num_edges):
         raise GraphError("marked vertex or edge out of range")
@@ -396,7 +399,7 @@ def check_seed(seed: ThreeConnectedSeed,
     res = arrows(inst)
     seed.flags["F1"] = res.verdict
     if res.verdict == UNKNOWN:
-        raise GraphError("condition F1 undecided within budget")
+        raise BudgetExhausted("seed condition F1 undecided")
     if res.verdict != ARROWS:
         raise GraphError("condition F1 fails: the seed graph does not "
                          "force the target")
@@ -413,7 +416,7 @@ def check_seed(seed: ThreeConnectedSeed,
         for eid in drops:
             res = arrows(_avoiding(inst, {eid}))
             if res.verdict == UNKNOWN:
-                raise GraphError(f"condition {name} undecided within budget")
+                raise BudgetExhausted(f"seed condition {name} undecided")
             if res.verdict != DOES_NOT_ARROW:
                 raise GraphError(
                     f"condition {name} fails: removing edge {eid} still "
@@ -430,6 +433,7 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     if k < 1:
         raise GraphError("need k >= 1")
     f, hv, he, h, q = seed.f, seed.v, seed.e, seed.h, seed.q
+    budget = budget.start()
     witnesses = check_seed(seed, budget)
 
     g_edges = [eid for eid in range(f.num_edges) if hv in f.edges[eid]]
@@ -455,7 +459,7 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
             ext = extendable(f, partial, h, q,
                              instance=_avoiding(inst, drops))
             if ext.verdict == UNKNOWN:
-                raise GraphError("extension re-check undecided within budget")
+                raise BudgetExhausted("extension re-check undecided")
             if ext.extendable != expect:
                 raise InternalError(
                     "derived coloring fails its extension "

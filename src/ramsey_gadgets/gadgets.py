@@ -20,7 +20,7 @@ from typing import ClassVar, Optional, Protocol, Sequence, get_type_hints
 
 from . import graph6
 from .arrowing import (ARROWS, DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
-                       Budget, _mono_copy, arrows, extendable)
+                       Budget, BudgetExhausted, _mono_copy, arrows, extendable)
 from .coloring import EdgeColoring, PatternFamily, pattern_of
 from .graph import (Graph, GraphError, _bitsets, _embed,
                     clique_with_pendant, complete_graph, compose, decode_json,
@@ -256,9 +256,13 @@ def search_sender(h: Graph, q: int, d: int, polarity: str, max_order: int,
     S3 is checked first: a graph with no edge pair at distance >= d is
     skipped before any copy is enumerated.  Otherwise the graph's own
     search decides S1, and each of its pairs needs only S2, on the same
-    instance."""
+    instance.  One clock bounds the whole scan.  If the budget leaves a
+    graph or pair undecided and no sender turns up, BudgetExhausted is
+    raised instead of returning None."""
+    budget = budget.start()
     if corpus is None:
         corpus = graph6.load_corpus(max_order=max_order)
+    undecided = False
     for g in corpus:
         if g.n > max_order:
             continue
@@ -266,13 +270,21 @@ def search_sender(h: Graph, q: int, d: int, polarity: str, max_order: int,
         if not pairs:
             continue
         inst = ArrowInstance.create(g, h, q, budget)
-        if arrows(inst).verdict != DOES_NOT_ARROW:
+        s1 = arrows(inst).verdict
+        undecided |= s1 == UNKNOWN
+        if s1 != DOES_NOT_ARROW:
             continue
         for e_id, f_id in pairs:
             spec = SenderSpec(g, e_id, f_id, polarity, h, q, d)
-            if _sender_s2(spec, inst).outcome == PASS:
+            s2 = _sender_s2(spec, inst).outcome
+            if s2 == PASS:
                 spec.status = STATUS_FULL
                 return spec
+            undecided |= s2 == EXHAUSTED
+    if undecided:
+        raise BudgetExhausted(
+            f"the budget ran out before the search for a {polarity} sender "
+            f"at order <= {max_order} decided every corpus graph")
     return None
 
 
@@ -593,7 +605,7 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
                  pass_detail: str = "", max_cases: Optional[int] = None,
                  witnesses: Optional[list] = None) -> PropertyResult:
     """Decide one property by running `extendable` on each case, in order,
-    against the shared instance and its budget.
+    against the shared instance and its one clock.
 
     `cases` yields (partial coloring as {edge: color}, failure detail).
     The property holds when every case extends to a target-free coloring
@@ -602,14 +614,16 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
     counterexample or the stuck case as a "partial" one.  An unknown case
     does not stop the loop; with no failure it makes the result
     budget_exhausted, as does stopping after `max_cases` cases (then
-    `cases` must be sized, and the detail counts the cases covered).  The
-    witness of each extending case is appended to `witnesses` if given.
+    `cases` must be sized, and the detail counts the cases covered) or
+    once the clock has run out.  Each extending case's witness is
+    appended to `witnesses` if given.
     """
     total = len(cases) if max_cases is not None else None
     covered = 0
     unknown = False
     for partial, fail_detail in cases:
-        if max_cases is not None and covered >= max_cases:
+        if covered == max_cases or inst.budget.expired():
+            unknown = True
             break
         covered += 1
         ext = extendable(inst.host, EdgeColoring.from_map(inst.q, partial),
@@ -624,7 +638,7 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
             return PropertyResult(name, FAIL, "search", fail_detail, cex)
         elif ext.extendable and witnesses is not None:
             witnesses.append(ext.witness)
-    if unknown or (total is not None and covered < total):
+    if unknown:
         detail = "" if total is None else f"covered {covered} of {total} cases"
         return PropertyResult(name, EXHAUSTED, "search", detail)
     return PropertyResult(name, PASS, "search", pass_detail)
@@ -894,7 +908,7 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
         if res.verdict == ARROWS:
             raise GraphError("base graph must not force the target")
         if res.verdict == UNKNOWN:
-            raise GraphError("could not confirm the base graph within budget")
+            raise BudgetExhausted("base graph check undecided")
 
     t = len(family)
     r = choose_r(q, t)

@@ -12,7 +12,8 @@ from conftest import (naive_arrows, naive_is_minimal, naive_minimalize,
 from ramsey_gadgets import arrowing
 from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             NO_BUDGET, UNKNOWN, ArrowInstance, Budget,
-                            EdgeColoring, GraphError, StubSenderProvider,
+                            BudgetExhausted, EdgeColoring, GraphError,
+                            StubSenderProvider,
                             arrows, build_cycle_abundant, complete_graph,
                             cycle_graph, disjoint_union, extendable,
                             from_edges, is_minimal, min_degree_stats,
@@ -74,12 +75,14 @@ def test_budget_exhaustion_is_first_class():
     res = run(complete_graph(6), complete_graph(3), budget=Budget(max_nodes=3))
     assert res.verdict == UNKNOWN
     assert res.witness is None
+    with pytest.raises(BudgetExhausted):
+        res.arrows
 
 
 @pytest.mark.parametrize("seconds", [0, -1, float("nan")])
 def test_budget_rejects_a_time_bound_that_is_not_positive(seconds):
-    # NaN compares false both ways: accepted, it would mean no bound to
-    # the search but no time left to `_until`
+    # NaN compares false both ways: accepted, its deadline would be NaN,
+    # a clock that never runs out
     with pytest.raises(GraphError):
         Budget(max_seconds=seconds)
 
@@ -134,7 +137,7 @@ def test_max_seconds_holds_on_a_sparse_host():
     assert res.verdict in (UNKNOWN, DOES_NOT_ARROW)
 
 
-def test_max_seconds_covers_copy_enumeration():
+def test_max_seconds_covers_copy_enumeration(monkeypatch):
     # 24 174 vertices and 1152 copies of C4: enumerating them takes
     # several times the budget, so the verdict is unknown with no search
     host = build_cycle_abundant(3, 4, 2, StubSenderProvider()).graph
@@ -149,10 +152,18 @@ def test_max_seconds_covers_copy_enumeration():
     assert ext.verdict == UNKNOWN and ext.stats.nodes == 0
     with pytest.raises(GraphError):
         to_dimacs(ArrowInstance.create(host, c4, 2, budget))
-    # with time to spare the instance keeps what the enumeration left
+    # with time to spare the instance keeps the budget started before
+    # the enumeration: its deadline is the one the enumeration got
+    given, enumerate_copies = [], arrowing.enumerate_copies
+    monkeypatch.setattr(arrowing, "enumerate_copies",
+                        lambda host, pattern, deadline: given.append(deadline)
+                        or enumerate_copies(host, pattern, deadline))
+    before = time.monotonic()
     inst = ArrowInstance.create(complete_graph(6), complete_graph(3), 2,
                                 Budget(max_nodes=10 ** 6, max_seconds=60))
-    assert 0 < inst.budget.max_seconds < 60
+    assert given == [inst.budget.deadline]
+    assert before + 60 <= inst.budget.deadline <= time.monotonic() + 60
+    assert inst.budget.max_seconds == 60
     assert inst.budget.max_nodes == 10 ** 6
     assert len(inst.copies) == 20 and arrows(inst).verdict == ARROWS
 

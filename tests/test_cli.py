@@ -308,6 +308,33 @@ def test_search_sender_cli(tmp_path, capsys):
     assert spec.status == "fully_verified"
 
 
+def test_search_sender_out_of_budget_is_unknown(capsys):
+    # a corpus graph the budget left undecided is not "no sender" (once
+    # exit 1): with one search step per search the senders stay open,
+    # without a budget the search finds one
+    argv = ["search-sender", "--target", "P4", "--d", "1", "--max-order", "6"]
+    assert main(argv + ["--max-nodes", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "budget" in err
+    code, report = run(capsys, *argv)
+    assert code == 0 and report["found"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["star-check", "--graph", "S5", "--m", "3", "--count-check",
+     "--predicate-only", "--max-nodes", "1"],
+    ["construct", "3conn", "--k", "1", "--max-seconds", "1e-9"],
+    ["construct", "cycle", "--q", "2", "--t", "4", "--k", "1",
+     "--max-seconds", "1e-9"],
+])
+def test_budget_spent_inside_a_construction_exits_unknown(argv, capsys):
+    # once a usage error (3): the count check's minimality, the seed
+    # conditions and the pattern gadget's base check ran out of budget
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("unknown: ")
+
+
 def test_star_check(capsys):
     code, report = run(capsys, "star-check", "--graph", "C5", "--m", "2")
     assert code == 0

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import nx_copies
 
-from ramsey_gadgets import coloring
-from ramsey_gadgets import (EXACT, ARROWS, EdgeColoring, GraphError,
+from ramsey_gadgets import arrowing, coloring
+from ramsey_gadgets import (EXACT, ARROWS, Budget, EdgeColoring, GraphError,
                             StubSenderProvider, ThreeConnectedSeed,
                             ArrowInstance, arrows, build_3connected_abundant,
                             build_clique_gtilde, build_cycle_abundant,
@@ -333,6 +333,24 @@ def test_seed_f2_failure_is_named():
     f = cycle_graph(5)
     with pytest.raises(GraphError, match="F2"):
         check_seed(ThreeConnectedSeed(f, 0, f.edge_id(1, 2), path_graph(3), 2))
+
+
+def test_seed_checks_and_the_recipe_share_one_deadline(monkeypatch):
+    # check_seed, the extension re-check and the pattern gadget's base
+    # check each started a clock of their own
+    deadlines = []
+    real = arrowing.enumerate_copies
+    monkeypatch.setattr(arrowing, "enumerate_copies",
+                        lambda host, pattern, deadline: deadlines.append(
+                            deadline) or real(host, pattern, deadline))
+    build_3connected_abundant(default_three_connected_seed(), 1, STUB,
+                              budget=Budget(max_seconds=60))
+    assert len(deadlines) == 3
+    assert deadlines[0] is not None and len(set(deadlines)) == 1
+    # a started budget is passed on: check_seed keeps its caller's clock
+    started = Budget(max_seconds=60).start()
+    check_seed(default_three_connected_seed(), started)
+    assert deadlines[3:] == [started.deadline]
 
 
 def test_3connected_recipe_structure():

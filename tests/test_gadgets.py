@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import nx_copies
 
-from ramsey_gadgets import (DOES_NOT_ARROW, EXACT, Budget, EdgeColoring,
-                            Graph, GraphError,
+from ramsey_gadgets import (DOES_NOT_ARROW, EXACT, Budget, BudgetExhausted,
+                            EdgeColoring, Graph, GraphError,
                             IndicatorSpec, PatternFamily, PatternGadgetSpec,
                             SenderSpec, StubSenderProvider,
                             ThreeConnectedSeed, ArrowInstance,
@@ -114,6 +114,18 @@ def test_search_sender_skips_graphs_without_a_far_pair(monkeypatch):
     calls = _count_instances(monkeypatch)
     assert search_sender(K3, 2, 4, POSITIVE, max_order=6) is None
     assert calls == []
+
+
+def test_search_sender_keeps_one_clock():
+    # K9 ->2 C5 is far beyond 0.05 s; each of the 20 graphs once got the
+    # whole budget afresh (about 1.2 s in all) and the search then
+    # reported no sender; the budget it left undecided is unknown
+    start = time.monotonic()
+    with pytest.raises(BudgetExhausted, match="budget"):
+        search_sender(cycle_graph(5), 2, 1, POSITIVE, 9,
+                      corpus=[complete_graph(9)] * 20,
+                      budget=Budget(max_seconds=0.05))
+    assert time.monotonic() - start < 0.5
 
 
 def _scan_then_filter(h, q, d, polarity, corpus):
@@ -247,6 +259,27 @@ def test_verify_indicator_stuck_case_names_its_partial():
     assert bad.counterexample == {"partial": [[0, 1], [1, 1], [2, 1]]}
     partial = EdgeColoring.from_json(2, bad.counterexample["partial"])
     assert extendable(g, partial, K3, 2).verdict == "not_extendable"
+
+
+def test_verifier_stops_its_case_loop_on_an_expired_clock(monkeypatch):
+    # every case is slowed to 0.05 s; the 72 I4 cases once all ran
+    # (about 3.7 s), each search given the time left afresh
+    spec = build_indicator(K3, path_graph(4), 3, POSITIVE, STUB)
+    spec.senders_status = "unverified"
+    extend = gadgets.extendable
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return extend(*args, **kwargs)
+
+    monkeypatch.setattr(gadgets, "extendable", slow)
+    start = time.monotonic()
+    report = verify_indicator(spec, Budget(max_seconds=0.3))
+    assert time.monotonic() - start < 1.5
+    i4 = next(r for r in report.results if r.name == "I4")
+    assert i4.outcome == EXHAUSTED
+    covered = int(i4.detail.split()[1])
+    assert i4.detail == f"covered {covered} of 72 cases" and covered < 72
 
 
 def test_indicator_json_round_trip():
