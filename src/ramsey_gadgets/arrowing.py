@@ -22,10 +22,10 @@ it, nested calls included, stops at that one deadline.
 A subgraph check filters one copy list instead of enumerating copies
 again: the copies in the host minus some edges are the host's copies
 that avoid them (`_avoiding`), and the copies inside an edge set are
-those it contains.  The host and its edge ids stay.  `minimalize`, the
-seed conditions and the GNI verifier work this way; `is_minimal` still
-builds one instance per edge-deleted subgraph, except where the deleted
-edge lies in no copy.
+those it contains; `coloring._mono_copy` tests a coloring against that
+list.  `minimalize`, the seed conditions, the GNI verifier and the
+pattern gadget's family check work this way; `is_minimal` still builds
+one instance per edge-deleted subgraph unless the edge is in no copy.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, _mono_copy
 from .graph import Graph, GraphError, InternalError, enumerate_copies
 
 ARROWS = "arrows"
@@ -514,15 +514,6 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
             del trail[length:]
             state[:] = checkpoint
         ok = assign(e, colors.pop())
-
-
-def _mono_copy(copy_list, coloring: EdgeColoring) -> Optional[tuple[int, ...]]:
-    cmap = coloring.as_dict()
-    for es in copy_list:
-        c0 = cmap.get(es[0])
-        if c0 is not None and all(cmap.get(e) == c0 for e in es[1:]):
-            return tuple(es)
-    return None
 
 
 def verify_witness(instance: ArrowInstance, coloring: EdgeColoring) -> bool:

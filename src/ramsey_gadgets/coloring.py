@@ -1,4 +1,7 @@
-"""Edge colorings, color patterns, and pattern families."""
+"""Edge colorings, color patterns, and pattern families.
+
+`_mono_copy` is the one monochromatic-copy test: every target-freeness
+check runs it on one copy list (edge-id tuples) per graph and target."""
 
 from __future__ import annotations
 
@@ -92,34 +95,24 @@ class ColorPattern:
     def is_h_free(self, h: Graph) -> bool:
         return self.monochromatic_copy(h) is None
 
-    def monochromatic_copy(self, h: Graph):
-        """First monochromatic copy of h, as (class index, Embedding), or None."""
-        return _monochromatic_copy(self, h, {})
+    def monochromatic_copy(self, h: Graph) -> Optional[tuple[int, ...]]:
+        """The edge ids of the first monochromatic copy of h, or None."""
+        return _mono_copy(_copy_ids(self.graph, h), self.to_coloring())
 
 
-def _monochromatic_copy(pattern: ColorPattern, h: Graph, copies_of: dict):
-    """`pattern.monochromatic_copy(h)`, taking the copies of h in a graph
-    from `copies_of` (graph -> copies) and enumerating only those it
-    lacks, so that patterns checked together over one graph share one
-    enumeration."""
-    if all(len(c) < h.num_edges for c in pattern.classes):
-        return None
-    if pattern.graph not in copies_of:
-        copies_of[pattern.graph] = enumerate_copies(pattern.graph, h)
-    for i, cls_ in enumerate(pattern.classes):
-        if len(cls_) < h.num_edges:
-            continue
-        for emb in copies_of[pattern.graph]:
-            if emb.edge_set <= cls_:
-                return i, emb
+def _copy_ids(graph: Graph, h: Graph) -> list[tuple[int, ...]]:
+    """Every copy of h in graph, as its sorted edge ids."""
+    return [tuple(sorted(emb.edge_set)) for emb in enumerate_copies(graph, h)]
+
+
+def _mono_copy(copy_list, coloring: EdgeColoring) -> Optional[tuple[int, ...]]:
+    """The first copy in `copy_list` whose edges share one color, or None."""
+    cmap = coloring.as_dict()
+    for es in copy_list:
+        c0 = cmap.get(es[0])
+        if c0 is not None and all(cmap.get(e) == c0 for e in es[1:]):
+            return tuple(es)
     return None
-
-
-def _all_h_free(patterns: Iterable[ColorPattern], h: Graph) -> bool:
-    """True iff no pattern has a monochromatic copy of h.  The copies of
-    h are enumerated once per distinct pattern graph."""
-    copies_of: dict = {}
-    return all(_monochromatic_copy(p, h, copies_of) is None for p in patterns)
 
 
 def pattern_of(graph: Graph, coloring: EdgeColoring) -> ColorPattern:
@@ -178,7 +171,10 @@ class PatternFamily:
         return any(patterns_isomorphic(pattern, m) for m in self.members)
 
     def all_h_free(self, h: Graph) -> bool:
-        return _all_h_free(self.members, h)
+        """True iff no member has a monochromatic copy of h in the base."""
+        copies = _copy_ids(self.base, h)
+        return all(_mono_copy(copies, m.to_coloring()) is None
+                   for m in self.members)
 
     def to_json(self) -> dict:
         """The base graph once, and each member as its edge-id classes."""

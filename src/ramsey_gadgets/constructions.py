@@ -22,14 +22,13 @@ from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
                        ArrowInstance, Budget, BudgetExhausted, _avoiding,
                        arrows, extendable, is_minimal)
 from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
-                       _all_h_free, pattern_of)
+                       pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
                       _Assembly, build_pattern_gadget)
 from .graph import (Graph, GraphError, InternalError, clique_with_pendant,
-                    complete_graph, cycle_graph, distance,
-                    enumerate_copies, from_edges, graphs_isomorphic,
-                    is_k_connected, matching_graph, path_graph, single_edge,
-                    star_graph)
+                    complete_graph, cycle_graph, distance, from_edges,
+                    graphs_isomorphic, is_k_connected, matching_graph,
+                    path_graph, single_edge, star_graph)
 from .manifest import ConstructionManifest, ManifestBuilder
 
 
@@ -308,7 +307,7 @@ def build_cycle_abundant(q: int, t: int, k: int, provider: SenderProvider,
     h = cycle_graph(t)
     f, pair_paths = _cycle_base(q, t)
     f1, f2 = _cycle_patterns(q, f, pair_paths)
-    if not _all_h_free((f1, f2), h):
+    if not PatternFamily(f, (f1, f2)).all_h_free(h):
         raise InternalError("base pattern is not target-free")
     # the low-degree vertex of each block is joined to its hubs
     return _abundance_recipe(h, q, k, f, (f1,), f2, range(q + 1), provider,
@@ -333,12 +332,8 @@ def build_ktk2_abundant(t: int, k: int, provider: SenderProvider,
         c2[c * clique_m] = 2
     f1 = pattern_of(f, EdgeColoring.from_map(q, c1))
     f2 = pattern_of(f, EdgeColoring.from_map(q, c2))
-    if not _all_h_free((f1, f2), h):
+    if not PatternFamily(f, (f1, f2)).all_h_free(h):
         raise InternalError("base pattern is not target-free")
-    # the target is connected, so one block holds a copy if the k-block
-    # graph does
-    if enumerate_copies(f, h):
-        raise InternalError("block graph contains the target")
 
     pendants, clique_edges = [], []
 
@@ -373,7 +368,6 @@ class ThreeConnectedSeed:
     e: int
     h: Graph
     q: int
-    flags: dict = field(default_factory=dict)
 
 
 def default_three_connected_seed() -> ThreeConnectedSeed:
@@ -389,6 +383,11 @@ def check_seed(seed: ThreeConnectedSeed,
     clock; raises a named error on the first failure (BudgetExhausted
     on one left undecided), returns the found colorings (in seed edge
     ids) keyed by the deleted edge."""
+    return _check_seed(seed, budget)[1]
+
+
+def _check_seed(seed: ThreeConnectedSeed, budget: Budget):
+    """`check_seed`, returning (the seed's instance, the colorings)."""
     f, hv, he, h, q = seed.f, seed.v, seed.e, seed.h, seed.q
     if not (0 <= hv < f.n) or not (0 <= he < f.num_edges):
         raise GraphError("marked vertex or edge out of range")
@@ -397,7 +396,6 @@ def check_seed(seed: ThreeConnectedSeed,
 
     inst = ArrowInstance.create(f, h, q, budget)
     res = arrows(inst)
-    seed.flags["F1"] = res.verdict
     if res.verdict == UNKNOWN:
         raise BudgetExhausted("seed condition F1 undecided")
     if res.verdict != ARROWS:
@@ -408,7 +406,6 @@ def check_seed(seed: ThreeConnectedSeed,
         if he in es and hv in f.edge_vertices(es):
             raise GraphError("condition F2 fails: the marked vertex and "
                              "edge share a copy of the target")
-    seed.flags["F2"] = "pass"
 
     witnesses: dict[int, dict[int, int]] = {}
     g_edges = [eid for eid in range(f.num_edges) if hv in f.edges[eid]]
@@ -422,8 +419,7 @@ def check_seed(seed: ThreeConnectedSeed,
                     f"condition {name} fails: removing edge {eid} still "
                     "forces the target")
             witnesses[eid] = {e: c for e, c in res.witness.colors if e != eid}
-        seed.flags[name] = "pass"
-    return witnesses
+    return inst, witnesses
 
 
 def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
@@ -433,8 +429,7 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     if k < 1:
         raise GraphError("need k >= 1")
     f, hv, he, h, q = seed.f, seed.v, seed.e, seed.h, seed.q
-    budget = budget.start()
-    witnesses = check_seed(seed, budget)
+    inst, witnesses = _check_seed(seed, budget)
 
     g_edges = [eid for eid in range(f.num_edges) if hv in f.edges[eid]]
     drop = set(g_edges) | {he}
@@ -450,7 +445,6 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
 
     # a per-edge coloring survives removing its own edge plus the marked
     # one, but never the marked one alone; re-verify both claims
-    inst = ArrowInstance.create(f, h, q, budget)
     specials = []
     for g_eid in g_edges:
         part_seed = {eid: witnesses[g_eid][eid] for eid in keep}
@@ -472,12 +466,10 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     points = [pos[a if b == hv else b]
               for a, b in (f.edges[e] for e in g_edges)]
     recipe = _abundance_recipe(h, q, k, fprime, tuple(specials), f2, points,
-                               provider, d, budget)
+                               provider, d, inst.budget)
     recipe.extras.update(
-        seed_flags=dict(seed.flags),
         target_hypothesis_ok=(is_k_connected(h, 3)
-                              or graphs_isomorphic(h, complete_graph(3))),
-        expected_family_size=k * len(g_edges))
+                              or graphs_isomorphic(h, complete_graph(3))))
     return recipe
 
 
@@ -489,7 +481,6 @@ class CliqueGtildeSpec:
     graph: Graph
     t: int
     q: int
-    base_vertices: tuple[int, ...]
     m_eids: tuple[int, ...]
     v: int
     senders_status: str
@@ -557,5 +548,5 @@ def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
         raise InternalError("low-degree vertex too close to the signal "
                             "matching")
     graph, senders_status, counts, manifest = asm.finish()
-    return CliqueGtildeSpec(graph, t, q, tuple(range(base.n)), m_eids, v,
+    return CliqueGtildeSpec(graph, t, q, m_eids, v,
                             senders_status, counts, manifest)

@@ -20,8 +20,9 @@ from typing import ClassVar, Optional, Protocol, Sequence, get_type_hints
 
 from . import graph6
 from .arrowing import (ARROWS, DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
-                       Budget, BudgetExhausted, _mono_copy, arrows, extendable)
-from .coloring import EdgeColoring, PatternFamily, pattern_of
+                       Budget, BudgetExhausted, arrows, extendable)
+from .coloring import (ColorPattern, EdgeColoring, PatternFamily, _mono_copy,
+                       pattern_of)
 from .graph import (Graph, GraphError, _bitsets, _embed,
                     clique_with_pendant, complete_graph, compose, decode_json,
                     disjoint_union, edge_distance, enumerate_copies,
@@ -129,6 +130,17 @@ def _spec_from_json(cls, data):
     return spec
 
 
+def _check_ids(spec, vertices, edges):
+    """Raise GraphError unless the spec's graph has these vertex and edge
+    ids; each spec checks the ids it names when it is made."""
+    for ids, bound, what in ((vertices, spec.graph.n, "vertex"),
+                             (edges, spec.graph.num_edges, "edge")):
+        bad = [i for i in ids if not 0 <= i < bound]
+        if bad:
+            raise GraphError(f"{spec.KIND} spec names {what} {bad[0]}, "
+                             "which its graph lacks")
+
+
 # ---------------------------------------------------------------------------
 # signal senders
 
@@ -145,6 +157,7 @@ class SenderSpec:
     status: str = STATUS_UNVERIFIED
 
     def __post_init__(self):
+        _check_ids(self, (), (self.e, self.f))
         if self.e == self.f:
             raise GraphError("signal edges must differ")
         if self.polarity not in (POSITIVE, NEGATIVE):
@@ -317,11 +330,8 @@ class FixedSenderProvider:
 
 
 class SearchSenderProvider:
-    def __init__(self, max_order: int,
-                 corpus: Optional[Sequence[Graph]] = None,
-                 budget: Budget = NO_BUDGET):
+    def __init__(self, max_order: int, budget: Budget = NO_BUDGET):
         self.max_order = max_order
-        self.corpus = corpus
         self.budget = budget
         self._cache: dict = {}
 
@@ -329,7 +339,7 @@ class SearchSenderProvider:
         key = (polarity, h, q, d)
         if key not in self._cache:
             self._cache[key] = search_sender(
-                h, q, d, polarity, self.max_order, self.corpus, self.budget)
+                h, q, d, polarity, self.max_order, budget=self.budget)
         spec = self._cache[key]
         if spec is None:
             raise GraphError(
@@ -356,6 +366,9 @@ class IndicatorSpec:
     senders_status: str = STATUS_UNVERIFIED
     counts: dict = field(default_factory=dict)
     manifest: Optional[ConstructionManifest] = None
+
+    def __post_init__(self):
+        _check_ids(self, self.f_vertices, (*self.f_eids, self.e))
 
     def to_json(self) -> dict:
         return _spec_to_json(self)
@@ -698,6 +711,11 @@ class GNISpec:
     counts: dict = field(default_factory=dict)
     manifest: Optional[ConstructionManifest] = None
 
+    def __post_init__(self):
+        _check_ids(self, self.f_vertices + self.g_vertices,
+                   self.f_eids + self.g_eids + self.e_k
+                   + sum(self.m_edges + self.p_edges, ()))
+
     @property
     def g_eids(self) -> tuple[int, ...]:
         return tuple(e for cls in self.g_classes for e in cls)
@@ -734,10 +752,9 @@ def build_gni(h: Graph, f: Graph, g: Graph,
         raise GraphError("partition must cover the g edges exactly")
     if f.num_edges >= h.num_edges and enumerate_copies(f, h):
         raise GraphError("subgraph f must not contain the target")
-    for cls in partition:
-        if cls and len(cls) >= h.num_edges and \
-                enumerate_copies(g.edge_induced(cls), h):
-            raise GraphError("a declared class of g contains the target")
+    if any(len(cls) >= h.num_edges for cls in partition) and not ColorPattern(
+            g, tuple(map(frozenset, partition))).is_h_free(h):
+        raise GraphError("a declared class of g contains the target")
 
     asm = _Assembly(disjoint_union(
         f.relabel({v: f"F{v}" for v in range(f.n)}),
@@ -871,6 +888,9 @@ class PatternGadgetSpec:
     counts: dict = field(default_factory=dict)
     manifest: Optional[ConstructionManifest] = None
 
+    def __post_init__(self):
+        _check_ids(self, self.g_vertices, self.g_eids + self.m_eids)
+
     def to_json(self) -> dict:
         return _spec_to_json(self)
 
@@ -898,17 +918,19 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
         raise GraphError("pattern family must be nonempty")
     if family.base.num_edges != g.num_edges:
         raise GraphError("family is not over the given base graph")
-    if not family.all_h_free(h):
+    # one copy list serves both checks; none in time leaves them unknown
+    inst = ArrowInstance.create(g, h, q, budget)
+    if any(_mono_copy(inst.copies or (), m.to_coloring())
+           for m in family.members):
         raise GraphError("every family pattern must be target-free")
     for m in family.members:
         if m.q != q:
             raise GraphError("family pattern has wrong color count")
-    if g.num_edges >= h.num_edges:
-        res = arrows(ArrowInstance.create(g, h, q, budget))
-        if res.verdict == ARROWS:
-            raise GraphError("base graph must not force the target")
-        if res.verdict == UNKNOWN:
-            raise BudgetExhausted("base graph check undecided")
+    res = arrows(inst)
+    if res.verdict == ARROWS:
+        raise GraphError("base graph must not force the target")
+    if res.verdict == UNKNOWN:
+        raise BudgetExhausted("base graph check undecided")
 
     t = len(family)
     r = choose_r(q, t)
@@ -1003,15 +1025,15 @@ def verify_pattern_gadget(spec: PatternGadgetSpec,
         # monochromatic clique copies touching the base graph must lie
         # inside it
         gset = set(spec.g_vertices)
-        straddling = []
-        for emb in enumerate_copies(spec.graph, complete_graph(spec.h.n - 1)):
-            verts = set(emb.vertex_map)
-            if verts & gset and not verts <= gset:
-                straddling.append(emb.edge_map)
+        cliques = enumerate_copies(spec.graph, complete_graph(spec.h.n - 1),
+                                   inst.budget.deadline)
+        straddling = [emb.edge_map for emb in cliques or () if not (
+            gset.isdisjoint(emb.vertex_map) or gset.issuperset(emb.vertex_map))]
         special_ok = all(_mono_copy(straddling, w) is None for w in witnesses)
-        p3 = replace(p3, detail=p3.detail + "; clique-copy containment flag "
-                     + ("holds" if special_ok
-                        else "NOT satisfied by found witnesses"))
+        p3 = replace(p3, outcome=EXHAUSTED if cliques is None else PASS,
+                     detail=p3.detail + "; clique-copy containment flag " + (
+                         "undecided" if cliques is None else "holds"
+                         if special_ok else "NOT satisfied by found witnesses"))
     results.append(p3)
     return VerificationReport("pattern_gadget", tuple(results))
 

@@ -418,3 +418,27 @@ def test_spec_commands_write_their_manifest(kind, tmp_path, capsys):
     spec = spec_cls.from_json(json.loads(spec_path.read_text()))
     assert report["graph"] == spec.graph.to_json()
     assert ConstructionManifest.load(str(manifest_path)).replay() == spec.graph
+
+
+def test_sender_edge_outside_its_graph_exits_usage(capsys):
+    # C5 has edges 0..4: edge 99 is a usage error, not a crash (exit 4)
+    assert main(["verify", "sender", "--graph", "C5", "--target", "P3",
+                 "--e", "0", "--f", "99"]) == 3
+    assert "sender spec names edge 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("indicator", "e", 1000000),        # unchecked: an IndexError (exit 4)
+    ("gni", "g_classes", [[-1]]),       # unchecked: the last edge, refuted
+])
+def test_spec_id_outside_its_graph_exits_usage(kind, field, value, tmp_path,
+                                               capsys):
+    spec_path = tmp_path / "spec.json"
+    assert main(["construct", kind, "--target", "K3", *SPEC_COMMANDS[kind][1],
+                 "--out", str(spec_path)]) == 0
+    data = json.loads(spec_path.read_text())
+    data[field] = value
+    spec_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", kind, "--spec", str(spec_path)]) == 3
+    assert "names edge" in capsys.readouterr().err

@@ -50,8 +50,7 @@ def test_h_free_and_witness():
     assert not mono.is_h_free(g)
     assert split.is_h_free(g)
     assert split.is_h_free(path_graph(3)) is False   # 0,1 same color share a vertex
-    cls, emb = mono.monochromatic_copy(g)
-    assert cls == 0 and emb.edge_set == frozenset({0, 1, 2})
+    assert mono.monochromatic_copy(g) == (0, 1, 2)
     assert split.monochromatic_copy(g) is None
 
 

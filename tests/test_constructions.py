@@ -4,7 +4,7 @@ import pytest
 
 from conftest import nx_copies
 
-from ramsey_gadgets import arrowing, coloring
+from ramsey_gadgets import arrowing, coloring, gadgets, graph
 from ramsey_gadgets import (EXACT, ARROWS, Budget, EdgeColoring, GraphError,
                             StubSenderProvider, ThreeConnectedSeed,
                             ArrowInstance, arrows, build_3connected_abundant,
@@ -292,10 +292,6 @@ def test_ktk2_pattern_base_has_no_target_copy():
 def test_default_seed_passes_all_conditions():
     seed = default_three_connected_seed()
     witnesses = check_seed(seed)
-    assert seed.flags["F1"] == ARROWS
-    assert seed.flags["F2"] == "pass"
-    assert seed.flags["F3"] == "pass"
-    assert seed.flags["F4"] == "pass"
     # one witness per removed edge: the marked edge plus both at v
     assert set(witnesses) == {seed.e} | \
         {eid for eid in range(seed.f.num_edges) if seed.v in seed.f.edges[eid]}
@@ -336,8 +332,8 @@ def test_seed_f2_failure_is_named():
 
 
 def test_seed_checks_and_the_recipe_share_one_deadline(monkeypatch):
-    # check_seed, the extension re-check and the pattern gadget's base
-    # check each started a clock of their own
+    # check_seed and the pattern gadget's base check enumerate under one
+    # clock; the extension re-check reuses the seed's instance
     deadlines = []
     real = arrowing.enumerate_copies
     monkeypatch.setattr(arrowing, "enumerate_copies",
@@ -345,34 +341,58 @@ def test_seed_checks_and_the_recipe_share_one_deadline(monkeypatch):
                             deadline) or real(host, pattern, deadline))
     build_3connected_abundant(default_three_connected_seed(), 1, STUB,
                               budget=Budget(max_seconds=60))
-    assert len(deadlines) == 3
+    assert len(deadlines) == 2
     assert deadlines[0] is not None and len(set(deadlines)) == 1
     # a started budget is passed on: check_seed keeps its caller's clock
     started = Budget(max_seconds=60).start()
     check_seed(default_three_connected_seed(), started)
-    assert deadlines[3:] == [started.deadline]
+    assert deadlines[2:] == [started.deadline]
 
 
 def test_3connected_recipe_structure():
     recipe = build_3connected_abundant(default_three_connected_seed(), 2, STUB)
     assert recipe.degrees_ok()
     assert recipe.expected_degree == 2              # degree of v in C5
-    assert len(recipe.family) == recipe.extras["expected_family_size"] == 4
-    assert recipe.extras["seed_flags"]["F2"] == "pass"
+    assert len(recipe.family) == 4
     # the desk-scale target is a path, so the size hypothesis flag is off
     assert recipe.extras["target_hypothesis_ok"] is False
     assert recipe.manifest.replay().edges == recipe.graph.edges
 
 
-def test_pattern_family_enumerates_once_per_graph(monkeypatch):
+def _count_enumerations(monkeypatch) -> list:
+    """The hosts of every copy enumeration, in whichever module it runs."""
     calls = []
-    enumerate_copies = coloring.enumerate_copies
-    monkeypatch.setattr(coloring, "enumerate_copies",
-                        lambda host, pattern: calls.append(host)
-                        or enumerate_copies(host, pattern))
+    real = graph.enumerate_copies
+
+    def spy(host, pattern, deadline=None):
+        calls.append(host)
+        return real(host, pattern, deadline)
+    for module in (arrowing, coloring, gadgets):
+        monkeypatch.setattr(module, "enumerate_copies", spy)
+    return calls
+
+
+def test_pattern_family_enumerates_once_per_graph(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
     recipe = build_3connected_abundant(default_three_connected_seed(), 3, STUB)
     assert len(recipe.family) == 6
-    assert len(calls) == len(set(calls)) == 1      # one base graph
+    # the family check and the base check share one copy list
+    assert calls.count(recipe.family.base) == 1
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda: build_cycle_abundant(2, 5, 3, STUB), 5),
+    (lambda: build_ktk2_abundant(3, 2, STUB), 4),
+    (lambda: build_3connected_abundant(default_three_connected_seed(), 2,
+                                       STUB), 17),
+])
+def test_builds_enumerate_each_graph_target_pair_once(build, count,
+                                                      monkeypatch):
+    # each (graph, target) pair once: the family check reads the base
+    # instance's copies, and the seed's instance serves its re-check
+    calls = _count_enumerations(monkeypatch)
+    build()
+    assert len(calls) == count
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +401,6 @@ def test_pattern_family_enumerates_once_per_graph(monkeypatch):
 def test_clique_gtilde_structure():
     spec = build_clique_gtilde(3, 2, STUB)
     base_n = 4                                      # (t-1)^q
-    assert spec.base_vertices == tuple(range(base_n))
     assert spec.graph.degree(spec.v) == base_n
     assert len(spec.m_eids) == 2
     assert spec.counts["negative_senders"] == 1     # C(q,2)

@@ -496,7 +496,7 @@ def test_gi4_skips_class_colorings_with_a_target_copy():
         ("GI4", PASS, "all 144 cases extend")
 
 
-def test_clique_copy_flag_enumerates_cliques_once(monkeypatch):
+def _clique_pendant_gadget() -> PatternGadgetSpec:
     # K3 plus a pendant; the base is a triangle, colored monochromatic by
     # both family patterns, and vertex 3 closes a clique copy with the
     # base edge (0, 1), which every free extension leaves non-monochromatic
@@ -506,17 +506,35 @@ def test_clique_copy_flag_enumerates_cliques_once(monkeypatch):
     family = PatternFamily(base, tuple(
         pattern_of(base, EdgeColoring.from_map(2, {0: c, 1: c, 2: c}))
         for c in (1, 2)), EXACT)
-    spec = PatternGadgetSpec(graph, (0, 1, 2), (0, 1, 2), family, h, 2, 4, 1,
+    return PatternGadgetSpec(graph, (0, 1, 2), (0, 1, 2), family, h, 2, 4, 1,
                              (5,), (((0,), 0),))
+
+
+def test_clique_copy_flag_enumerates_cliques_once(monkeypatch):
+    spec = _clique_pendant_gadget()
     calls = []
     enumerate_copies = gadgets.enumerate_copies
     monkeypatch.setattr(gadgets, "enumerate_copies",
-                        lambda host, pattern: calls.append(pattern)
-                        or enumerate_copies(host, pattern))
+                        lambda host, pattern, deadline: calls.append(pattern)
+                        or enumerate_copies(host, pattern, deadline))
     p3 = verify_pattern_gadget(spec).results[2]
     assert p3.name == "P3" and p3.outcome == PASS
     assert p3.detail.endswith("clique-copy containment flag holds")
     assert calls == [complete_graph(3)]
+
+
+def test_clique_copy_flag_out_of_time_is_unknown(monkeypatch):
+    # the clique copies are enumerated under the verifier's clock; when
+    # it runs out there, P3 is unknown, not passed
+    deadlines = []
+    monkeypatch.setattr(gadgets, "enumerate_copies",
+                        lambda host, pattern, deadline:
+                        deadlines.append(deadline))
+    budget = Budget(max_seconds=60)
+    p3 = verify_pattern_gadget(_clique_pendant_gadget(), budget).results[2]
+    assert (p3.name, p3.outcome) == ("P3", EXHAUSTED)
+    assert p3.detail.endswith("clique-copy containment flag undecided")
+    assert len(deadlines) == 1 and deadlines[0] is not None
 
 
 def test_check_robust_clean_case():

@@ -106,3 +106,37 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{name}" for name in imported
                    if name not in used]
     assert unused == []
+
+
+# perfbench passes these; they go when the benchmark stops passing them
+# (ROADMAP open item 1)
+UNREAD_PARAMETERS = {"gadgets.py:check_robust.trials",
+                     "gadgets.py:check_robust.seed"}
+
+
+def _is_stub(func: ast.AST) -> bool:
+    """A body that is only a docstring or `...`."""
+    return all(isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+               for stmt in func.body)
+
+
+def test_every_parameter_is_read():
+    """Every parameter of a package function, nested ones and methods
+    included, is read in its body.  Stub bodies are exempt, and so is a
+    method's `self` or `cls`, which it takes whether it reads it or not."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or _is_stub(func):
+                continue
+            args = func.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      args.vararg, *args.kwonlyargs,
+                                      args.kwarg) if a is not None]
+            read = {sub.id for stmt in func.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{func.name}.{p}" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert sorted(set(unread) - UNREAD_PARAMETERS) == []
