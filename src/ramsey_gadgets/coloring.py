@@ -63,18 +63,18 @@ class EdgeColoring:
 
 @dataclass(frozen=True)
 class ColorPattern:
-    """Partition of an edge set into q (possibly empty) classes."""
+    """Partition of an edge set into q (possibly empty) classes, given as
+    sequences of edge ids and kept as frozensets."""
     graph: Graph
     classes: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for cls_ in self.classes:
-            if cls_ & seen:
-                raise GraphError("pattern classes overlap")
-            seen |= cls_
-        if seen != set(range(self.graph.num_edges)):
-            raise GraphError("pattern classes do not cover the edge set")
+        ids = [e for cls_ in self.classes for e in cls_]
+        if len(set(ids)) != len(ids):
+            raise GraphError("classes repeat an edge id")
+        if set(ids) != set(range(self.graph.num_edges)):
+            raise GraphError("classes must cover the graph's edge ids exactly")
+        object.__setattr__(self, "classes", tuple(map(frozenset, self.classes)))
 
     @property
     def q(self) -> int:
@@ -189,5 +189,5 @@ class PatternFamily:
         base = Graph.from_json(data.get("base"))
         members = decode_json(tuple[tuple[tuple[int, ...], ...], ...],
                               data.get("members"), "pattern family members")
-        return cls(base, tuple(ColorPattern(base, tuple(map(frozenset, m)))
-                               for m in members), data.get("mode", EXACT))
+        return cls(base, tuple(ColorPattern(base, m) for m in members),
+                   data.get("mode", EXACT))

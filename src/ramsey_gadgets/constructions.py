@@ -6,10 +6,12 @@ targets supplied via a seed graph.  The three share one path,
 `_abundance_recipe`: a pattern gadget over k disjoint copies of a base
 block, then one new vertex joined to each block's attachment points;
 each recipe supplies only its base, patterns, attachment points and
-checks.  Also builds the sender-free verifiable pieces: the clique
-coloring ladder (each edge colored by the base-(t-1) digits of its
-ends), the star arrowing predicate, the degree-one counting check, and
-the pendant-cycle example for the 3-edge path.
+checks.  The pattern gadget's family check is the only target-freeness
+check of the patterns: a copy of a connected target lies in one block.
+Also builds the sender-free verifiable pieces: the clique coloring
+ladder (each edge colored by the base-(t-1) digits of its ends), the
+star arrowing predicate, the degree-one counting check, and the
+pendant-cycle example for the 3-edge path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
 from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
                        pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
-                      _Assembly, build_pattern_gadget)
+                      _Assembly, _gadget_distance, build_pattern_gadget)
 from .graph import (Graph, GraphError, InternalError, clique_with_pendant,
                     complete_graph, cycle_graph, distance, from_edges,
                     graphs_isomorphic, is_k_connected, matching_graph,
@@ -307,8 +309,6 @@ def build_cycle_abundant(q: int, t: int, k: int, provider: SenderProvider,
     h = cycle_graph(t)
     f, pair_paths = _cycle_base(q, t)
     f1, f2 = _cycle_patterns(q, f, pair_paths)
-    if not PatternFamily(f, (f1, f2)).all_h_free(h):
-        raise InternalError("base pattern is not target-free")
     # the low-degree vertex of each block is joined to its hubs
     return _abundance_recipe(h, q, k, f, (f1,), f2, range(q + 1), provider,
                              d, budget)
@@ -332,8 +332,6 @@ def build_ktk2_abundant(t: int, k: int, provider: SenderProvider,
         c2[c * clique_m] = 2
     f1 = pattern_of(f, EdgeColoring.from_map(q, c1))
     f2 = pattern_of(f, EdgeColoring.from_map(q, c2))
-    if not PatternFamily(f, (f1, f2)).all_h_free(h):
-        raise InternalError("base pattern is not target-free")
 
     pendants, clique_edges = [], []
 
@@ -444,20 +442,18 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
             q, {j: colors_by_seed_eid[keep[j]] for j in range(len(keep))}))
 
     # a per-edge coloring survives removing its own edge plus the marked
-    # one, but never the marked one alone; re-verify both claims
+    # one (its verified F4 witness is such an extension), but never the
+    # marked one alone; re-verify that second claim
     specials = []
     for g_eid in g_edges:
         part_seed = {eid: witnesses[g_eid][eid] for eid in keep}
-        partial = EdgeColoring.from_map(q, part_seed)
-        for drops, expect in (({he, g_eid}, True), ({he}, False)):
-            ext = extendable(f, partial, h, q,
-                             instance=_avoiding(inst, drops))
-            if ext.verdict == UNKNOWN:
-                raise BudgetExhausted("extension re-check undecided")
-            if ext.extendable != expect:
-                raise InternalError(
-                    "derived coloring fails its extension "
-                    f"contract for edge {g_eid}")
+        ext = extendable(f, EdgeColoring.from_map(q, part_seed), h, q,
+                         instance=_avoiding(inst, {he}))
+        if ext.verdict == UNKNOWN:
+            raise BudgetExhausted("extension re-check undecided")
+        if ext.extendable:
+            raise InternalError("derived coloring fails its extension "
+                                f"contract for edge {g_eid}")
         specials.append(local_pattern(part_seed))
     f2 = local_pattern({eid: witnesses[he][eid] for eid in keep})
 
@@ -513,10 +509,8 @@ def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
     whole base."""
     if t < 3 or q < 2:
         raise GraphError("need clique size >= 3 and q >= 2")
-    if d is None:
-        d = t + 1
-    if d <= t:
-        raise GraphError("distance parameter must exceed the clique size")
+    h = complete_graph(t)
+    d = _gadget_distance(h, d)
     if base_pattern is None:
         base = complete_graph(_ladder_order(q, t))
         base_pattern = pattern_of(base, phi_coloring(q, t))
@@ -524,7 +518,6 @@ def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
         base = base_pattern.graph
         if base_pattern.q != q:
             raise GraphError("base pattern has wrong color count")
-    h = complete_graph(t)
     if not base_pattern.is_h_free(h):
         raise GraphError("base pattern must be clique-free")
 

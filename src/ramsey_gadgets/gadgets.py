@@ -19,7 +19,7 @@ from math import comb
 from typing import ClassVar, Optional, Protocol, Sequence, get_type_hints
 
 from . import graph6
-from .arrowing import (ARROWS, DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
+from .arrowing import (DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
                        Budget, BudgetExhausted, arrows, extendable)
 from .coloring import (ColorPattern, EdgeColoring, PatternFamily, _mono_copy,
                        pattern_of)
@@ -196,7 +196,10 @@ def make_stub_sender(h: Graph, q: int, d: int, polarity: str) -> SenderSpec:
 def string_senders(senders: Sequence[SenderSpec]) -> SenderSpec:
     """Chain senders by identifying consecutive signal edges.  All but
     the last must be positive; the result's polarity is the last one's
-    and its distance claim is the sum of the members' claims."""
+    and its distance claim is the sum of the members' claims.  A chain
+    of two or more is unverified (a stub when every member is one): a
+    copy of the target can straddle a glued edge's two ends, so S1 need
+    not survive the gluing, and only `verify_sender` can decide it."""
     if not senders:
         raise GraphError("nothing to string")
     first = senders[0]
@@ -217,9 +220,8 @@ def string_senders(senders: Sequence[SenderSpec]) -> SenderSpec:
         res = compose(g, s.graph, {gu: hu, gv: hv})
         g = res.graph
         f_id = res.edge_map[s.f]
-    status = _worst_status({s.status for s in senders})
-    if status not in (STATUS_FULL, STATUS_STUB):
-        status = STATUS_UNVERIFIED    # only full members give the semantics
+    status = (STATUS_STUB if all(s.status == STATUS_STUB for s in senders)
+              else STATUS_UNVERIFIED)
     return SenderSpec(g, e_id, f_id, senders[-1].polarity, first.h, first.q,
                       sum(s.d for s in senders), status)
 
@@ -463,6 +465,16 @@ def _promote(spec, prop):
     return spec
 
 
+def _gadget_distance(h: Graph, d: Optional[int]) -> int:
+    """A gadget's distance parameter: v(h)+1 unless given, and above v(h).
+    A sender's d is a claim that S3 checks, so senders take any d >= 1."""
+    if d is None:
+        return h.n + 1
+    if d <= h.n:
+        raise GraphError("distance parameter must exceed the target order")
+    return d
+
+
 def _pick_base_edges(h: Graph) -> tuple[int, int]:
     """Two starting-copy edges; the first must not be a pendant edge
     (both its endpoints need degree >= 2), matching the constraint for
@@ -551,8 +563,7 @@ def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
                     d: Optional[int] = None) -> IndicatorSpec:
     if q < 2:
         raise GraphError("need q >= 2")
-    if d is None:
-        d = h.n + 1
+    d = _gadget_distance(h, d)
     if f.num_edges < 2:
         raise GraphError("indicator subgraph needs at least 2 edges")
     _check_indicator_preconditions(h, f)
@@ -732,28 +743,19 @@ def build_gni(h: Graph, f: Graph, g: Graph,
               partition: Sequence[Sequence[int]], q: int,
               provider: SenderProvider,
               d: Optional[int] = None) -> GNISpec:
-    """Rainbow-forcing gadget: when the subgraph f is monochromatic,
-    the declared classes of g must each be monochromatic and use all
-    remaining colors."""
+    """Rainbow-forcing gadget: when the subgraph f is monochromatic, the
+    classes of g (checked as a `ColorPattern` of g) must each be
+    monochromatic and use all remaining colors."""
     if q < 2:
         raise GraphError("need q >= 2")
-    if d is None:
-        d = h.n + 1
-    if d <= h.n:
-        raise GraphError("distance parameter must exceed the target order")
+    d = _gadget_distance(h, d)
     if len(partition) != q - 1:
         raise GraphError(f"partition must have exactly {q - 1} classes")
-    seen: set[int] = set()
-    for cls in partition:
-        if seen & set(cls):
-            raise GraphError("partition classes overlap")
-        seen |= set(cls)
-    if seen != set(range(g.num_edges)):
-        raise GraphError("partition must cover the g edges exactly")
+    pattern = ColorPattern(g, tuple(partition))
     if f.num_edges >= h.num_edges and enumerate_copies(f, h):
         raise GraphError("subgraph f must not contain the target")
-    if any(len(cls) >= h.num_edges for cls in partition) and not ColorPattern(
-            g, tuple(map(frozenset, partition))).is_h_free(h):
+    if any(len(cls) >= h.num_edges for cls in pattern.classes) and \
+            not pattern.is_h_free(h):
         raise GraphError("a declared class of g contains the target")
 
     asm = _Assembly(disjoint_union(
@@ -912,25 +914,19 @@ def choose_r(q: int, t_patterns: int) -> int:
 def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
                          provider: SenderProvider, d: Optional[int] = None,
                          budget: Budget = NO_BUDGET) -> PatternGadgetSpec:
-    if d is None:
-        d = h.n + 1
+    d = _gadget_distance(h, d)
     if len(family) == 0:
         raise GraphError("pattern family must be nonempty")
     if family.base.num_edges != g.num_edges:
         raise GraphError("family is not over the given base graph")
-    # one copy list serves both checks; none in time leaves them unknown
+    if any(m.q != q for m in family.members):
+        raise GraphError("family pattern has wrong color count")
+    # a target-free member is a free coloring of g: g does not force h
     inst = ArrowInstance.create(g, h, q, budget)
-    if any(_mono_copy(inst.copies or (), m.to_coloring())
-           for m in family.members):
+    if inst.copies is None:
+        raise BudgetExhausted("family check undecided")
+    if any(_mono_copy(inst.copies, m.to_coloring()) for m in family.members):
         raise GraphError("every family pattern must be target-free")
-    for m in family.members:
-        if m.q != q:
-            raise GraphError("family pattern has wrong color count")
-    res = arrows(inst)
-    if res.verdict == ARROWS:
-        raise GraphError("base graph must not force the target")
-    if res.verdict == UNKNOWN:
-        raise BudgetExhausted("base graph check undecided")
 
     t = len(family)
     r = choose_r(q, t)

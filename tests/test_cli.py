@@ -288,6 +288,25 @@ def test_verify_sender_rejects_k6(tmp_path, capsys):
     assert outcomes["S1"] == "fail"
 
 
+def test_partition_repeating_an_edge_exits_usage(capsys):
+    assert main(["construct", "gni", "--target", "K3", "--subgraph", "P3",
+                 "--classes-graph", "K2", "--partition", "[[0, 0]]"]) == 3
+    assert "repeat an edge id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "indicator", "--target", "K3", "--subgraph", "P3"],
+    ["construct", "pattern-gadget", "--target", "K3", "--base", "C4",
+     "--patterns", "[[[0, 1], [1, 2], [2, 1], [3, 2]]]"],
+])
+def test_gadget_distance_must_exceed_the_target_order(argv, capsys):
+    # senders keep any d >= 1; a gadget's d must exceed v(K3) = 3
+    for d in ("1", "2", "3"):
+        assert main(argv + ["--d", d]) == 3, d
+        assert "must exceed the target order" in capsys.readouterr().err
+    assert main(argv + ["--d", "4"]) == 0
+
+
 def test_construct_and_verify_indicator(tmp_path, capsys):
     path = tmp_path / "indicator.json"
     code, _ = run(capsys, "construct", "indicator", "--target", "K3",

@@ -6,10 +6,12 @@ from conftest import nx_copies
 
 from ramsey_gadgets import arrowing, coloring, gadgets, graph
 from ramsey_gadgets import (EXACT, ARROWS, Budget, EdgeColoring, GraphError,
-                            StubSenderProvider, ThreeConnectedSeed,
+                            PatternFamily, StubSenderProvider,
+                            ThreeConnectedSeed,
                             ArrowInstance, arrows, build_3connected_abundant,
                             build_clique_gtilde, build_cycle_abundant,
-                            build_ktk2_abundant, check_seed, clique_ladder,
+                            build_ktk2_abundant, build_pattern_gadget,
+                            check_seed, clique_ladder,
                             complete_graph, cycle_graph, clique_with_pendant,
                             default_three_connected_seed, disjoint_union,
                             enumerate_copies, graphs_isomorphic, is_minimal,
@@ -380,19 +382,34 @@ def test_pattern_family_enumerates_once_per_graph(monkeypatch):
     assert calls.count(recipe.family.base) == 1
 
 
-@pytest.mark.parametrize("build, count", [
-    (lambda: build_cycle_abundant(2, 5, 3, STUB), 5),
-    (lambda: build_ktk2_abundant(3, 2, STUB), 4),
+def _two_pattern_k3_gadget():
+    c4 = cycle_graph(4)
+    alt = pattern_of(c4, EdgeColoring.from_map(2, {0: 1, 1: 2, 2: 1, 3: 2}))
+    adj = pattern_of(c4, EdgeColoring.from_map(2, {0: 1, 1: 1, 2: 2, 3: 2}))
+    build_pattern_gadget(complete_graph(3), c4,
+                         PatternFamily(c4, (alt, adj), EXACT), 2, STUB)
+
+
+@pytest.mark.parametrize("build, searches, count", [
+    (lambda: build_cycle_abundant(2, 5, 3, STUB), 0, 4),
+    (lambda: build_ktk2_abundant(3, 2, STUB), 0, 3),
     (lambda: build_3connected_abundant(default_three_connected_seed(), 2,
-                                       STUB), 17),
+                                       STUB), 6, 17),
+    (_two_pattern_k3_gadget, 0, 1),
 ])
-def test_builds_enumerate_each_graph_target_pair_once(build, count,
+def test_builds_enumerate_each_graph_target_pair_once(build, searches, count,
                                                       monkeypatch):
     # each (graph, target) pair once: the family check reads the base
-    # instance's copies, and the seed's instance serves its re-check
+    # instance's copies, and the seed's instance serves its re-check; and
+    # each fact is searched once: the family check proves the base check,
+    # and a verified seed witness needs no second search
     calls = _count_enumerations(monkeypatch)
+    solves = []
+    real = arrowing._solve
+    monkeypatch.setattr(arrowing, "_solve",
+                        lambda *a, **k: solves.append(a) or real(*a, **k))
     build()
-    assert len(calls) == count
+    assert (len(solves), len(calls)) == (searches, count)
 
 
 # ---------------------------------------------------------------------------

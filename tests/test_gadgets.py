@@ -32,7 +32,7 @@ from ramsey_gadgets import (DOES_NOT_ARROW, EXACT, Budget, BudgetExhausted,
 from ramsey_gadgets import gadgets
 from ramsey_gadgets.gadgets import (EXHAUSTED, FAIL, NEGATIVE, PASS, POSITIVE,
                                     SKIPPED_STUB, STATUS_FULL, STATUS_STUB,
-                                    STATUS_STRUCTURAL)
+                                    STATUS_STRUCTURAL, STATUS_UNVERIFIED)
 
 K3 = complete_graph(3)
 P3 = path_graph(3)
@@ -170,6 +170,16 @@ def test_string_senders():
         string_senders([b, a])          # negative must come last
     with pytest.raises(GraphError):
         string_senders([])
+
+
+def test_chain_of_full_senders_is_unverified():
+    # gluing keeps no S1: a P4 copy straddles the glued edge's two ends
+    s = search_sender(path_graph(4), 2, 2, POSITIVE, max_order=6)
+    assert s.status == STATUS_FULL and s.graph.n == 6
+    chain = string_senders([s, s, s])
+    assert chain.status == STATUS_UNVERIFIED and chain.d == 6
+    assert verify_sender(chain).outcome_of("S1") == FAIL
+    assert string_senders([s]).status == STATUS_FULL
 
 
 # ---------------------------------------------------------------------------
