@@ -97,12 +97,9 @@ class ColorPattern:
 
     def monochromatic_copy(self, h: Graph) -> Optional[tuple[int, ...]]:
         """The edge ids of the first monochromatic copy of h, or None."""
-        return _mono_copy(_copy_ids(self.graph, h), self.to_coloring())
-
-
-def _copy_ids(graph: Graph, h: Graph) -> list[tuple[int, ...]]:
-    """Every copy of h in graph, as its sorted edge ids."""
-    return [tuple(sorted(emb.edge_set)) for emb in enumerate_copies(graph, h)]
+        return _mono_copy([tuple(sorted(emb.edge_set))
+                           for emb in enumerate_copies(self.graph, h)],
+                          self.to_coloring())
 
 
 def _mono_copy(copy_list, coloring: EdgeColoring) -> Optional[tuple[int, ...]]:
@@ -169,12 +166,6 @@ class PatternFamily:
             key = pattern.as_partition()
             return any(key == m.as_partition() for m in self.members)
         return any(patterns_isomorphic(pattern, m) for m in self.members)
-
-    def all_h_free(self, h: Graph) -> bool:
-        """True iff no member has a monochromatic copy of h in the base."""
-        copies = _copy_ids(self.base, h)
-        return all(_mono_copy(copies, m.to_coloring()) is None
-                   for m in self.members)
 
     def to_json(self) -> dict:
         """The base graph once, and each member as its edge-id classes."""

@@ -427,6 +427,7 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     if k < 1:
         raise GraphError("need k >= 1")
     f, hv, he, h, q = seed.f, seed.v, seed.e, seed.h, seed.q
+    d = _gadget_distance(h, d)
     inst, witnesses = _check_seed(seed, budget)
 
     g_edges = [eid for eid in range(f.num_edges) if hv in f.edges[eid]]

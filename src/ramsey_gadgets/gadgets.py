@@ -417,22 +417,6 @@ class _Assembly:
         """Compose a disjoint copy of g; returns its host edge ids."""
         return self.builder.compose(g, {}, note=note).edge_map
 
-    def indicator(self, f: Graph, polarity: str) -> IndicatorSpec:
-        """A standalone indicator for f, with its senders' status noted; a
-        single-edge f degenerates to a bare sender."""
-        h, q, d = self.h, self.q, self.d
-        if f.num_edges >= 2:
-            ind = build_indicator(h, f, q, polarity, self.provider, d)
-        else:
-            s = self.provider.get(polarity, h, q, d)
-            ind = _promote(IndicatorSpec(
-                s.graph, s.graph.edges[s.e], (s.e,), s.f, polarity, h, q, d,
-                STATUS_UNVERIFIED, s.status,
-                {f"{polarity}_senders": 1, "one_edge_bases": 1}, None),
-                _indicator_i1)
-        self.statuses.add(ind.senders_status)
-        return ind
-
     def attach_copy(self, spec, ident: dict[int, int], key: str, note: str):
         """Compose a copy of a built gadget glued on by `ident`; its pieces
         and senders count towards this gadget, plus one `key`."""
@@ -455,6 +439,19 @@ class _Assembly:
         """(graph, senders_status, counts, manifest), in spec field order."""
         return (self.builder.graph, _worst_status(self.statuses),
                 dict(self.counts), self.builder.manifest)
+
+
+def _indicator(h: Graph, f: Graph, q: int, d: int, polarity: str,
+               provider: SenderProvider) -> IndicatorSpec:
+    """A standalone indicator for f; a single-edge f degenerates to a bare
+    sender.  Its senders' status counts once a copy is attached."""
+    if f.num_edges >= 2:
+        return build_indicator(h, f, q, polarity, provider, d)
+    s = provider.get(polarity, h, q, d)
+    return _promote(IndicatorSpec(
+        s.graph, s.graph.edges[s.e], (s.e,), s.f, polarity, h, q, d,
+        STATUS_UNVERIFIED, s.status,
+        {f"{polarity}_senders": 1, "one_edge_bases": 1}, None), _indicator_i1)
 
 
 def _promote(spec, prop):
@@ -487,17 +484,6 @@ def _pick_base_edges(h: Graph) -> tuple[int, int]:
 def _is_cycle(h: Graph) -> bool:
     return h.n >= 3 and h.num_edges == h.n and \
         all(d == 2 for d in h.degrees()) and h.is_connected()
-
-
-def _check_indicator_preconditions(h: Graph, f: Graph):
-    if h.num_edges < 2:
-        raise GraphError("target needs at least 2 edges")
-    if f.num_edges >= h.num_edges and enumerate_copies(f, h):
-        raise GraphError("indicator subgraph must not contain the target")
-    if _is_cycle(h) and girth(f) <= h.n:
-        raise GraphError(
-            f"cycle target of length {h.n} needs indicator subgraph of "
-            f"girth > {h.n}")
 
 
 def _attach_indicator_core(asm: _Assembly, f_eids: list[int]) -> int:
@@ -566,7 +552,14 @@ def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
     d = _gadget_distance(h, d)
     if f.num_edges < 2:
         raise GraphError("indicator subgraph needs at least 2 edges")
-    _check_indicator_preconditions(h, f)
+    if h.num_edges < 2:
+        raise GraphError("target needs at least 2 edges")
+    if f.num_edges >= h.num_edges and enumerate_copies(f, h):
+        raise GraphError("indicator subgraph must not contain the target")
+    if _is_cycle(h) and girth(f) <= h.n:
+        raise GraphError(
+            f"cycle target of length {h.n} needs indicator subgraph of "
+            f"girth > {h.n}")
     if polarity not in (POSITIVE, NEGATIVE):
         raise GraphError(f"unknown polarity {polarity!r}")
 
@@ -745,19 +738,28 @@ def build_gni(h: Graph, f: Graph, g: Graph,
               d: Optional[int] = None) -> GNISpec:
     """Rainbow-forcing gadget: when the subgraph f is monochromatic, the
     classes of g (checked as a `ColorPattern` of g) must each be
-    monochromatic and use all remaining colors."""
+    monochromatic and use all remaining colors.  Its indicators check f
+    and the target."""
     if q < 2:
         raise GraphError("need q >= 2")
     d = _gadget_distance(h, d)
     if len(partition) != q - 1:
         raise GraphError(f"partition must have exactly {q - 1} classes")
     pattern = ColorPattern(g, tuple(partition))
-    if f.num_edges >= h.num_edges and enumerate_copies(f, h):
-        raise GraphError("subgraph f must not contain the target")
     if any(len(cls) >= h.num_edges for cls in pattern.classes) and \
             not pattern.is_h_free(h):
         raise GraphError("a declared class of g contains the target")
+    return _promote(_gni(h, f, g, partition, q, provider, d,
+                         _indicator(h, f, q, d, NEGATIVE, provider),
+                         _indicator(h, matching_graph(2), q, d, POSITIVE,
+                                    provider)), _gni_gi1)
 
+
+def _gni(h: Graph, f: Graph, g: Graph, partition: Sequence[Sequence[int]],
+         q: int, provider: SenderProvider, d: int, neg_ind: IndicatorSpec,
+         pair_ind: IndicatorSpec) -> GNISpec:
+    """The rainbow gadget from its standalone indicators (for f and for a
+    2-edge matching); the caller checks it and sets its status."""
     asm = _Assembly(disjoint_union(
         f.relabel({v: f"F{v}" for v in range(f.n)}),
         g.relabel({v: f"G{v}" for v in range(g.n)})),
@@ -767,15 +769,12 @@ def build_gni(h: Graph, f: Graph, g: Graph,
     g_vertices = tuple(range(f.n, f.n + g.n))
     g_classes = tuple(tuple(e + f.num_edges for e in cls) for cls in partition)
 
-    m_edges = []
-    p_edges = []
-    for k in range(q - 1):
-        m_edges.append(asm.fresh(matching_graph(q), f"matching M_{k + 1}"))
-        p_edges.append(asm.fresh(matching_graph(2), f"matching P_{k + 1}"))
+    m_edges, p_edges = zip(*[
+        (asm.fresh(matching_graph(q), f"matching M_{k + 1}"),
+         asm.fresh(matching_graph(2), f"matching P_{k + 1}"))
+        for k in range(q - 1)])
     e_k = tuple(p[0] for p in p_edges)
 
-    neg_ind = asm.indicator(f, NEGATIVE)
-    pair_ind = asm.indicator(matching_graph(2), POSITIVE)
     for k in range(q - 1):
         for m in m_edges[k]:
             asm.attach_indicator(neg_ind, f_vertices, m, "negative_indicators",
@@ -798,10 +797,9 @@ def build_gni(h: Graph, f: Graph, g: Graph,
                                  f"positive indicator P_{k + 1} -> class")
 
     graph, senders_status, counts, manifest = asm.finish()
-    return _promote(GNISpec(
-        graph, f_vertices, f_eids, g_vertices, g_classes, h, q, d,
-        tuple(m_edges), tuple(p_edges), e_k, STATUS_UNVERIFIED,
-        senders_status, counts, manifest), _gni_gi1)
+    return GNISpec(graph, f_vertices, f_eids, g_vertices, g_classes, h, q, d,
+                   m_edges, p_edges, e_k, STATUS_UNVERIFIED, senders_status,
+                   counts, manifest)
 
 
 def _gni_gi1(spec: GNISpec) -> PropertyResult:
@@ -914,6 +912,10 @@ def choose_r(q: int, t_patterns: int) -> int:
 def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
                          provider: SenderProvider, d: Optional[int] = None,
                          budget: Budget = NO_BUDGET) -> PatternGadgetSpec:
+    """Base graph g, a matching M, and per r-subset of M positive
+    indicators onto its pattern's last class and one rainbow gadget for
+    the rest.  The family check covers every class, so the rainbow
+    gadgets share two indicators, built with the first one needed."""
     d = _gadget_distance(h, d)
     if len(family) == 0:
         raise GraphError("pattern family must be nonempty")
@@ -944,7 +946,7 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
     m_eids = asm.fresh(matching_graph(m_size), "pattern matching M")
 
     sub_f = matching_graph(r)
-    pos_ind = asm.indicator(sub_f, POSITIVE)
+    pos_ind = _indicator(h, sub_f, q, d, POSITIVE, provider)
     gni_cache: dict[int, tuple] = {}
 
     for sub, pat_idx in surjection:
@@ -962,13 +964,18 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
             asm.counts["gni_skipped_empty"] += 1
             continue
         if pat_idx not in gni_cache:
+            if not gni_cache:   # the first rainbow gadget: build its pieces
+                neg_ind = _indicator(h, sub_f, q, d, NEGATIVE, provider)
+                pair_ind = _indicator(h, matching_graph(2), q, d, POSITIVE,
+                                      provider)
             sub_g = g.edge_induced(rest)
             vert_list = sorted(g.edge_vertices(rest))
             local_pos = {e: i for i, e in enumerate(rest)}
             sub_partition = [
                 sorted(local_pos[e] for e in cls)
                 for cls in pattern.classes[:q - 1]]
-            gni = build_gni(h, sub_f, sub_g, sub_partition, q, provider, d)
+            gni = _gni(h, sub_f, sub_g, sub_partition, q, provider, d,
+                       neg_ind, pair_ind)
             gni_cache[pat_idx] = (gni, vert_list)
         gni, vert_list = gni_cache[pat_idx]
         ident = dict(zip(gni.f_vertices, host_f))

@@ -390,26 +390,46 @@ def _two_pattern_k3_gadget():
                          PatternFamily(c4, (alt, adj), EXACT), 2, STUB)
 
 
-@pytest.mark.parametrize("build, searches, count", [
-    (lambda: build_cycle_abundant(2, 5, 3, STUB), 0, 4),
-    (lambda: build_ktk2_abundant(3, 2, STUB), 0, 3),
-    (lambda: build_3connected_abundant(default_three_connected_seed(), 2,
-                                       STUB), 6, 17),
-    (_two_pattern_k3_gadget, 0, 1),
-])
-def test_builds_enumerate_each_graph_target_pair_once(build, searches, count,
-                                                      monkeypatch):
-    # each (graph, target) pair once: the family check reads the base
-    # instance's copies, and the seed's instance serves its re-check; and
-    # each fact is searched once: the family check proves the base check,
-    # and a verified seed witness needs no second search
-    calls = _count_enumerations(monkeypatch)
+def _count_solves(monkeypatch) -> list:
     solves = []
     real = arrowing._solve
     monkeypatch.setattr(arrowing, "_solve",
                         lambda *a, **k: solves.append(a) or real(*a, **k))
+    return solves
+
+
+@pytest.mark.parametrize("build, searches, count, indicators", [
+    (lambda: build_cycle_abundant(2, 5, 3, STUB), 0, 1, 3),
+    (lambda: build_ktk2_abundant(3, 2, STUB), 0, 1, 3),
+    (lambda: build_3connected_abundant(default_three_connected_seed(), 2,
+                                       STUB), 6, 5, 3),
+    (_two_pattern_k3_gadget, 0, 1, 3),
+], ids=["cycle", "ktk2", "3connected", "two_pattern_k3"])
+def test_builds_enumerate_each_graph_target_pair_once(build, searches, count,
+                                                      indicators, monkeypatch):
+    # each (graph, target) pair once: the family check reads the base
+    # instance's copies, and the seed's instance serves its re-check; each
+    # fact is searched once: the family check proves the base check, and
+    # a verified seed witness needs no second search; and the rainbow
+    # gadgets share their indicators, whose classes the family check
+    # already covered
+    calls = _count_enumerations(monkeypatch)
+    solves = _count_solves(monkeypatch)
+    built = []
+    real = gadgets.build_indicator
+    monkeypatch.setattr(gadgets, "build_indicator",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
     build()
-    assert (len(solves), len(calls)) == (searches, count)
+    assert (len(solves), len(calls), len(built)) == (searches, count,
+                                                     indicators)
+
+
+def test_3connected_checks_distance_before_searching(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    with pytest.raises(GraphError, match="must exceed the target order"):
+        build_3connected_abundant(default_three_connected_seed(), 1, STUB,
+                                  d=3)
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------

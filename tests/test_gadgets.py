@@ -355,6 +355,8 @@ def test_gni_partition_validation():
         build_gni(K3, P3, g, [[0, 1], [1]], 3, STUB)    # overlap
     with pytest.raises(GraphError):
         build_gni(K3, P3, g, [[0, 1]], 3, STUB)         # wrong class count
+    with pytest.raises(GraphError, match="must not contain the target"):
+        build_gni(P3, P3, single_edge(), [[0]], 2, STUB)   # f contains it
 
 
 def test_verify_gni_stub_skips():
@@ -404,13 +406,20 @@ def test_pattern_gadget_structure(q):
     assert spec.manifest.replay().edges == spec.graph.edges
 
 
-def test_pattern_gadget_single_pattern_q2_needs_no_rainbow_gadget():
+def test_pattern_gadget_single_pattern_q2_needs_no_rainbow_gadget(
+        monkeypatch):
     c4 = cycle_graph(4)
     mono2 = pattern_of(c4, EdgeColoring.from_map(2, {e: 2 for e in range(4)}))
     family = PatternFamily(c4, (mono2,), EXACT)
+    built = []
+    real = gadgets.build_indicator
+    monkeypatch.setattr(gadgets, "build_indicator",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
     spec = build_pattern_gadget(K3, c4, family, 2, STUB)
-    # every edge sits in the last class: only positive indicators remain
+    # every edge sits in the last class: only positive indicators remain,
+    # one-edge ones (r = 1), and no rainbow gadget's indicators are built
     assert spec.counts.get("gni_copies", 0) == 0
+    assert built == []
     assert spec.counts["gni_skipped_empty"] == len(spec.surjection)
 
 
