@@ -24,8 +24,11 @@ again: the copies in the host minus some edges are the host's copies
 that avoid them (`_avoiding`), and the copies inside an edge set are
 those it contains; `coloring._mono_copy` tests a coloring against that
 list.  `minimalize`, the seed conditions, the GNI verifier and the
-pattern gadget's family check work this way; `is_minimal` still builds
-one instance per edge-deleted subgraph unless the edge is in no copy.
+pattern gadget's family check work this way.  A refutation also names
+its support, the copies it used (`ArrowResult.support`): every
+subgraph that keeps them arrows, so minimality searches only the edges
+they cover, and `is_minimal` builds one instance per edge-deleted
+subgraph for those edges only.
 """
 
 from __future__ import annotations
@@ -138,6 +141,10 @@ class ArrowResult:
     verdict: str
     witness: Optional[EdgeColoring]
     stats: SearchStats
+    # on `arrows`, the copies (edge-id tuples) the refutation used: they
+    # arrow on their own, so does every subgraph that keeps them; empty
+    # on any other verdict
+    support: tuple[tuple[int, ...], ...] = ()
 
     @property
     def arrows(self) -> bool:
@@ -354,19 +361,29 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     it stopped unless that found a coloring.  Only the exhaustive search
     can show that no coloring exists.
 
+    Every color removal notes the copy that made it, whether it leaves
+    a color or empties the domain (a conflict): one store in `used`.
+    Each inference of a refutation comes from a noted copy, and the
+    symmetry breaking holds for any set of copies, since each copy
+    forbids every color; so the same search tree refutes the noted
+    copies alone (an unsatisfiable core: Zhang & Malik, SAT 2003).
+
     Returns (status, assignment, nodes, flips, propagations,
-    backtracks): status True with a total assignment dict, False when no
-    coloring exists, or None on budget exhaustion.  `nodes` counts
-    decisions, `flips` local-search recolorings, `propagations` the
-    assignments made by unit propagation and `backtracks` the restores
-    from a checkpoint; `max_nodes` bounds nodes plus flips, `deadline`
-    (a `time.monotonic()` value) the clock.
+    backtracks, support): status True with a total assignment dict,
+    False when no coloring exists, or None on budget exhaustion.
+    `nodes` counts decisions, `flips` local-search recolorings,
+    `propagations` the assignments made by unit propagation and
+    `backtracks` the restores from a checkpoint; `max_nodes` bounds
+    nodes plus flips, `deadline` (a `time.monotonic()` value) the clock.
+    `support` is empty unless status is False; then it holds the noted
+    copies in `copy_list` order (a one-edge copy alone, if there is
+    one), which with the same `fixed` colors have no free coloring.
     """
     q1 = q + 1
     full = (1 << q1) - 2                      # bits 1..q
     sizes = {len(es) for es in copy_list}
-    if 1 in sizes:
-        return False, None, 0, 0, 0, 0        # a one-edge copy forbids all colors
+    if 1 in sizes:                            # a one-edge copy forbids all colors
+        return False, None, 0, 0, 0, 0, (min(copy_list, key=len),)
     (k,) = sizes or {2}                       # every copy has the target's k edges
     inc = [0] * num_edges                     # bit ci: copy ci contains e
     for ci, es in enumerate(copy_list):
@@ -392,10 +409,13 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
     dom = [full] * num_edges
     trail: list[int] = []           # e: assigned; ~(e << q1 | 1 << c): c removed
     queue: list[int] = []           # unassigned edges with one color left
+    used = [False] * len(copy_list)           # copy ci removed a color
     max_used = nodes = flips = propagations = backtracks = 0
 
     def result(status, found=None):
-        return status, found, nodes, flips, propagations, backtracks
+        support = () if status is not False else tuple(
+            es for es, u in zip(copy_list, used) if u)
+        return status, found, nodes, flips, propagations, backtracks, support
 
     def assign(e: int, c: int) -> bool:
         """Color e with c, then run unit propagation to its fixpoint;
@@ -429,6 +449,7 @@ def _solve(num_edges: int, q: int, copy_list, fixed: dict[int, int],
                     continue
                 dom[f] = d ^ (1 << c)
                 trail.append(~(f << q1 | 1 << c))
+                used[ci] = True
                 if q > 2:                       # f goes from s colors to s - 1
                     s = d.bit_count()
                     bit = 1 << rank[f]
@@ -529,20 +550,21 @@ def verify_witness(instance: ArrowInstance, coloring: EdgeColoring) -> bool:
 def _verified_search(instance: ArrowInstance, fixed: dict[int, int],
                      found: str, exhausted: str):
     """The search core on the instance with the `fixed` colors: (verdict,
-    re-verified witness or None, stats).  The verdict is `found` for an
-    H-free coloring, `exhausted` if none exists, unknown past the budget."""
+    re-verified witness or None, stats, support).  The verdict is `found`
+    for an H-free coloring, `exhausted` if none exists, unknown past the
+    budget; the support is `_solve`'s, empty unless `exhausted`."""
     if instance.budget.expired():
-        return UNKNOWN, None, _NO_SEARCH
-    status, payload, *counts = _solve(
+        return UNKNOWN, None, _NO_SEARCH, ()
+    status, payload, *counts, support = _solve(
         instance.host.num_edges, instance.q, instance.copies, fixed,
         instance.budget.max_nodes, instance.budget.deadline)
     stats = SearchStats(*counts)
     if status is not True:
-        return (UNKNOWN if status is None else exhausted), None, stats
+        return (UNKNOWN if status is None else exhausted), None, stats, support
     witness = EdgeColoring.from_map(instance.q, payload)
     if not verify_witness(instance, witness):
         raise InternalError("witness failed re-verification")
-    return found, witness, stats
+    return found, witness, stats, support
 
 
 def arrows(instance: ArrowInstance) -> ArrowResult:
@@ -566,7 +588,7 @@ def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
     cert = _mono_copy(instance.copies, partial)
     if cert is not None:
         return ExtendResult(NOT_EXTENDABLE, None, cert, _NO_SEARCH)
-    verdict, witness, stats = _verified_search(
+    verdict, witness, stats, _ = _verified_search(
         instance, partial.as_dict(), EXTENDABLE, NOT_EXTENDABLE)
     return ExtendResult(verdict, witness, None, stats)
 
@@ -597,16 +619,17 @@ def is_minimal(g: Graph, target: Graph, q: int,
                budget: Budget = NO_BUDGET) -> MinimalityResult:
     """Arrows, and no single-edge-deleted subgraph does (isolated
     vertices are dropped since they never affect arrowing).  An edge in
-    no copy of the target is removable with no search: G - e keeps every
-    copy, so it arrows when G does.  Every other G - e is an instance
-    that enumerates its own copies, on the clock the first one started."""
+    no copy of G's support (`ArrowResult.support`) is removable with no
+    search: G - e keeps the copies that refute G, so it arrows.  Every
+    other G - e is an instance that enumerates its own copies, on the
+    clock the first one started."""
     inst = ArrowInstance.create(g, target, q, budget)
-    base = arrows(inst).verdict
-    if base == UNKNOWN:
+    base = arrows(inst)
+    if base.verdict == UNKNOWN:
         return MinimalityResult(UNKNOWN, detail="base arrowing unknown")
-    if base == DOES_NOT_ARROW:
+    if base.verdict == DOES_NOT_ARROW:
         return MinimalityResult(NOT_MINIMAL, detail="graph does not arrow")
-    covered = {e for es in inst.copies for e in es}
+    covered = {e for es in base.support for e in es}
     for eid in range(g.num_edges):
         if eid not in covered:
             verdict = ARROWS
@@ -626,22 +649,28 @@ def minimalize(g: Graph, target: Graph, q: int,
     """Greedily delete removable edges, lowest edge id first, until the
     graph is minimal.  Returns (graph, verdict); verdict is unknown if
     a budget ran out mid-way (the partial result is still arrowing).
-    The copies are enumerated once: each check filters them."""
+    The copies are enumerated once: each check filters them.  The last
+    refutation's support (`ArrowResult.support`) avoids every deleted
+    edge, so an edge in none of its copies is deleted with no search."""
     inst = ArrowInstance.create(g, target, q, budget)
-    base = arrows(inst).verdict
-    if base == UNKNOWN:
+    res = arrows(inst)
+    if res.verdict == UNKNOWN:
         return g, UNKNOWN
-    if base == DOES_NOT_ARROW:
+    if res.verdict == DOES_NOT_ARROW:
         raise GraphError("minimalize requires an arrowing graph")
     dropped: set[int] = set()
     verdict = MINIMAL
+    covered = {e for es in res.support for e in es}
     for eid in range(g.num_edges):
-        sub = arrows(_avoiding(inst, dropped | {eid})).verdict
-        if sub == UNKNOWN:
-            verdict = UNKNOWN
-            break
-        if sub == ARROWS:
-            dropped.add(eid)
+        if eid in covered:
+            sub = arrows(_avoiding(inst, dropped | {eid}))
+            if sub.verdict == UNKNOWN:
+                verdict = UNKNOWN
+                break
+            if sub.verdict != ARROWS:
+                continue
+            covered = {e for es in sub.support for e in es}
+        dropped.add(eid)
     return g.delete_edges(dropped).without_isolated(), verdict
 
 

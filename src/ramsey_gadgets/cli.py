@@ -137,7 +137,9 @@ def cmd_arrow(args) -> int:
     inst = ArrowInstance.create(host, target, args.q, args.budget)
     res = arrows(inst)
     payload = {"verdict": res.verdict, **_counters(res.stats),
-               "copies": None if inst.copies is None else len(inst.copies)}
+               "copies": None if inst.copies is None else len(inst.copies),
+               "support_copies": len(res.support)
+               if res.verdict == ARROWS else None}
     if res.witness is not None:
         payload["witness"] = res.witness.to_json()
     if getattr(args, "dimacs_out", None) and inst.copies is not None:

@@ -318,6 +318,46 @@ def test_edge_in_no_copy_is_removable_without_search(monkeypatch):
     assert len(calls) == 1
 
 
+def test_edge_outside_the_support_is_removable_without_search(monkeypatch):
+    # a triangle hung on vertex 0 of a K6, its edges first: it is a copy,
+    # but the refutation of K6 ->2 K3 never touches it
+    host = from_edges(8, [(0, 6), (0, 7), (6, 7)]
+                      + list(itertools.combinations(range(6), 2)))
+    k3 = complete_graph(3)
+    inst = ArrowInstance.create(host, k3, 2)
+    assert (0, 1, 2) in inst.copies
+    assert all(e > 2 for es in arrows(inst).support for e in es)
+    calls = []
+    create = ArrowInstance.create
+    monkeypatch.setattr(ArrowInstance, "create",
+                        lambda *args: calls.append(args) or create(*args))
+    res = is_minimal(host, k3, 2)
+    assert (res.verdict, res.removable_edge, res.detail) == (
+        NOT_MINIMAL, 0, "edge 0 is removable")
+    assert len(calls) == 1
+
+
+def test_minimalize_searches_only_support_edges(monkeypatch):
+    # 29 searches and 2666 decisions when every edge was searched
+    decisions = []
+    solve = arrowing._solve
+
+    def spy(*args):
+        found = solve(*args)
+        decisions.append(found[2])
+        return found
+
+    monkeypatch.setattr(arrowing, "_solve", spy)
+    g, verdict = minimalize(complete_graph(8), cycle_graph(4), 2)
+    assert verdict == MINIMAL and g == complete_graph(6)
+    assert (len(decisions), sum(decisions)) == (17, 828)
+
+
+def test_one_edge_copy_is_the_whole_support():
+    res = arrows(ArrowInstance.create(path_graph(3), single_edge(), 2))
+    assert (res.verdict, res.support) == (ARROWS, ((0,),))
+
+
 def test_minimalize_star():
     g, verdict = minimalize(star_graph(7), star_graph(3), 2)
     assert verdict == MINIMAL
@@ -533,6 +573,28 @@ def test_wide_copies_match_naive_oracle(data):
         assert free_of(found, copies)
     if m <= FREE_EDGES[q]:
         assert arrows(inst).verdict == naive_arrows(host, target, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_support_arrows_on_its_own(data):
+    # the copies a refutation used arrow without the others; a witness
+    # or an unknown names none
+    q = data.draw(st.sampled_from([2, 3]))
+    host = small_host(data, q)
+    target = data.draw(st.sampled_from(TARGETS))
+    budget = Budget(max_nodes=data.draw(st.sampled_from([None, 1, 4])))
+    inst = ArrowInstance.create(host, target, q, budget)
+    res = arrows(inst)
+    if res.verdict != ARROWS:
+        assert res.support == ()
+        return
+    assert set(res.support) <= set(inst.copies)
+    assert arrowing._solve(host.num_edges, q, res.support, {},
+                           None, None)[0] is False
+    if host.num_edges <= FREE_EDGES[q]:
+        assert not free_extension_exists(host, target, q, {},
+                                         list(res.support))
 
 
 @settings(max_examples=120, deadline=None)

@@ -37,6 +37,15 @@ def test_arrow_refuted_with_checkable_witness(capsys):
     assert verify_witness(inst, witness)
 
 
+def test_arrow_report_counts_support_copies(capsys):
+    # K6 ->2 K3: the refutation uses all 20 triangles; no other verdict
+    # has a support
+    for argv, count in ((["--host", "K6"], 20), (["--host", "K5"], None),
+                        (["--host", "K6", "--max-nodes", "2"], None)):
+        code, report = run(capsys, "arrow", *argv, "--target", "K3")
+        assert report["support_copies"] == count
+
+
 def test_color_exit_codes(capsys):
     assert run(capsys, "color", "--host", "K5", "--target", "K3")[0] == 0
     assert run(capsys, "color", "--host", "K6", "--target", "K3")[0] == 1
