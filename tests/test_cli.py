@@ -42,7 +42,7 @@ def test_arrow_report_counts_support_copies(capsys):
     # has a support
     for argv, count in ((["--host", "K6"], 20), (["--host", "K5"], None),
                         (["--host", "K6", "--max-nodes", "2"], None)):
-        code, report = run(capsys, "arrow", *argv, "--target", "K3")
+        _, report = run(capsys, "arrow", *argv, "--target", "K3")
         assert report["support_copies"] == count
 
 
