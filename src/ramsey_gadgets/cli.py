@@ -407,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     # sender search (--senders search) runs under the budget flags
     build = argparse.ArgumentParser(add_help=False, parents=[budget])
     build.add_argument("--senders", default="stub",
-                       help="stub | search | path to a sender JSON list")
+                       help="stub | search (the bundled corpus is too "
+                       "small for a gadget's d) | path to a sender JSON list")
     build.add_argument("--max-order", type=int, default=6,
                        help="corpus order cap for sender search")
     build.add_argument("--d", type=int, default=None,

@@ -157,15 +157,13 @@ def p4_abundant(k: int) -> Graph:
 @dataclass
 class AbundanceRecipe:
     """A pattern gadget over k disjoint base blocks, plus one low-degree
-    vertex attached to each block's interface set."""
-    h: Graph
-    q: int
+    vertex attached to each block's interface set.  The target, color
+    count and family are the gadget's."""
     k: int
     graph: Graph
     w_sets: tuple[tuple[int, ...], ...]          # interface vertices per block
     v_vertices: tuple[int, ...]                  # the added low-degree vertices
     expected_degree: int
-    family: PatternFamily
     gadget: PatternGadgetSpec
     manifest: ConstructionManifest
     extras: dict = field(default_factory=dict)
@@ -177,8 +175,8 @@ class AbundanceRecipe:
     def to_json(self) -> dict:
         return {
             "kind": "abundance_recipe",
-            "target": self.h.to_json(),
-            "q": self.q,
+            "target": self.gadget.h.to_json(),
+            "q": self.gadget.q,
             "k": self.k,
             "graph": self.graph.to_json(),
             "vertices": self.graph.n,
@@ -186,7 +184,7 @@ class AbundanceRecipe:
             "low_degree_vertices": list(self.v_vertices),
             "expected_degree": self.expected_degree,
             "degrees_ok": self.degrees_ok(),
-            "family_size": len(self.family),
+            "family_size": len(self.gadget.family),
             "senders_status": self.gadget.senders_status,
             "gadget_status": self.gadget.status,
         }
@@ -250,10 +248,10 @@ def _abundance_recipe(h: Graph, q: int, k: int, base: Graph,
             note=f"degree-{len(points)} vertex for block {i + 1}"))
         if per_block is not None:
             per_block(builder, i, w_hosts)
-    return AbundanceRecipe(h, q, k, builder.graph,
+    return AbundanceRecipe(k, builder.graph,
                            tuple(tuple(sorted(w)) for w in hosts),
-                           tuple(v_vertices), len(points),
-                           family, gadget, builder.manifest)
+                           tuple(v_vertices), len(points), gadget,
+                           builder.manifest)
 
 
 def _cycle_base(q: int, t: int):

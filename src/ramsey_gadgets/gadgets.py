@@ -486,67 +486,56 @@ def _is_cycle(h: Graph) -> bool:
         all(d == 2 for d in h.degrees()) and h.is_connected()
 
 
-def _attach_indicator_core(asm: _Assembly, f_eids: list[int]) -> int:
-    """Recursively attach a positive indicator for the host edges f_eids
-    onto the assembly's graph; returns the fresh indicator edge id."""
+def _indicate_pair(asm: _Assembly, f1: int, f2: int) -> int:
+    """The two-edge base: attach a positive indicator for the host edges
+    f1 and f2 onto the assembly's graph; returns its fresh indicator edge."""
     h, q = asm.h, asm.q
-    if len(f_eids) == 1:
-        # one-edge subgraph: the indicator degenerates to a sender
-        s = asm.sender(POSITIVE)
-        eu, ev = s.graph.edges[s.e]
-        hf = asm.builder.edges[f_eids[0]]
-        res = asm.builder.compose(s.graph, {eu: hf[0], ev: hf[1]},
-                                  note="positive sender as one-edge indicator")
-        asm.counts["one_edge_bases"] += 1
-        return res.edge_map[s.f]
-
-    if len(f_eids) == 2:
-        f1, f2 = f_eids
-        if q == 2:
-            asm.counts["base_q2"] += 1
-            asm.counts["start_copies"] += 1
-            h0 = asm.fresh(h, "starting copy")
-            e1_idx, e2_idx = _pick_base_edges(h)
-            e, = asm.fresh(single_edge(), "indicator edge")
-            for i, g_eid in enumerate(h0):
-                if i not in (e1_idx, e2_idx):
-                    asm.attach_sender(NEGATIVE, f1, g_eid)
-            asm.attach_sender(NEGATIVE, f2, h0[e2_idx])
-            asm.attach_sender(POSITIVE, h0[e1_idx], e)
-            return e
-
-        asm.counts["base_qgt2"] += 1
-        m_edges = asm.fresh(matching_graph(q - 1), "base matching")
-        # q-1 starting copies sharing exactly the indicator edge
+    if q == 2:
+        asm.counts["base_q2"] += 1
+        asm.counts["start_copies"] += 1
+        h0 = asm.fresh(h, "starting copy")
+        e1_idx, e2_idx = _pick_base_edges(h)
         e, = asm.fresh(single_edge(), "indicator edge")
-        eu, ev = asm.builder.edges[e]
-        shared = h.edges[0]
-        copies = []
-        for i in range(q - 1):
-            asm.counts["start_copies"] += 1
-            res = asm.builder.compose(h, {shared[0]: eu, shared[1]: ev},
-                                      note=f"starting copy {i + 1}")
-            copies.append(res.edge_map)
-        for i in range(q - 2):
-            asm.attach_sender(NEGATIVE, f1, m_edges[i])
-        asm.attach_sender(NEGATIVE, f2, m_edges[q - 2])
-        for i, j in combinations(range(q - 1), 2):
-            asm.attach_sender(NEGATIVE, m_edges[i], m_edges[j])
-        for i in range(q - 1):
-            for g_eid in copies[i]:
-                if g_eid != e:
-                    asm.attach_sender(POSITIVE, m_edges[i], g_eid)
+        for i, g_eid in enumerate(h0):
+            if i not in (e1_idx, e2_idx):
+                asm.attach_sender(NEGATIVE, f1, g_eid)
+        asm.attach_sender(NEGATIVE, f2, h0[e2_idx])
+        asm.attach_sender(POSITIVE, h0[e1_idx], e)
         return e
 
-    # induction: split off the highest edge, indicate the rest, then the pair
-    asm.counts["recursive_steps"] += 1
-    e_prime = _attach_indicator_core(asm, f_eids[:-1])
-    return _attach_indicator_core(asm, [f_eids[-1], e_prime])
+    asm.counts["base_qgt2"] += 1
+    m_edges = asm.fresh(matching_graph(q - 1), "base matching")
+    # q-1 starting copies sharing exactly the indicator edge
+    e, = asm.fresh(single_edge(), "indicator edge")
+    eu, ev = asm.builder.edges[e]
+    shared = h.edges[0]
+    copies = []
+    for i in range(q - 1):
+        asm.counts["start_copies"] += 1
+        res = asm.builder.compose(h, {shared[0]: eu, shared[1]: ev},
+                                  note=f"starting copy {i + 1}")
+        copies.append(res.edge_map)
+    for i in range(q - 2):
+        asm.attach_sender(NEGATIVE, f1, m_edges[i])
+    asm.attach_sender(NEGATIVE, f2, m_edges[q - 2])
+    for i, j in combinations(range(q - 1), 2):
+        asm.attach_sender(NEGATIVE, m_edges[i], m_edges[j])
+    for i in range(q - 1):
+        for g_eid in copies[i]:
+            if g_eid != e:
+                asm.attach_sender(POSITIVE, m_edges[i], g_eid)
+    return e
 
 
 def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
                     provider: SenderProvider,
                     d: Optional[int] = None) -> IndicatorSpec:
+    """An indicator for f (at least two edges): when f is monochromatic
+    its edge e must take f's color (positive) or another one (negative).
+    The positive core is a left fold of the two-edge base: it indicates
+    f's edges 0 and 1, then each further edge together with the previous
+    indicator edge (counted as `recursive_steps`).  A negative indicator
+    adds one negative sender from that core's edge to a fresh edge."""
     if q < 2:
         raise GraphError("need q >= 2")
     d = _gadget_distance(h, d)
@@ -565,7 +554,11 @@ def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
 
     asm = _Assembly(f.relabel({v: f"F{v}" for v in range(f.n)}),
                     "indicator subgraph", h, q, d, provider)
-    e = _attach_indicator_core(asm, list(range(f.num_edges)))
+    if f.num_edges > 2:
+        asm.counts["recursive_steps"] = f.num_edges - 2
+    e = _indicate_pair(asm, 0, 1)
+    for f_eid in range(2, f.num_edges):
+        e = _indicate_pair(asm, f_eid, e)
     if polarity == NEGATIVE:
         e_prime = e
         e, = asm.fresh(single_edge(), "negative indicator edge")
@@ -915,7 +908,8 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
     """Base graph g, a matching M, and per r-subset of M positive
     indicators onto its pattern's last class and one rainbow gadget for
     the rest.  The family check covers every class, so the rainbow
-    gadgets share two indicators, built with the first one needed."""
+    gadgets share two indicators, built with the first one needed; for
+    r = 2 the pair indicator is the positive one."""
     d = _gadget_distance(h, d)
     if len(family) == 0:
         raise GraphError("pattern family must be nonempty")
@@ -966,8 +960,8 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
         if pat_idx not in gni_cache:
             if not gni_cache:   # the first rainbow gadget: build its pieces
                 neg_ind = _indicator(h, sub_f, q, d, NEGATIVE, provider)
-                pair_ind = _indicator(h, matching_graph(2), q, d, POSITIVE,
-                                      provider)
+                pair_ind = pos_ind if r == 2 else _indicator(
+                    h, matching_graph(2), q, d, POSITIVE, provider)
             sub_g = g.edge_induced(rest)
             vert_list = sorted(g.edge_vertices(rest))
             local_pos = {e: i for i, e in enumerate(rest)}
@@ -1071,6 +1065,8 @@ def check_robust(outer: Graph, inner_vertices: Sequence[int], h: Graph,
     """
     if s_max < 0:
         raise GraphError("s_max must be non-negative")
+    if h.num_edges == 0:
+        raise GraphError("target must have edges")
     inner = sorted(set(inner_vertices))
     for v in inner:
         if not (0 <= v < outer.n):

@@ -353,6 +353,28 @@ def test_minimalize_searches_only_support_edges(monkeypatch):
     assert (len(decisions), sum(decisions)) == (17, 828)
 
 
+def test_minimalize_out_of_budget_keeps_an_arrowing_graph(monkeypatch):
+    # K6 with a pendant edge first: the base search arrows, the pendant
+    # edge lies in no triangle and goes with no search, and the budget
+    # runs out at the next search
+    host = from_edges(7, [(0, 6), *complete_graph(6).edges])
+    solve = arrowing._solve
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            return None, None, 0, 0, 0, 0, ()
+        return solve(*args)
+
+    monkeypatch.setattr(arrowing, "_solve", spy)
+    g, verdict = minimalize(host, complete_graph(3), 2)
+    assert (verdict, len(calls)) == (UNKNOWN, 2)
+    assert g == complete_graph(6)
+    monkeypatch.undo()
+    assert run(g, complete_graph(3)).verdict == ARROWS
+
+
 def test_one_edge_copy_is_the_whole_support():
     res = arrows(ArrowInstance.create(path_graph(3), single_edge(), 2))
     assert (res.verdict, res.support) == (ARROWS, ((0,),))

@@ -4,13 +4,14 @@ import pytest
 
 from ramsey_gadgets import (ArrowInstance, ConstructionManifest, EdgeColoring,
                             GNISpec, IndicatorSpec, PatternGadgetSpec,
-                            StubSenderProvider, build_3connected_abundant,
-                            build_indicator, complete_graph,
-                            default_three_connected_seed, make_stub_sender,
-                            path_graph, read_graph_file, verify_witness)
+                            StubSenderProvider, arrows,
+                            build_3connected_abundant, build_indicator,
+                            complete_graph, default_three_connected_seed,
+                            make_stub_sender, path_graph, read_graph_file,
+                            to_dimacs, verify_witness)
 from ramsey_gadgets import arrowing, cli
 from ramsey_gadgets.cli import main
-from ramsey_gadgets.gadgets import POSITIVE, SenderSpec
+from ramsey_gadgets.gadgets import NEGATIVE, POSITIVE, SenderSpec
 from ramsey_gadgets.graph import MAX_ORDER
 
 
@@ -424,6 +425,81 @@ def test_verify_robust_cli(capsys):
                        "--inner", "0,2", "--target", "K3")
     assert code == 1
     assert any(r["outcome"] == "fail" for r in report["results"])
+
+
+@pytest.mark.parametrize("target", ["K0", "K1"])
+def test_verify_robust_rejects_a_target_with_no_edges(target, capsys):
+    # once exit 4 (IndexError) for K0 and exit 0 for K1
+    assert main(["verify", "robust", "--graph", "K3", "--inner", "0,1",
+                 "--target", target]) == 3
+    assert "target must have edges" in capsys.readouterr().err
+
+
+def test_arrow_writes_its_cnf(tmp_path, capsys):
+    path = tmp_path / "k5.cnf"
+    code, report = run(capsys, "arrow", "--host", "K5", "--target", "K3",
+                       "--dimacs-out", str(path))
+    assert code == 1
+    inst = ArrowInstance.create(complete_graph(5), complete_graph(3), 2)
+    assert path.read_text() == to_dimacs(inst)
+
+
+def test_check_minimal_names_a_removable_edge(capsys):
+    code, report = run(capsys, "check-minimal", "--host", "K7",
+                       "--target", "K3")
+    assert (code, report["verdict"]) == (1, "not_minimal")
+    rest = complete_graph(7).delete_edge(report["edge"])
+    assert arrows(ArrowInstance.create(rest, complete_graph(3), 2)).verdict \
+        == "arrows"
+
+
+def test_construct_and_verify_pattern_gadget(tmp_path, capsys):
+    path = tmp_path / "gadget.json"
+    assert main(["construct", "pattern-gadget", "--target", "K3",
+                 *SPEC_COMMANDS["pattern-gadget"][1], "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, report = run(capsys, "verify", "pattern-gadget", "--spec",
+                       str(path))
+    assert code == 0
+    outcomes = {r["name"]: r["outcome"] for r in report["results"]}
+    assert outcomes == {"P1": "pass", "P2": "skipped_stub",
+                        "P3": "skipped_stub"}
+
+
+def test_search_sender_finding_nothing_exits_refuted(capsys):
+    # every graph of order <= 5 with a far enough pair forces K3 or
+    # breaks S2
+    code, report = run(capsys, "search-sender", "--target", "K3",
+                       "--max-order", "5")
+    assert (code, report["found"]) == (1, False)
+
+
+def test_verify_out_of_budget_exits_unknown(capsys):
+    code, report = run(capsys, "verify", "sender", "--graph", "K6",
+                       "--target", "K3", "--e", "0", "--f", "14",
+                       "--max-nodes", "1")
+    assert code == 2
+    outcomes = {r["name"]: r["outcome"] for r in report["results"]}
+    assert outcomes == {"S3": "pass", "S1": "budget_exhausted",
+                        "S2": "budget_exhausted"}
+
+
+def test_senders_from_a_file(tmp_path, capsys):
+    k3 = complete_graph(3)
+    path = tmp_path / "senders.json"
+    argv = ["construct", "indicator", "--target", "K3", "--subgraph", "P3",
+            "--senders", str(path)]
+    path.write_text(json.dumps([make_stub_sender(k3, 2, 4, pol).to_json()
+                                for pol in (POSITIVE, NEGATIVE)]))
+    code, report = run(capsys, *argv)
+    assert code == 0
+    built = build_indicator(k3, path_graph(3), 2, POSITIVE,
+                            StubSenderProvider())
+    assert report["graph"] == built.graph.to_json()
+    path.write_text(json.dumps([make_stub_sender(k3, 2, 4,
+                                                 POSITIVE).to_json()]))
+    assert main(argv) == 3
+    assert "no negative sender available" in capsys.readouterr().err
 
 
 SPEC_COMMANDS = {

@@ -250,7 +250,7 @@ def test_cycle_recipe_structure():
     assert recipe.degrees_ok()
     assert recipe.expected_degree == 3              # q + 1
     assert len(recipe.v_vertices) == 2
-    assert len(recipe.family) == 2
+    assert len(recipe.gadget.family) == 2
     for v in recipe.v_vertices:
         assert recipe.graph.degree(v) == 3
     assert all(len(w) == 3 for w in recipe.w_sets)
@@ -268,11 +268,11 @@ def test_cycle_rejects_triangle_target():
 def test_ktk2_recipe_structure():
     t, k = 3, 2
     recipe = build_ktk2_abundant(t, k, STUB)
-    assert recipe.q == 2
-    assert graphs_isomorphic(recipe.h, clique_with_pendant(t))
+    assert recipe.gadget.q == 2
+    assert graphs_isomorphic(recipe.gadget.h, clique_with_pendant(t))
     assert recipe.degrees_ok()
     assert recipe.expected_degree == t - 1
-    assert len(recipe.family) == k
+    assert len(recipe.gadget.family) == k
     for v in recipe.v_vertices:
         assert recipe.graph.degree(v) == t - 1
     # marked vertices of each block form a clique; pendants attached
@@ -285,7 +285,8 @@ def test_ktk2_pattern_base_has_no_target_copy():
     # the pattern-gadget base (clique blocks before any interface
     # wiring) must be free of the clique-with-pendant target
     recipe = build_ktk2_abundant(4, 1, STUB)
-    assert not enumerate_copies(recipe.family.base, clique_with_pendant(4))
+    assert not enumerate_copies(recipe.gadget.family.base,
+                                clique_with_pendant(4))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +356,7 @@ def test_3connected_recipe_structure():
     recipe = build_3connected_abundant(default_three_connected_seed(), 2, STUB)
     assert recipe.degrees_ok()
     assert recipe.expected_degree == 2              # degree of v in C5
-    assert len(recipe.family) == 4
+    assert len(recipe.gadget.family) == 4
     # the desk-scale target is a path, so the size hypothesis flag is off
     assert recipe.extras["target_hypothesis_ok"] is False
     assert recipe.manifest.replay().edges == recipe.graph.edges
@@ -377,9 +378,9 @@ def _count_enumerations(monkeypatch) -> list:
 def test_pattern_family_enumerates_once_per_graph(monkeypatch):
     calls = _count_enumerations(monkeypatch)
     recipe = build_3connected_abundant(default_three_connected_seed(), 3, STUB)
-    assert len(recipe.family) == 6
+    assert len(recipe.gadget.family) == 6
     # the family check and the base check share one copy list
-    assert calls.count(recipe.family.base) == 1
+    assert calls.count(recipe.gadget.family.base) == 1
 
 
 def _two_pattern_k3_gadget():
@@ -399,11 +400,11 @@ def _count_solves(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("build, searches, count, indicators", [
-    (lambda: build_cycle_abundant(2, 5, 3, STUB), 0, 1, 3),
-    (lambda: build_ktk2_abundant(3, 2, STUB), 0, 1, 3),
+    (lambda: build_cycle_abundant(2, 5, 3, STUB), 0, 1, 2),
+    (lambda: build_ktk2_abundant(3, 2, STUB), 0, 1, 2),
     (lambda: build_3connected_abundant(default_three_connected_seed(), 2,
                                        STUB), 6, 5, 3),
-    (_two_pattern_k3_gadget, 0, 1, 3),
+    (_two_pattern_k3_gadget, 0, 1, 2),
 ], ids=["cycle", "ktk2", "3connected", "two_pattern_k3"])
 def test_builds_enumerate_each_graph_target_pair_once(build, searches, count,
                                                       indicators, monkeypatch):
@@ -412,7 +413,9 @@ def test_builds_enumerate_each_graph_target_pair_once(build, searches, count,
     # fact is searched once: the family check proves the base check, and
     # a verified seed witness needs no second search; and the rainbow
     # gadgets share their indicators, whose classes the family check
-    # already covered
+    # already covered; with r = 2 the positive indicator, for a 2-edge
+    # matching, is also the pair indicator (the 3-connected recipe has
+    # r = 3)
     calls = _count_enumerations(monkeypatch)
     solves = _count_solves(monkeypatch)
     built = []

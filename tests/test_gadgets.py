@@ -244,6 +244,15 @@ def test_verify_indicator_stub_skips():
     assert rep.ok
 
 
+def test_i1_fails_on_a_subgraph_that_is_not_induced():
+    # f's edges (0,1) and (0,2) span the triangle's third edge (1,2)
+    g = disjoint_union(K3, single_edge())
+    for f_eids, outcome in (((0, 1), FAIL), ((0, 1, 2), PASS)):
+        spec = IndicatorSpec(g, (0, 1, 2), f_eids, 3, POSITIVE, K3, 2, 1,
+                             senders_status=STATUS_STUB)
+        assert verify_indicator(spec).outcome_of("I1") == outcome
+
+
 def test_verify_indicator_rejects_fake():
     # subgraph and indicator edge with no machinery between them: the
     # edge is free to disobey, so I3 must fail with a counterexample
@@ -357,6 +366,8 @@ def test_gni_partition_validation():
         build_gni(K3, P3, g, [[0, 1]], 3, STUB)         # wrong class count
     with pytest.raises(GraphError, match="must not contain the target"):
         build_gni(P3, P3, single_edge(), [[0]], 2, STUB)   # f contains it
+    with pytest.raises(GraphError, match="class of g contains the target"):
+        build_gni(K3, P3, K3, [[0, 1, 2]], 2, STUB)     # a class holds it
 
 
 def test_verify_gni_stub_skips():
@@ -585,6 +596,14 @@ def test_check_robust_rejects_bad_vertices():
 def test_check_robust_rejects_negative_s_max():
     with pytest.raises(GraphError):
         check_robust(P3, [0, 2], K3, s_max=-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_check_robust_rejects_a_target_with_no_edges(n):
+    # K0 once raised IndexError, and K1 or three isolated vertices
+    # passed as robust
+    with pytest.raises(GraphError, match="target must have edges"):
+        check_robust(K3, [0, 1], Graph(n, ()))
 
 
 def robust_oracle(outer, inner, h, s_max) -> bool:

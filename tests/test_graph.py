@@ -253,10 +253,13 @@ def random_graph(data, n: int, m=None) -> Graph:
 
 
 # disconnected patterns and isolated pattern vertices included
+# the relabelled P4 places its symmetry condition's upper vertex (0 < 3)
+# after the lower one, so the candidate mask runs on the upper bound
 PATTERNS = [path_graph(3), path_graph(4), complete_graph(3), cycle_graph(4),
             star_graph(3), matching_graph(2), from_edges(4, [(1, 2), (2, 3)]),
             complete_graph(4), cycle_graph(5), clique_with_pendant(3),
-            complete_graph(4).delete_edge(0)]
+            complete_graph(4).delete_edge(0),
+            from_edges(4, [(0, 2), (1, 2), (1, 3)])]
 
 
 @settings(max_examples=150, deadline=None)
