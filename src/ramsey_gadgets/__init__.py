@@ -28,7 +28,7 @@ from .gadgets import (NEGATIVE, POSITIVE, FixedSenderProvider, GNISpec,
                       gni_expected_counts, make_stub_sender, search_sender,
                       string_senders, verify_gni, verify_indicator,
                       verify_pattern_gadget, verify_sender)
-from .graph import (Graph, GraphError, ComposeError, Embedding, InternalError,
+from .graph import (Graph, GraphError, ComposeError, InternalError,
                     compose, complete_graph, cycle_graph, clique_with_pendant,
                     disjoint_union, distance, edge_distance, enumerate_copies,
                     far_edge_pairs, from_edges, girth, graph_from_name,

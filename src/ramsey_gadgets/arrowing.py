@@ -110,7 +110,7 @@ class ArrowInstance:
     host: Graph
     target: Graph
     q: int
-    # distinct copies as sorted edge-id tuples; None when their
+    # `enumerate_copies`'s edge-id tuples, in its order; None when their
     # enumeration ran out of time, and every search is then unknown
     copies: Optional[tuple[tuple[int, ...], ...]]
     budget: Budget = NO_BUDGET
@@ -130,7 +130,7 @@ class ArrowInstance:
         if target.num_edges <= host.num_edges:
             found = enumerate_copies(host, target, budget.deadline)
             copies = None if found is None else tuple(
-                tuple(sorted(emb.edge_set)) for emb in found)
+                emb.edge_set for emb in found)
         if budget.expired():
             copies = None
         return cls(host, target, q, copies, budget)

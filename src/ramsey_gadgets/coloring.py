@@ -42,7 +42,7 @@ class EdgeColoring:
         return [e for e in range(graph.num_edges) if e not in have]
 
     def is_total(self, graph: Graph) -> bool:
-        return len(self.colors) == graph.num_edges
+        return sorted(e for e, _ in self.colors) == list(range(graph.num_edges))
 
     def restricted(self, eids: Iterable[int]) -> "EdgeColoring":
         keep = set(eids)
@@ -97,9 +97,8 @@ class ColorPattern:
 
     def monochromatic_copy(self, h: Graph) -> Optional[tuple[int, ...]]:
         """The edge ids of the first monochromatic copy of h, or None."""
-        return _mono_copy([tuple(sorted(emb.edge_set))
-                           for emb in enumerate_copies(self.graph, h)],
-                          self.to_coloring())
+        copies = enumerate_copies(self.graph, h)
+        return _mono_copy([emb.edge_set for emb in copies], self.to_coloring())
 
 
 def _mono_copy(copy_list, coloring: EdgeColoring) -> Optional[tuple[int, ...]]:

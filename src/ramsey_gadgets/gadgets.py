@@ -613,6 +613,7 @@ def _stub_report(subject: str, results: list, names: Sequence[str],
 
 def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
                  pass_detail: str = "", max_cases: Optional[int] = None,
+                 total: Optional[int] = None,
                  witnesses: Optional[list] = None) -> PropertyResult:
     """Decide one property by running `extendable` on each case, in order,
     against the shared instance and its one clock.
@@ -623,12 +624,11 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
     otherwise is a FAIL, with the extension as a "coloring"
     counterexample or the stuck case as a "partial" one.  An unknown case
     does not stop the loop; with no failure it makes the result
-    budget_exhausted, as does stopping after `max_cases` cases (then
-    `cases` must be sized, and the detail counts the cases covered) or
-    once the clock has run out.  Each extending case's witness is
-    appended to `witnesses` if given.
+    budget_exhausted, as does stopping after `max_cases` cases or once
+    the clock has run out.  `cases` may be lazy; given their number,
+    `total`, the details count the cases.  Each extending case's witness
+    is appended to `witnesses` if given.
     """
-    total = len(cases) if max_cases is not None else None
     covered = 0
     unknown = False
     for partial, fail_detail in cases:
@@ -651,7 +651,8 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
     if unknown:
         detail = "" if total is None else f"covered {covered} of {total} cases"
         return PropertyResult(name, EXHAUSTED, "search", detail)
-    return PropertyResult(name, PASS, "search", pass_detail)
+    return PropertyResult(name, PASS, "search", pass_detail if total is None
+                          else f"all {total} cases extend")
 
 
 def verify_indicator(spec: IndicatorSpec, budget: Budget = NO_BUDGET,
@@ -676,14 +677,20 @@ def verify_indicator(spec: IndicatorSpec, budget: Budget = NO_BUDGET,
         False))
 
     # every non-constant subgraph coloring leaves the edge free
-    cases = [({**dict(zip(spec.f_eids, assign)), spec.e: k},
+    assigns, count = _nonconstant(q, len(spec.f_eids))
+    cases = (({**dict(zip(spec.f_eids, assign)), spec.e: k},
               f"subgraph colors {assign} block edge color {k}")
-             for assign in product(range(1, q + 1), repeat=len(spec.f_eids))
-             if len(set(assign)) > 1
-             for k in range(1, q + 1)]
+             for assign in assigns for k in range(1, q + 1))
     results.append(_check_cases("I4", inst, cases, True,
-                                f"all {len(cases)} cases extend", max_cases))
+                                max_cases=max_cases, total=count * q))
     return VerificationReport("indicator", tuple(results))
+
+
+def _nonconstant(q: int, k: int):
+    """The colorings of k edges by 1..q with two colors or more (lazily,
+    in `product` order) and their number."""
+    return ((a for a in product(range(1, q + 1), repeat=k) if len(set(a)) > 1),
+            q ** k - q if k else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -842,21 +849,19 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
     # GI4: any non-constant subgraph coloring + any target-free coloring
     # of g extends; the copies inside g are the host copies within g_eids
     # (with no copies in time, every case is unknown)
-    g_eids = spec.g_eids
-    g_set = set(g_eids)
+    g_set = set(spec.g_eids)
     g_copies = [es for es in inst.copies or () if g_set.issuperset(es)]
-    g_sorted = sorted(g_eids)
-    phi_fs = [a for a in product(range(1, q + 1), repeat=len(spec.f_eids))
-              if len(set(a)) > 1]
-    phi_gs = [a for a in product(range(1, q + 1), repeat=len(g_eids))
+    g_sorted = sorted(g_set)
+    phi_fs, count = _nonconstant(q, len(spec.f_eids))
+    phi_gs = [a for a in product(range(1, q + 1), repeat=len(g_sorted))
               if _mono_copy(g_copies, EdgeColoring.from_map(
                   q, dict(zip(g_sorted, a)))) is None]
-    cases = [({**dict(zip(spec.f_eids, phi_f)), **dict(zip(g_sorted, phi_g))},
+    cases = (({**dict(zip(spec.f_eids, phi_f)), **dict(zip(g_sorted, phi_g))},
               f"subgraph colors {phi_f} with class coloring {phi_g} "
               "do not extend")
-             for phi_f in phi_fs for phi_g in phi_gs]
-    results.append(_check_cases("GI4", inst, cases, True,
-                                f"all {len(cases)} cases extend", max_cases))
+             for phi_f in phi_fs for phi_g in phi_gs)
+    results.append(_check_cases("GI4", inst, cases, True, max_cases=max_cases,
+                                total=count * len(phi_gs)))
     return VerificationReport("generalized_negative_indicator", tuple(results))
 
 
@@ -1021,11 +1026,11 @@ def verify_pattern_gadget(spec: PatternGadgetSpec,
     if p3.outcome == PASS and _is_clique_pendant(spec.h):
         # monochromatic clique copies touching the base graph must lie
         # inside it
-        gset = set(spec.g_vertices)
-        cliques = enumerate_copies(spec.graph, complete_graph(spec.h.n - 1),
+        gset, k = set(spec.g_vertices), spec.h.n - 1
+        cliques = enumerate_copies(spec.graph, complete_graph(k),
                                    inst.budget.deadline)
-        straddling = [emb.edge_map for emb in cliques or () if not (
-            gset.isdisjoint(emb.vertex_map) or gset.issuperset(emb.vertex_map))]
+        straddling = [emb.edge_set for emb in cliques or () if 0 < len(
+            gset & spec.graph.edge_vertices(emb.edge_set)) < k]
         special_ok = all(_mono_copy(straddling, w) is None for w in witnesses)
         p3 = replace(p3, outcome=EXHAUSTED if cliques is None else PASS,
                      detail=p3.detail + "; clique-copy containment flag " + (
@@ -1056,9 +1061,9 @@ def check_robust(outer: Graph, inner_vertices: Sequence[int], h: Graph,
     augmentation on the inner vertices plus min(s_max, v(h) - 1) new
     vertices decides the property: a violating copy keeps a vertex
     outside, so it needs at most v(h) - 1 new vertices.  As in
-    `enumerate_copies`, a copy is its edges and their endpoints.  A
-    counterexample gives the copy's vertices and the added edges it uses,
-    with its new vertices numbered from outer.n.
+    `enumerate_copies`, a copy is its edges.  A counterexample gives the
+    copy's vertices and the added edges it uses, with its new vertices
+    numbered from outer.n.
 
     `trials` and `seed` are accepted and ignored; they belonged to the
     randomized probe this check replaced.

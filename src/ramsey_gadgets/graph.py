@@ -11,7 +11,9 @@ conditions) is computed on first read and kept, so a graph that is only
 composed, replayed or serialized never builds it.  A graph keeps one
 bitset adjacency, `Graph.ranked`.  Traversals (distances, girth,
 connectivity) walk neighbour lists built for the call, so measuring a
-large sparse gadget graph never builds its n-bit bitsets.
+large sparse gadget graph never builds its n-bit bitsets.  A copy of a
+pattern is the increasing tuple of its host edge ids, the one form the
+search, the target-freeness test and refutation supports use.
 
 Construction runs at list speed.  `Graph` validates in bulk: the edge
 index is `dict(zip(edges, ids))` and a repeat shows as a shorter index,
@@ -502,10 +504,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
 
 @dataclass(frozen=True)
 class Embedding:
-    """An injective map from a pattern graph into a host graph."""
-    vertex_map: tuple[int, ...]           # pattern vertex -> host vertex
-    edge_map: tuple[int, ...]             # pattern edge id -> host edge id
-    edge_set: frozenset[int]              # host edge ids, dedup key
+    edge_set: tuple[int, ...]     # one copy: its host edge ids, increasing
 
 
 def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
@@ -615,38 +614,35 @@ def _symmetry_conditions(pattern: Graph) -> list[tuple[int, int]]:
 def enumerate_copies(host: Graph, pattern: Graph,
                      deadline: Optional[float] = None
                      ) -> Optional[list[Embedding]]:
-    """All distinct copies of `pattern` in `host`, one per edge set.
-    Isolated pattern vertices are ignored: a copy is determined by its
-    edges.  The search runs on `host.ranked`, the host relabelled by
-    increasing degree, so the symmetry conditions root each copy at its
-    lowest-degree vertex and the few high-degree vertices are placed
+    """All distinct copies of `pattern` in `host`.  A copy is its host
+    edge ids in increasing order (isolated pattern vertices are ignored),
+    and the copies come in increasing order, the order the search
+    branches in.  The search runs on `host.ranked`, the host relabelled
+    by increasing degree, so the symmetry conditions root each copy at
+    its lowest-degree vertex and the few high-degree vertices are placed
     last (Chiba & Nishizeki, SIAM J. Comput. 1985).  It meets
     `pattern.symmetry_conditions`, so it finds each copy exactly once; a
     second visit of one edge set is a bug and raises InternalError.
-    Deterministic order (sorted by edge set).  The `vertex_map` of a
-    copy is the one embedding of it whose ranks meet the conditions; it
-    maps isolated pattern vertices to -1.  None if the clock
-    (`time.monotonic`) passes `deadline` before the search ends."""
+    None if the clock (`time.monotonic`) passes `deadline` first."""
     if pattern.num_edges == 0:
         raise GraphError("pattern must have at least one edge")
     order, adj = host.ranked
-    found: dict[frozenset[int], Embedding] = {}
+    index = host._edge_index
+    found: list[tuple[int, ...]] = []
 
     def visit(image: dict) -> bool:
-        vmap = tuple(order[image[v]] if v in image else -1
-                     for v in range(pattern.n))
-        edge_ids = tuple(host.edge_id(vmap[u], vmap[v])
-                         for u, v in pattern.edges)
-        key = frozenset(edge_ids)
-        if key in found:
-            raise InternalError("symmetry breaking let a copy through twice")
-        found[key] = Embedding(vmap, edge_ids, key)
+        ends = [(order[image[u]], order[image[v]]) for u, v in pattern.edges]
+        found.append(tuple(sorted([index[(a, b) if a < b else (b, a)]
+                                   for a, b in ends])))
         return False
 
     if _embed(adj, pattern, [{}], visit, pattern.symmetry_conditions,
               deadline):
         return None
-    return [found[k] for k in sorted(found, key=sorted)]
+    found.sort()
+    if any(a == b for a, b in zip(found, islice(found, 1, None))):
+        raise InternalError("symmetry breaking let a copy through twice")
+    return [Embedding(ids) for ids in found]
 
 
 def graphs_isomorphic(a: Graph, b: Graph) -> bool:

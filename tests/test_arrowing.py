@@ -44,6 +44,16 @@ def test_witness_rejection():
     assert not verify_witness(inst, mono)
 
 
+def test_witness_must_color_exactly_the_host_edges():
+    # K3 arrows P3; with edge 2 uncolored and id 7 naming no edge, the
+    # two copies through edge 2 cannot be monochromatic, yet this is no
+    # coloring of K3
+    inst = ArrowInstance.create(complete_graph(3), path_graph(3), 2)
+    stray = EdgeColoring.from_map(2, {0: 1, 1: 2, 7: 1})
+    assert not stray.is_total(inst.host)
+    assert not verify_witness(inst, stray)
+
+
 @pytest.mark.parametrize("host,target,q", [
     (complete_graph(5), complete_graph(3), 2),
     (complete_graph(4), path_graph(3), 2),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import nx_copies
 
 from ramsey_gadgets import (DOES_NOT_ARROW, EXACT, Budget, BudgetExhausted,
-                            EdgeColoring, Graph, GraphError,
+                            EdgeColoring, GNISpec, Graph, GraphError,
                             IndicatorSpec, PatternFamily, PatternGadgetSpec,
                             SenderSpec, StubSenderProvider,
                             ThreeConnectedSeed, ArrowInstance,
@@ -524,6 +524,52 @@ def test_gi4_skips_class_colorings_with_a_target_copy():
     gi4 = verify_gni(spec).results[3]
     assert (gi4.name, gi4.outcome, gi4.detail) == \
         ("GI4", PASS, "all 144 cases extend")
+
+
+def test_gi3_fails_on_a_class_that_can_be_split():
+    # f is the path 0-1-2 and the one class {(0,2), (3,4)}: with f colored
+    # 1, coloring the class 1 (the palette case) or splitting it 1/2
+    # closes a monochromatic triangle, but the 2/1 split extends
+    graph = from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    spec = GNISpec(graph, (0, 1, 2), (0, 1), (0, 2, 3, 4), ((2, 3),), K3, 2,
+                   1, (), (), ())
+    gi3 = verify_gni(spec).results[2]
+    assert (gi3.name, gi3.outcome, gi3.detail) == \
+        ("GI3", FAIL, "class 1 can be split 2/1")
+    colors = dict(EdgeColoring.from_json(
+        2, gi3.counterexample["coloring"]).colors)
+    assert sorted(colors) == list(range(graph.num_edges))
+    assert {e: colors[e] for e in (0, 1, 2, 3)} == {0: 1, 1: 1, 2: 2, 3: 1}
+    assert not any(len({colors[e] for e in copy}) == 1
+                   for copy in nx_copies(graph, K3))
+
+
+def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
+    # a 15-edge subgraph has 2^15 - 2 non-constant colorings; out of
+    # time, the verifiers report the closed-form count without drawing
+    # more colorings than the cases they reach (at most max_cases)
+    drawn = []
+    product = gadgets.product
+
+    def counted(*args, **kwargs):
+        for item in product(*args, **kwargs):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(gadgets, "product", counted)
+    f = path_graph(16)
+    for spec, verify, name in (
+            (build_indicator(K3, f, 2, POSITIVE, STUB), verify_indicator,
+             "I4"),
+            (build_gni(K3, f, single_edge(), [[0]], 2, STUB), verify_gni,
+             "GI4")):
+        spec.senders_status = "unverified"
+        drawn.clear()
+        result = next(r for r in verify(spec, Budget(max_seconds=0.01)).results
+                      if r.name == name)
+        assert result.outcome == EXHAUSTED
+        assert result.detail.endswith(" of 65532 cases")
+        assert len(drawn) < 1000
 
 
 def _clique_pendant_gadget() -> PatternGadgetSpec:

@@ -240,8 +240,17 @@ def test_copy_counts(host, pattern, count):
 @pytest.mark.parametrize("pattern", [path_graph(3), complete_graph(3),
                                      cycle_graph(4), star_graph(3)])
 def test_copies_match_networkx(host, pattern):
-    ours = {e.edge_set for e in enumerate_copies(host, pattern)}
-    assert ours == nx_copies(host, pattern)
+    assert_copies_match_networkx(host, pattern)
+
+
+def assert_copies_match_networkx(host: Graph, pattern: Graph) -> list:
+    """The copies are networkx's, each its edge ids in increasing order,
+    in increasing order of those tuples: the order `_solve` branches in."""
+    copies = [emb.edge_set for emb in enumerate_copies(host, pattern)]
+    assert {frozenset(c) for c in copies} == nx_copies(host, pattern)
+    assert all(a < b for c in copies for a, b in zip(c, c[1:]))
+    assert all(a < b for a, b in zip(copies, copies[1:]))
+    return copies
 
 
 def random_graph(data, n: int, m=None) -> Graph:
@@ -267,13 +276,7 @@ PATTERNS = [path_graph(3), path_graph(4), complete_graph(3), cycle_graph(4),
 def test_random_copies_match_networkx(data):
     host = random_graph(data, data.draw(st.integers(1, 7)))
     pattern = data.draw(st.sampled_from(PATTERNS))
-    copies = enumerate_copies(host, pattern)
-    assert {e.edge_set for e in copies} == nx_copies(host, pattern)
-    assert len(copies) == len({e.edge_set for e in copies})
-    for emb in copies:
-        assert emb.edge_map == tuple(
-            host.edge_id(emb.vertex_map[u], emb.vertex_map[v])
-            for u, v in pattern.edges)
+    assert_copies_match_networkx(host, pattern)
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,14 +400,7 @@ def test_ranked_orders_by_degree_then_id():
 def test_copies_in_stub_gadgets_match_networkx(host, pattern):
     # hundreds of vertices, most of degree 2, a few hubs of degree 13-28
     assert host.n > 150 and max(host.degrees()) > 12
-    copies = enumerate_copies(host, pattern)
-    assert {e.edge_set for e in copies} == nx_copies(host, pattern)
-    assert len(copies) == len({e.edge_set for e in copies}) > 0
-    for emb in copies:
-        assert emb.edge_map == tuple(
-            host.edge_id(emb.vertex_map[u], emb.vertex_map[v])
-            for u, v in pattern.edges)
-        assert emb.edge_set == frozenset(emb.edge_map)
+    assert assert_copies_match_networkx(host, pattern)
 
 
 def test_symmetry_conditions_are_computed_once_per_pattern(monkeypatch):
