@@ -28,7 +28,10 @@ pattern gadget's family check work this way.  A refutation also names
 its support, the copies it used (`ArrowResult.support`): every
 subgraph that keeps them arrows, so minimality searches only the edges
 they cover, and `is_minimal` builds one instance per edge-deleted
-subgraph for those edges only.
+subgraph for those edges only.  When `minimalize` finds an edge
+needed, every later edge that an automorphism of the current graph maps
+onto it is needed too (deleting either leaves isomorphic graphs), now
+and after later deletions, so it is kept with no search.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import combinations
 from typing import Optional
 
 from .coloring import EdgeColoring, _mono_copy
-from .graph import Graph, GraphError, InternalError, enumerate_copies
+from .graph import Graph, GraphError, InternalError, _embed, enumerate_copies
 
 ARROWS = "arrows"
 DOES_NOT_ARROW = "does_not_arrow"
@@ -651,7 +654,13 @@ def minimalize(g: Graph, target: Graph, q: int,
     a budget ran out mid-way (the partial result is still arrowing).
     The copies are enumerated once: each check filters them.  The last
     refutation's support (`ArrowResult.support`) avoids every deleted
-    edge, so an edge in none of its copies is deleted with no search."""
+    edge, so an edge in none of its copies is deleted with no search.
+    When G - D - e has a free coloring, D the edges deleted so far, an
+    automorphism of G - D that maps e onto a later edge f makes
+    G - D - f isomorphic to it, so f is needed, and stays needed as D
+    grows: every such f is kept with no search (`_automorphic`).  The
+    result, the verdict and the order of deletions are those of
+    searching every edge."""
     inst = ArrowInstance.create(g, target, q, budget)
     res = arrows(inst)
     if res.verdict == UNKNOWN:
@@ -659,19 +668,47 @@ def minimalize(g: Graph, target: Graph, q: int,
     if res.verdict == DOES_NOT_ARROW:
         raise GraphError("minimalize requires an arrowing graph")
     dropped: set[int] = set()
+    kept: set[int] = set()
     verdict = MINIMAL
     covered = {e for es in res.support for e in es}
     for eid in range(g.num_edges):
+        if eid in kept:
+            continue
         if eid in covered:
             sub = arrows(_avoiding(inst, dropped | {eid}))
             if sub.verdict == UNKNOWN:
                 verdict = UNKNOWN
                 break
             if sub.verdict != ARROWS:
+                # an edge that an automorphism maps e onto is needed as e
+                # is, so it lies in the support
+                rest = g.delete_edges(dropped)
+                kept.update(f for f in covered if f > eid and f not in kept
+                            and _automorphic(rest, g.edges[eid], g.edges[f],
+                                             inst.budget))
                 continue
             covered = {e for es in sub.support for e in es}
         dropped.add(eid)
     return g.delete_edges(dropped).without_isolated(), verdict
+
+
+def _automorphic(g: Graph, e: tuple[int, int], f: tuple[int, int],
+                 budget: Budget) -> bool:
+    """Whether an automorphism of g maps the edge with ends `e` onto the
+    one with ends `f`: their sorted end degrees agree and one embedding
+    of g into itself pins e's ends on f's, either way round.  An
+    edge-preserving injection of a graph into itself is an automorphism
+    of its non-isolated part.  False once the budget's clock has run
+    out, since `_embed` then stops with True."""
+    deg = g._degrees
+    if sorted(deg[v] for v in e) != sorted(deg[v] for v in f):
+        return False
+    order, adj = g.ranked
+    rank = {v: r for r, v in enumerate(order)}
+    (u, v), (a, b) = e, f
+    starts = ({u: rank[a], v: rank[b]}, {u: rank[b], v: rank[a]})
+    return (_embed(adj, g, starts, lambda image: True, deadline=budget.deadline)
+            and not budget.expired())
 
 
 @dataclass(frozen=True)

@@ -853,9 +853,17 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
     g_copies = [es for es in inst.copies or () if g_set.issuperset(es)]
     g_sorted = sorted(g_set)
     phi_fs, count = _nonconstant(q, len(spec.f_eids))
-    phi_gs = [a for a in product(range(1, q + 1), repeat=len(g_sorted))
-              if _mono_copy(g_copies, EdgeColoring.from_map(
-                  q, dict(zip(g_sorted, a)))) is None]
+    phi_gs = []
+    for a in product(range(1, q + 1), repeat=len(g_sorted)):
+        if inst.budget.expired():
+            results.append(PropertyResult(
+                "GI4", EXHAUSTED, "search",
+                "covered 0 cases: out of time listing the class colorings"))
+            return VerificationReport("generalized_negative_indicator",
+                                      tuple(results))
+        if _mono_copy(g_copies, EdgeColoring.from_map(
+                q, dict(zip(g_sorted, a)))) is None:
+            phi_gs.append(a)
     cases = (({**dict(zip(spec.f_eids, phi_f)), **dict(zip(g_sorted, phi_g))},
               f"subgraph colors {phi_f} with class coloring {phi_g} "
               "do not extend")

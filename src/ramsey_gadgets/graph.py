@@ -450,7 +450,11 @@ def far_edge_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
     `combinations` order.  One BFS per edge e marks every vertex within
     distance d - 1 of e's endpoints; f qualifies when neither of its
     endpoints is marked, so an f out of e's reach (distance INFINITY)
-    qualifies too."""
+    qualifies too.  A connected graph with fewer than d + 3 vertices has
+    no pair: a shortest path between the near ends of two edges at
+    distance d has d + 1 vertices, and their far ends are two more."""
+    if g.n < d + 3 and g.is_connected():
+        return []
     nbrs = _neighbour_lists(g)
     pairs = []
     for e, ends in enumerate(g.edges):

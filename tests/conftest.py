@@ -47,13 +47,14 @@ def naive_is_minimal(g: Graph, target: Graph, q: int) -> bool:
         for e in range(g.num_edges))
 
 
-def naive_minimalize(g: Graph, target: Graph, q: int) -> Graph:
+def naive_minimalize(g: Graph, target: Graph, q: int,
+                     decide=naive_arrows) -> Graph:
     """Greedy deletion, lowest edge id first, each subgraph rebuilt and
-    decided by `naive_arrows`; g must arrow."""
+    decided by `decide` (`naive_arrows` by default); g must arrow."""
     i = 0
     while i < g.num_edges:
         sub = g.delete_edge(i)
-        if naive_arrows(sub, target, q) == ARROWS:
+        if decide(sub, target, q) == ARROWS:
             g = sub
         else:
             i += 1

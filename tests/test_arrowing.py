@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from conftest import (naive_arrows, naive_is_minimal, naive_minimalize,
 from ramsey_gadgets import arrowing
 from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             NO_BUDGET, UNKNOWN, ArrowInstance, Budget,
-                            BudgetExhausted, EdgeColoring, GraphError,
+                            BudgetExhausted, EdgeColoring, Graph, GraphError,
                             StubSenderProvider,
                             arrows, build_cycle_abundant, complete_graph,
                             cycle_graph, disjoint_union, extendable,
@@ -348,7 +349,9 @@ def test_edge_outside_the_support_is_removable_without_search(monkeypatch):
 
 
 def test_minimalize_searches_only_support_edges(monkeypatch):
-    # 29 searches and 2666 decisions when every edge was searched
+    # 29 searches and 2666 decisions when every edge was searched, 17 and
+    # 828 when only support edges were; the first needed edge of K6 now
+    # keeps its whole orbit, the other 14 edges, with no search
     decisions = []
     solve = arrowing._solve
 
@@ -360,7 +363,63 @@ def test_minimalize_searches_only_support_edges(monkeypatch):
     monkeypatch.setattr(arrowing, "_solve", spy)
     g, verdict = minimalize(complete_graph(8), cycle_graph(4), 2)
     assert verdict == MINIMAL and g == complete_graph(6)
-    assert (len(decisions), sum(decisions)) == (17, 828)
+    assert (len(decisions), sum(decisions)) == (3, 338)
+
+
+def _nx_graph(nxg) -> Graph:
+    return from_edges(nxg.number_of_nodes(), sorted(
+        (min(e), max(e)) for e in nxg.edges))
+
+
+@pytest.mark.parametrize("host, target", [
+    (complete_graph(6), complete_graph(3)),
+    (_nx_graph(nx.complete_bipartite_graph(3, 4)), path_graph(3)),
+    (_nx_graph(nx.complete_bipartite_graph(2, 5)), star_graph(3)),
+    (cycle_graph(7), path_graph(3)),
+    (_nx_graph(nx.circulant_graph(8, [1, 4])), path_graph(3)),
+    (_nx_graph(nx.petersen_graph()), path_graph(4)),
+], ids=["K6-K3", "K3,4-P3", "K2,5-K1,3", "C7-P3", "C8(1,4)-P3",
+        "Petersen-P4"])
+def test_minimalize_keeps_orbits_on_symmetric_hosts(monkeypatch, host,
+                                                      target):
+    # each needed edge's automorphism orbit is kept without a search:
+    # fewer searches find a free coloring than the result has edges,
+    # where searching every needed edge takes one for each
+    frees = []
+    solve = arrowing._solve
+
+    def spy(*args):
+        found = solve(*args)
+        frees.append(found[0] is True)
+        return found
+
+    monkeypatch.setattr(arrowing, "_solve", spy)
+    g, verdict = minimalize(host, target, 2)
+    assert sum(frees) < g.num_edges
+    monkeypatch.undo()
+    assert verdict == MINIMAL
+    # the rebuilt subgraphs, each searched
+    assert g == naive_minimalize(host, target, 2,
+                                 lambda h, t, q: run(h, t, q).verdict)
+
+
+def test_minimalize_keeps_no_orbit_once_the_clock_has_run_out(monkeypatch):
+    # `_embed` stops with True past its deadline; such a True must keep
+    # no edge, or the walk would call K6 minimal with no search left
+    embeds = []
+
+    def late(*args, deadline=None, **kwargs):
+        embeds.append(deadline)
+        while time.monotonic() <= deadline:
+            time.sleep(0.005)
+        return True
+
+    monkeypatch.setattr(arrowing, "_embed", late)
+    g, verdict = minimalize(complete_graph(8), cycle_graph(4), 2,
+                            Budget(max_seconds=0.3))
+    assert embeds and verdict == UNKNOWN
+    monkeypatch.undo()
+    assert run(g, cycle_graph(4)).verdict == ARROWS
 
 
 def test_minimalize_out_of_budget_keeps_an_arrowing_graph(monkeypatch):

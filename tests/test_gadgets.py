@@ -544,10 +544,8 @@ def test_gi3_fails_on_a_class_that_can_be_split():
                    for copy in nx_copies(graph, K3))
 
 
-def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
-    # a 15-edge subgraph has 2^15 - 2 non-constant colorings; out of
-    # time, the verifiers report the closed-form count without drawing
-    # more colorings than the cases they reach (at most max_cases)
+def counting_product(monkeypatch) -> list:
+    """Records each coloring the verifiers draw from `gadgets.product`."""
     drawn = []
     product = gadgets.product
 
@@ -557,6 +555,14 @@ def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
             yield item
 
     monkeypatch.setattr(gadgets, "product", counted)
+    return drawn
+
+
+def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
+    # a 15-edge subgraph has 2^15 - 2 non-constant colorings; out of
+    # time, the verifiers report the closed-form count without drawing
+    # more colorings than the cases they reach (at most max_cases)
+    drawn = counting_product(monkeypatch)
     f = path_graph(16)
     for spec, verify, name in (
             (build_indicator(K3, f, 2, POSITIVE, STUB), verify_indicator,
@@ -570,6 +576,18 @@ def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
         assert result.outcome == EXHAUSTED
         assert result.detail.endswith(" of 65532 cases")
         assert len(drawn) < 1000
+
+
+def test_gi4_reads_the_clock_while_listing_class_colorings(monkeypatch):
+    # one 16-edge matching class has 2^16 colorings to test for target
+    # copies before the first case; out of time, the scan stops early
+    # (one coloring takes microseconds, so 10 ms reach far fewer than 2^14)
+    drawn = counting_product(monkeypatch)
+    spec = build_gni(K3, P3, matching_graph(16), [list(range(16))], 2, STUB)
+    spec.senders_status = "unverified"
+    gi4 = verify_gni(spec, Budget(max_seconds=0.01)).results[3]
+    assert (gi4.name, gi4.outcome) == ("GI4", EXHAUSTED)
+    assert len(drawn) < 2 ** 14
 
 
 def _clique_pendant_gadget() -> PatternGadgetSpec:
