@@ -579,6 +579,9 @@ def arrows(instance: ArrowInstance) -> ArrowResult:
 def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
                budget: Budget = NO_BUDGET,
                instance: Optional[ArrowInstance] = None) -> ExtendResult:
+    """Whether `partial` extends to a coloring of `host` with no
+    monochromatic `target`.  A given `instance` must be the one of `host`,
+    `target` and `q`; it saves enumerating the copies again."""
     if partial.q != q:
         raise GraphError("partial coloring has wrong color count")
     for eid, _ in partial.colors:
@@ -586,6 +589,10 @@ def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
             raise GraphError(f"partial coloring mentions unknown edge {eid}")
     if instance is None:
         instance = ArrowInstance.create(host, target, q, budget)
+    elif (instance.host is not host and instance.host != host
+          or instance.target is not target and instance.target != target
+          or instance.q != q):
+        raise GraphError("instance is for another host, target or q")
     if instance.copies is None:
         return ExtendResult(UNKNOWN, None, None, _NO_SEARCH)
     cert = _mono_copy(instance.copies, partial)

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -265,17 +266,13 @@ def cmd_construct_p4(args) -> int:
     return EXIT_OK
 
 
-def cmd_construct_phi(args) -> int:
-    col = phi_coloring(args.q, args.t)
-    n = (args.t - 1) ** args.q
-    _emit(args, "construct phi", {"vertices": n, "coloring": col.to_json()})
-    return EXIT_OK
-
-
-def cmd_construct_psi(args) -> int:
-    col = psi_coloring(args.q, args.t)
-    n = (args.t - 1) ** args.q + 1
-    _emit(args, "construct psi", {"vertices": n, "coloring": col.to_json()})
+def cmd_construct_coloring(args, coloring, extra_vertices: int) -> int:
+    """`construct phi` and `construct psi`: psi colors the complete graph
+    on phi's vertices plus one."""
+    col = coloring(args.q, args.t)
+    n = (args.t - 1) ** args.q + extra_vertices
+    _emit(args, f"construct {args.kind}",
+          {"vertices": n, "coloring": col.to_json()})
     return EXIT_OK
 
 
@@ -325,25 +322,11 @@ def cmd_verify_sender(args) -> int:
     return _report_exit(report)
 
 
-def _verify_from_spec(args, name: str, spec_cls, verify_fn) -> int:
-    spec = spec_cls.from_json(_load_json(args.spec))
-    report = verify_fn(spec, args.budget)
-    _emit(args, name, report.to_json())
+def cmd_verify_spec(args, spec_cls, verify_fn) -> int:
+    """`verify indicator`, `gni` and `pattern-gadget`: check a spec file."""
+    report = verify_fn(spec_cls.from_json(_load_json(args.spec)), args.budget)
+    _emit(args, f"verify {args.kind}", report.to_json())
     return _report_exit(report)
-
-
-def cmd_verify_indicator(args) -> int:
-    return _verify_from_spec(args, "verify indicator", IndicatorSpec,
-                             verify_indicator)
-
-
-def cmd_verify_gni(args) -> int:
-    return _verify_from_spec(args, "verify gni", GNISpec, verify_gni)
-
-
-def cmd_verify_pattern_gadget(args) -> int:
-    return _verify_from_spec(args, "verify pattern-gadget",
-                             PatternGadgetSpec, verify_pattern_gadget)
 
 
 def cmd_verify_robust(args) -> int:
@@ -394,162 +377,122 @@ def cmd_star_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", help="write the JSON report here too")
-    # only on the commands that use them
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--max-nodes", type=int, default=None)
-    budget.add_argument("--max-seconds", type=float, default=None)
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="artifact output path")
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one option, for every subcommand that
+    takes the option in this form."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
+
+def build_parser() -> argparse.ArgumentParser:
+    report = _option("--report", help="write the JSON report here too")
+    # only on the commands that search
+    budget = [_option("--max-nodes", type=int, default=None),
+              _option("--max-seconds", type=float, default=None)]
+    out = _option("--out", help="artifact output path")
+    max_order = _option("--max-order", type=int, default=6,
+                        help="corpus order cap for sender search")
     # sender search (--senders search) runs under the budget flags
-    build = argparse.ArgumentParser(add_help=False, parents=[budget])
-    build.add_argument("--senders", default="stub",
-                       help="stub | search (the bundled corpus is too "
-                       "small for a gadget's d) | path to a sender JSON list")
-    build.add_argument("--max-order", type=int, default=6,
-                       help="corpus order cap for sender search")
-    build.add_argument("--d", type=int, default=None,
-                       help="interface distance parameter")
-    build.add_argument("--manifest-out", help="write the build recipe here")
+    build = [*budget,
+             _option("--senders", default="stub",
+                     help="stub | search (the bundled corpus is too small "
+                     "for a gadget's d) | path to a sender JSON list"),
+             max_order,
+             _option("--d", type=int, default=None,
+                     help="interface distance parameter"),
+             _option("--manifest-out", help="write the build recipe here")]
+    target = _option("--target", required=True)
+    q = _option("--q", type=int, default=2)
     # the engine commands decide one arrowing instance under the budget flags
-    engine = argparse.ArgumentParser(add_help=False, parents=[budget])
-    engine.add_argument("--host", required=True)
-    engine.add_argument("--target", required=True)
-    engine.add_argument("--q", type=int, default=2)
+    engine = [*budget, _option("--host", required=True), target, q]
+    graph = _option("--graph", required=True)
+    optional_graph = _option("--graph")
+    optional_target = _option("--target")
+    t = _option("--t", type=int, required=True)
+    k = _option("--k", type=int, required=True)
+    subgraph = _option("--subgraph", required=True)
+    polarity = _option("--polarity", choices=["positive", "negative"],
+                       default="positive")
+    sender_d = _option("--d", type=int, default=1)
 
     p = argparse.ArgumentParser(prog="ramsey-gadgets")
     p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
+    top = p.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, parents, **kw):
-        sp = sub.add_parser(name, parents=parents, **kw)
-        sp.set_defaults(func=fn)
-        return sp
+    def add(subparsers, name, func, *parents):
+        sp = subparsers.add_parser(name, parents=[report, *parents])
+        sp.set_defaults(func=func)
 
-    sp = cmd("arrow", cmd_arrow, [common, engine])
-    sp.add_argument("--dimacs-out")
-    cmd("color", cmd_color, [common, engine])
-    sp = cmd("extend", cmd_extend, [common, engine])
-    sp.add_argument("--partial", required=True,
-                    help="inline JSON [[edge,color],...] or a file path")
-    cmd("minimalize", cmd_minimalize, [common, engine, out])
-    cmd("check-minimal", cmd_check_minimal, [common, engine])
+    add(top, "arrow", cmd_arrow, *engine, _option("--dimacs-out"))
+    add(top, "color", cmd_color, *engine)
+    add(top, "extend", cmd_extend, *engine,
+        _option("--partial", required=True,
+                help="inline JSON [[edge,color],...] or a file path"))
+    add(top, "minimalize", cmd_minimalize, *engine, out)
+    add(top, "check-minimal", cmd_check_minimal, *engine)
+    add(top, "stats", cmd_stats, graph, optional_target, q)
 
-    sp = cmd("stats", cmd_stats, [common])
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--target")
-    sp.add_argument("--q", type=int, default=2)
-
-    pc = sub.add_parser("construct")
-    csub = pc.add_subparsers(dest="kind", required=True)
-
-    def ccmd(name, fn, parents):
-        sp = csub.add_parser(name, parents=parents)
-        sp.set_defaults(func=fn)
-        return sp
-
-    sp = ccmd("cycle", cmd_construct_cycle, [common, out, build])
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = ccmd("ktk2", cmd_construct_ktk2, [common, out, build])
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = ccmd("3conn", cmd_construct_3conn, [common, out, build])
-    sp.add_argument("--k", type=int, required=True)
+    construct = top.add_parser("construct").add_subparsers(dest="kind",
+                                                           required=True)
+    add(construct, "cycle", cmd_construct_cycle, out, *build, q, t, k)
+    add(construct, "ktk2", cmd_construct_ktk2, out, *build, t, k)
     # the defaults are the built-in seed: C5, vertex 0, edge (2,3), P3, q 2
-    sp.add_argument("--graph", default="C5")
-    sp.add_argument("--vertex", type=int, default=0)
-    sp.add_argument("--edge", type=int, default=2)
-    sp.add_argument("--target", default="P3")
-    sp.add_argument("--q", type=int, default=2)
+    add(construct, "3conn", cmd_construct_3conn, out, *build, k,
+        _option("--graph", default="C5"),
+        _option("--vertex", type=int, default=0),
+        _option("--edge", type=int, default=2),
+        _option("--target", default="P3"), q)
+    add(construct, "clique", cmd_construct_clique, out, *build, t, q)
+    add(construct, "p4", cmd_construct_p4, out, k)
+    q_required = _option("--q", type=int, required=True)
+    add(construct, "phi", partial(cmd_construct_coloring,
+                                  coloring=phi_coloring, extra_vertices=0),
+        q_required, t)
+    add(construct, "psi", partial(cmd_construct_coloring,
+                                  coloring=psi_coloring, extra_vertices=1),
+        q_required, t)
+    add(construct, "indicator", cmd_construct_indicator, out, *build, target,
+        subgraph, q, polarity)
+    add(construct, "gni", cmd_construct_gni, out, *build, target, subgraph,
+        _option("--classes-graph", required=True),
+        _option("--partition", required=True,
+                help="inline JSON [[edge ids]...] or a file path"), q)
+    add(construct, "pattern-gadget", cmd_construct_pattern_gadget, out,
+        *build, target, _option("--base", required=True),
+        _option("--patterns", required=True,
+                help="JSON list of total colorings [[edge,color],...]"), q,
+        _option("--up-to-iso", action="store_true"))
 
-    sp = ccmd("clique", cmd_construct_clique, [common, out, build])
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--q", type=int, default=2)
+    verify = top.add_parser("verify").add_subparsers(dest="kind",
+                                                     required=True)
+    add(verify, "sender", cmd_verify_sender, *budget,
+        _option("--spec", help="JSON spec (inline or file)"), optional_graph,
+        _option("--e", type=int, default=0),
+        _option("--f", type=int, default=1), polarity, optional_target, q,
+        sender_d)
+    spec = _option("--spec", required=True)
+    add(verify, "indicator", partial(cmd_verify_spec, spec_cls=IndicatorSpec,
+                                     verify_fn=verify_indicator),
+        *budget, spec)
+    add(verify, "gni", partial(cmd_verify_spec, spec_cls=GNISpec,
+                               verify_fn=verify_gni),
+        *budget, spec)
+    add(verify, "pattern-gadget", partial(cmd_verify_spec,
+                                          spec_cls=PatternGadgetSpec,
+                                          verify_fn=verify_pattern_gadget),
+        *budget, spec)
+    add(verify, "robust", cmd_verify_robust, graph,
+        _option("--inner", required=True,
+                help="comma-separated vertex ids of the inner subgraph"),
+        target, _option("--s-max", type=int, default=3))
 
-    sp = ccmd("p4", cmd_construct_p4, [common, out])
-    sp.add_argument("--k", type=int, required=True)
-
-    for name, fn in (("phi", cmd_construct_phi), ("psi", cmd_construct_psi)):
-        sp = ccmd(name, fn, [common])
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--t", type=int, required=True)
-
-    sp = ccmd("indicator", cmd_construct_indicator, [common, out, build])
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--subgraph", required=True)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--polarity", choices=["positive", "negative"],
-                    default="positive")
-
-    sp = ccmd("gni", cmd_construct_gni, [common, out, build])
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--subgraph", required=True)
-    sp.add_argument("--classes-graph", required=True)
-    sp.add_argument("--partition", required=True,
-                    help="inline JSON [[edge ids]...] or a file path")
-    sp.add_argument("--q", type=int, default=2)
-
-    sp = ccmd("pattern-gadget", cmd_construct_pattern_gadget,
-              [common, out, build])
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--base", required=True)
-    sp.add_argument("--patterns", required=True,
-                    help="JSON list of total colorings [[edge,color],...]")
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--up-to-iso", action="store_true")
-
-    pv = sub.add_parser("verify")
-    vsub = pv.add_subparsers(dest="kind", required=True)
-
-    sp = vsub.add_parser("sender", parents=[common, budget])
-    sp.set_defaults(func=cmd_verify_sender)
-    sp.add_argument("--spec", help="JSON spec (inline or file)")
-    sp.add_argument("--graph")
-    sp.add_argument("--e", type=int, default=0)
-    sp.add_argument("--f", type=int, default=1)
-    sp.add_argument("--polarity", choices=["positive", "negative"],
-                    default="positive")
-    sp.add_argument("--target")
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--d", type=int, default=1)
-
-    for name, fn in (("indicator", cmd_verify_indicator),
-                     ("gni", cmd_verify_gni),
-                     ("pattern-gadget", cmd_verify_pattern_gadget)):
-        sp = vsub.add_parser(name, parents=[common, budget])
-        sp.set_defaults(func=fn)
-        sp.add_argument("--spec", required=True)
-
-    sp = vsub.add_parser("robust", parents=[common])
-    sp.set_defaults(func=cmd_verify_robust)
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--inner", required=True,
-                    help="comma-separated vertex ids of the inner subgraph")
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--s-max", type=int, default=3)
-
-    sp = cmd("search-sender", cmd_search_sender, [common, budget, out])
-    sp.add_argument("--target", required=True)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--polarity", choices=["positive", "negative"],
-                    default="positive")
-    sp.add_argument("--max-order", type=int, default=6)
-
-    sp = cmd("star-check", cmd_star_check, [common, budget])
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--q", type=int, default=2)
-    sp.add_argument("--predicate-only", action="store_true")
-    sp.add_argument("--count-check", action="store_true")
-
+    add(top, "search-sender", cmd_search_sender, *budget, out, target, q,
+        sender_d, polarity, max_order)
+    add(top, "star-check", cmd_star_check, *budget, graph,
+        _option("--m", type=int, required=True), q,
+        _option("--predicate-only", action="store_true"),
+        _option("--count-check", action="store_true"))
     return p
 
 

@@ -153,8 +153,9 @@ class PatternFamily:
     def __post_init__(self):
         if self.mode not in (EXACT, UP_TO_ISO):
             raise GraphError(f"unknown membership mode {self.mode!r}")
+        base = (self.base.n, self.base.edges)
         for m in self.members:
-            if m.graph.num_edges != self.base.num_edges:
+            if (m.graph.n, m.graph.edges) != base:
                 raise GraphError("family member is not a pattern of the base graph")
 
     def __len__(self) -> int:

@@ -840,9 +840,10 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
                  f"monochromatic classes colored {gamma} extend")
                 for gamma in product(range(1, q + 1), repeat=q - 1)
                 if {1, *gamma} != set(range(1, q + 1)))
-    splits = (({**mono, e1: a, e2: b}, f"class {k + 1} can be split {a}/{b}")
-              for k, cls in enumerate(spec.g_classes)
-              for e1, e2 in combinations(cls, 2)
+    # a class can be split iff one of its edges can differ from its first
+    splits = (({**mono, cls[0]: a, e: b},
+               f"class {k + 1} can be split {a}/{b}")
+              for k, cls in enumerate(spec.g_classes) for e in cls[1:]
               for a, b in permutations(range(1, q + 1), 2))
     results.append(_check_cases("GI3", inst, chain(palettes, splits), False))
 
@@ -896,6 +897,13 @@ class PatternGadgetSpec:
 
     def __post_init__(self):
         _check_ids(self, self.g_vertices, self.g_eids + self.m_eids)
+        # base edge i is edge g_eids[i] of the graph, under g_vertices
+        base, v = self.family.base, self.g_vertices
+        if len(v) != base.n or len(self.g_eids) != base.num_edges or any(
+                self.graph.edges[e] != tuple(sorted((v[a], v[b])))
+                for e, (a, b) in zip(self.g_eids, base.edges)):
+            raise GraphError(f"{self.KIND} spec's family base differs "
+                             "from its g_eids edges")
 
     def to_json(self) -> dict:
         return _spec_to_json(self)
@@ -926,7 +934,7 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
     d = _gadget_distance(h, d)
     if len(family) == 0:
         raise GraphError("pattern family must be nonempty")
-    if family.base.num_edges != g.num_edges:
+    if (family.base.n, family.base.edges) != (g.n, g.edges):
         raise GraphError("family is not over the given base graph")
     if any(m.q != q for m in family.members):
         raise GraphError("family pattern has wrong color count")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from ramsey_gadgets import (EXACT, UP_TO_ISO, ColorPattern, EdgeColoring,
                             GraphError, PatternFamily, complete_graph,
                             cycle_graph, path_graph, pattern_of,
-                            patterns_isomorphic)
+                            patterns_isomorphic, star_graph)
 
 
 def test_coloring_basics():
@@ -91,6 +91,15 @@ def test_family_rejects_foreign_pattern():
     with pytest.raises(GraphError):
         PatternFamily(c4, (foreign,), EXACT)
 
+
+
+def test_family_rejects_a_member_over_another_graph_of_equal_size():
+    # K1,4 has C4's four edges but not its vertices or edges
+    member = pattern_of(star_graph(4),
+                        EdgeColoring.from_map(2, {0: 1, 1: 2, 2: 1, 3: 2}))
+    for mode in (EXACT, UP_TO_ISO):
+        with pytest.raises(GraphError, match="not a pattern of the base"):
+            PatternFamily(cycle_graph(4), (member,), mode)
 
 def test_family_json_form():
     c4 = cycle_graph(4)

@@ -442,6 +442,28 @@ def test_pattern_gadget_rejects_bad_family():
         build_pattern_gadget(cycle_graph(4), c4, family, 2, STUB)
 
 
+
+def test_pattern_gadget_rejects_a_family_over_another_base():
+    # P5 has C4's four edges, but the family's patterns color C4
+    c4, family = family_c4()
+    with pytest.raises(GraphError, match="family is not over"):
+        build_pattern_gadget(K3, path_graph(5), family, 2, STUB)
+
+
+@pytest.mark.parametrize("base", [
+    [[0, 1], [1, 2], [2, 3], [0, 2]],       # four vertices, other edges
+    [[0, 1], [1, 2], [2, 3], [0, 4]],       # P5: one vertex more
+    [[1, 2], [0, 1], [2, 3], [0, 3]],       # C4 with two edges swapped
+])
+def test_pattern_gadget_spec_with_another_family_base_fails_at_load(base):
+    c4, family = family_c4()
+    data = json.loads(json.dumps(
+        build_pattern_gadget(K3, c4, family, 2, STUB).to_json()))
+    data["family"]["base"] = {"n": 1 + max(max(e) for e in base),
+                              "edges": base}
+    with pytest.raises(GraphError, match="family base differs"):
+        PatternGadgetSpec.from_json(data)
+
 def test_verify_pattern_gadget_stub_skips():
     c4, family = family_c4()
     rep = verify_pattern_gadget(build_pattern_gadget(K3, c4, family, 2, STUB))
@@ -543,6 +565,43 @@ def test_gi3_fails_on_a_class_that_can_be_split():
     assert not any(len({colors[e] for e in copy}) == 1
                    for copy in nx_copies(graph, K3))
 
+
+
+@pytest.mark.parametrize("graph, f_eids, cls, calls", [
+    # K4, f the star at vertex 0, one class the triangle 1-2-3: with f
+    # colored 1 a class edge of color 1 closes a triangle, so GI3 passes
+    # after every split case
+    (complete_graph(4), (0, 1, 2), (3, 4, 5), (5, 7)),
+    # the split test's graph with a third class edge: the first pair
+    # already splits 2/1
+    (from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), (0, 1),
+     (2, 3, 4), (3, 3)),
+])
+def test_gi3_splits_a_class_only_against_its_first_edge(graph, f_eids, cls,
+                                                       calls, monkeypatch):
+    spec = GNISpec(graph, tuple(range(graph.n)), f_eids, (), (cls,), K3, 2,
+                   1, (), (), ())
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[1])
+        return extendable(*args, **kwargs)
+    monkeypatch.setattr(gadgets, "extendable", counted)
+    # GI2 makes one case and GI4, with max_cases 0, none
+    gi3 = verify_gni(spec, max_cases=0).results[2]
+    new_calls = len(made) - 1
+    # the loop over every pair of class edges that this one replaced
+    mono = {e: 1 for e in f_eids}
+    pairwise = [({**mono, **{e: 1 for e in cls}},
+                 "monochromatic classes colored (1,) extend")]
+    pairwise += [({**mono, e1: a, e2: b}, f"class 1 can be split {a}/{b}")
+                 for e1, e2 in combinations(cls, 2)
+                 for a, b in ((1, 2), (2, 1))]
+    made.clear()
+    old = gadgets._check_cases("GI3", ArrowInstance.create(graph, K3, 2),
+                               pairwise, False)
+    assert (new_calls, len(made)) == calls
+    assert gi3.to_json() == old.to_json()
 
 def counting_product(monkeypatch) -> list:
     """Records each coloring the verifiers draw from `gadgets.product`."""
