@@ -665,9 +665,10 @@ def minimalize(g: Graph, target: Graph, q: int,
     When G - D - e has a free coloring, D the edges deleted so far, an
     automorphism of G - D that maps e onto a later edge f makes
     G - D - f isomorphic to it, so f is needed, and stays needed as D
-    grows: every such f is kept with no search (`_automorphic`).  The
-    result, the verdict and the order of deletions are those of
-    searching every edge."""
+    grows: every such f is kept with no search (`_automorphic`).  G - D,
+    with its ranking and embedding plan, is built again only after an
+    edge has been deleted.  The result, the verdict and the order of
+    deletions are those of searching every edge."""
     inst = ArrowInstance.create(g, target, q, budget)
     res = arrows(inst)
     if res.verdict == UNKNOWN:
@@ -678,6 +679,7 @@ def minimalize(g: Graph, target: Graph, q: int,
     kept: set[int] = set()
     verdict = MINIMAL
     covered = {e for es in res.support for e in es}
+    rest: Optional[Graph] = g       # G - D; None once D has grown
     for eid in range(g.num_edges):
         if eid in kept:
             continue
@@ -689,14 +691,18 @@ def minimalize(g: Graph, target: Graph, q: int,
             if sub.verdict != ARROWS:
                 # an edge that an automorphism maps e onto is needed as e
                 # is, so it lies in the support
-                rest = g.delete_edges(dropped)
+                if rest is None:
+                    rest = g.delete_edges(dropped)
                 kept.update(f for f in covered if f > eid and f not in kept
                             and _automorphic(rest, g.edges[eid], g.edges[f],
                                              inst.budget))
                 continue
             covered = {e for es in sub.support for e in es}
         dropped.add(eid)
-    return g.delete_edges(dropped).without_isolated(), verdict
+        rest = None
+    if rest is None:
+        rest = g.delete_edges(dropped)
+    return rest.without_isolated(), verdict
 
 
 def _automorphic(g: Graph, e: tuple[int, int], f: tuple[int, int],

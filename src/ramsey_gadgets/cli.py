@@ -310,6 +310,9 @@ def cmd_construct_pattern_gadget(args) -> int:
 
 def cmd_verify_sender(args) -> int:
     if args.spec:
+        if args.graph or args.target:
+            raise GraphError("verify sender takes --spec, or --graph and "
+                             "--target, not both")
         spec = SenderSpec.from_json(_load_json(args.spec))
     elif not (args.graph and args.target):
         raise GraphError("verify sender needs --spec, or --graph and --target")

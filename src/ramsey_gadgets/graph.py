@@ -134,6 +134,13 @@ class Graph:
                                         for u, v in self.edges))
 
     @cached_property
+    def _embed_plans(self) -> dict:
+        """The `_EmbedPlan`s of this graph as a pattern, keyed by the
+        conditions tuple (none, or `symmetry_conditions`): `_embed` builds
+        each on its first call and every later call reuses it."""
+        return {}
+
+    @cached_property
     def symmetry_conditions(self) -> tuple[tuple[int, int], ...]:
         """`_symmetry_conditions` of this graph as a pattern."""
         return tuple(_symmetry_conditions(self))
@@ -447,22 +454,31 @@ def edge_distance(g: Graph, eids_a: Iterable[int], eids_b: Iterable[int]) -> flo
 
 def far_edge_pairs(g: Graph, d: int) -> list[tuple[int, int]]:
     """The edge-id pairs (e, f), e < f, at `edge_distance` >= d, in
-    `combinations` order.  One BFS per edge e marks every vertex within
-    distance d - 1 of e's endpoints; f qualifies when neither of its
-    endpoints is marked, so an f out of e's reach (distance INFINITY)
-    qualifies too.  A connected graph with fewer than d + 3 vertices has
-    no pair: a shortest path between the near ends of two edges at
-    distance d has d + 1 vertices, and their far ends are two more."""
+    `combinations` order.  Each vertex gets its ball of radius d - 1 (no
+    ball for d <= 0), an int bitset over vertex ids grown over neighbour
+    lists one radius at a time; f qualifies when the union of the balls
+    of e's endpoints misses both of f's, so an f out of e's reach
+    (distance INFINITY) qualifies too.  A connected graph with fewer than
+    d + 3 vertices has no pair: a shortest path between the near ends of
+    two edges at distance d has d + 1 vertices, and their far ends are
+    two more."""
     if g.n < d + 3 and g.is_connected():
         return []
     nbrs = _neighbour_lists(g)
+    ball = [1 << v for v in range(g.n)] if d > 0 else [0] * g.n
+    for _ in range(min(d - 1, g.n)):
+        grown = []
+        for b, ws in zip(ball, nbrs):
+            for w in ws:
+                b |= ball[w]
+            grown.append(b)
+        ball = grown
+    ends = [1 << u | 1 << v for u, v in g.edges]
     pairs = []
-    for e, ends in enumerate(g.edges):
-        near = set()
-        for layer in islice(_bfs_layers(nbrs, ends), max(d, 0)):
-            near.update(layer)
-        pairs.extend((e, f) for f in range(e + 1, g.num_edges)
-                     if near.isdisjoint(g.edges[f]))
+    for e, (u, v) in enumerate(g.edges):
+        near = ball[u] | ball[v]
+        pairs.extend((e, f) for f in range(e + 1, len(ends))
+                     if not near & ends[f])
     return pairs
 
 
@@ -511,6 +527,45 @@ class Embedding:
     edge_set: tuple[int, ...]     # one copy: its host edge ids, increasing
 
 
+class _EmbedPlan:
+    """The pattern side of `_embed` for one (pattern, conditions): the
+    pattern degrees, its sorted neighbour lists, the roots by decreasing
+    degree, each vertex's `below` and `above` condition partners, and the
+    placement order of each pinned vertex tuple, grown the first time a
+    start pins it.  Built once and kept in `Graph._embed_plans`."""
+
+    def __init__(self, pattern: Graph, conditions: tuple[tuple[int, int], ...]):
+        self.deg = pattern._degrees
+        self.nbrs = [sorted(ws) for ws in _neighbour_lists(pattern)]
+        self.roots = sorted(range(pattern.n), key=lambda v: -self.deg[v])
+        self.below: list[list[int]] = [[] for _ in range(pattern.n)]
+        self.above: list[list[int]] = [[] for _ in range(pattern.n)]
+        for a, b in conditions:
+            self.below[b].append(a)
+            self.above[a].append(b)
+        self.orders: dict[tuple[int, ...], list[int]] = {}
+
+    def order(self, pinned: tuple[int, ...]) -> list[int]:
+        """The pinned vertices, then the rest of the non-isolated ones in
+        an order that grows along pattern edges, each later component
+        from its vertex of largest degree."""
+        order = self.orders.get(pinned)
+        if order is not None:
+            return order
+        order, i = list(pinned), 0
+        rest = iter(self.roots)
+        while True:
+            if i == len(order):
+                root = next((r for r in rest if self.deg[r] and r not in order),
+                            None)
+                if root is None:
+                    self.orders[pinned] = order
+                    return order
+                order.append(root)
+            order += [w for w in self.nbrs[order[i]] if w not in order]
+            i += 1
+
+
 def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
            visit: Callable[[dict], bool],
            conditions: Sequence[tuple[int, int]] = (),
@@ -527,34 +582,21 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
     candidates are tried in increasing host vertex number, which is
     rank order when `adj` is a `Graph.ranked` adjacency.  A condition
     masks the candidates of whichever of its two vertices is placed
-    second.  `visit(image)` is called on each full map; when it returns
-    True the search stops and returns True.  It also stops and returns
-    True when, before a candidate for the first unpinned vertex is
-    tried, the clock (`time.monotonic`) is past `deadline`."""
+    second.  The pattern side (degrees, neighbour lists, condition lists,
+    placement orders) comes from the pattern's kept `_EmbedPlan` for
+    these conditions, so only the host side is set up per call; callers
+    pass no conditions or `pattern.symmetry_conditions`.  `visit(image)`
+    is called on each full map; when it returns True the search stops
+    and returns True.  It also stops and returns True when, before a
+    candidate for the first unpinned vertex is tried, the clock
+    (`time.monotonic`) is past `deadline`."""
+    key = tuple(conditions)
+    plan = pattern._embed_plans.get(key)
+    if plan is None:
+        plan = pattern._embed_plans[key] = _EmbedPlan(pattern, key)
+    pat_deg, nbrs, below, above = plan.deg, plan.nbrs, plan.below, plan.above
     full = (1 << len(adj)) - 1
     host_deg = [a.bit_count() for a in adj]
-    pat_deg = pattern.degrees()
-    nbrs = [sorted(ws) for ws in _neighbour_lists(pattern)]
-    roots = sorted(range(pattern.n), key=lambda v: -pat_deg[v])
-    below: list[list[int]] = [[] for _ in range(pattern.n)]
-    above: list[list[int]] = [[] for _ in range(pattern.n)]
-    for a, b in conditions:
-        below[b].append(a)
-        above[a].append(b)
-    orders: dict[tuple[int, ...], list[int]] = {}
-
-    def grow(pinned: tuple[int, ...]) -> list[int]:
-        order, i = list(pinned), 0
-        rest = iter(roots)
-        while True:
-            if i == len(order):
-                root = next((r for r in rest if pat_deg[r] and r not in order),
-                            None)
-                if root is None:
-                    return order
-                order.append(root)
-            order += [w for w in nbrs[order[i]] if w not in order]
-            i += 1
 
     def extend(idx: int, used: int) -> bool:
         if idx == len(order):
@@ -584,10 +626,7 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
         return False
 
     for start in starts:
-        pinned = tuple(start)
-        if pinned not in orders:
-            orders[pinned] = grow(pinned)
-        order, image, first = orders[pinned], dict(start), len(start)
+        order, image, first = plan.order(tuple(start)), dict(start), len(start)
         if extend(first, sum(1 << v for v in start.values())):
             return True
     return False
@@ -626,8 +665,11 @@ def enumerate_copies(host: Graph, pattern: Graph,
     its lowest-degree vertex and the few high-degree vertices are placed
     last (Chiba & Nishizeki, SIAM J. Comput. 1985).  It meets
     `pattern.symmetry_conditions`, so it finds each copy exactly once; a
-    second visit of one edge set is a bug and raises InternalError.
-    None if the clock (`time.monotonic`) passes `deadline` first."""
+    second visit of one edge set is a bug and raises InternalError.  The
+    pattern side of the search (`_EmbedPlan`) is built on the pattern's
+    first enumeration and kept on it, so a later call sets up only the
+    host side.  None if the clock (`time.monotonic`) passes `deadline`
+    first."""
     if pattern.num_edges == 0:
         raise GraphError("pattern must have at least one edge")
     order, adj = host.ranked

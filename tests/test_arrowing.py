@@ -390,6 +390,24 @@ def test_minimalize_searches_only_support_edges(monkeypatch):
     assert (len(decisions), sum(decisions)) == (3, 338)
 
 
+def test_minimalize_builds_g_minus_d_once_per_deletion(monkeypatch):
+    # K8 -> C4 drops 13 edges, then finds the first needed edge; its
+    # orbit test and the result share one G - D, where each needed edge
+    # used to build its own and the result one more
+    rebuilds = []
+    delete_edges = Graph.delete_edges
+
+    def spy(self, eids):
+        eids = set(eids)
+        rebuilds.append(len(eids))
+        return delete_edges(self, eids)
+
+    monkeypatch.setattr(Graph, "delete_edges", spy)
+    g, verdict = minimalize(complete_graph(8), cycle_graph(4), 2)
+    assert verdict == MINIMAL and g == complete_graph(6)
+    assert rebuilds == [13]
+
+
 def _nx_graph(nxg) -> Graph:
     return from_edges(nxg.number_of_nodes(), sorted(
         (min(e), max(e)) for e in nxg.edges))

@@ -298,6 +298,18 @@ def test_verify_sender_rejects_k6(tmp_path, capsys):
     assert outcomes["S1"] == "fail"
 
 
+@pytest.mark.parametrize("flags", [["--graph", "K6"], ["--target", "K3"],
+                                   ["--graph", "K6", "--target", "K3"]])
+def test_verify_sender_spec_with_sender_flags_exits_usage(tmp_path, capsys,
+                                                          flags):
+    spec = make_stub_sender(complete_graph(3), 2, 3, POSITIVE)
+    path = tmp_path / "sender.json"
+    path.write_text(json.dumps(spec.to_json()))
+    assert main(["verify", "sender", "--spec", str(path), *flags]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "not both" in err
+
+
 def test_partition_repeating_an_edge_exits_usage(capsys):
     assert main(["construct", "gni", "--target", "K3", "--subgraph", "P3",
                  "--classes-graph", "K2", "--partition", "[[0, 0]]"]) == 3

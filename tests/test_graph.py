@@ -21,7 +21,7 @@ from ramsey_gadgets import (ComposeError, Graph, GraphError, InternalError,
                             is_k_connected, matching_graph, parse_any,
                             path_graph, single_edge, star_graph,
                             write_graph6, write_sparse6)
-from ramsey_gadgets.gadgets import POSITIVE
+from ramsey_gadgets.gadgets import POSITIVE, check_robust
 from ramsey_gadgets.graph import INFINITY, MAX_ORDER, decode_json
 
 
@@ -414,6 +414,44 @@ def test_symmetry_conditions_are_computed_once_per_pattern(monkeypatch):
     assert len(calls) == 1
     assert len(first) == 252 and len(second) == len(nx_copies(wheel(6),
                                                               pattern))
+
+
+def test_embedding_plan_is_built_once_per_pattern_and_conditions(
+        monkeypatch):
+    # the pattern's neighbour lists are the plan's set-up: one plan for
+    # the symmetry conditions' own search (no conditions), one for the
+    # copies, however many hosts the pattern is enumerated in
+    pattern = cycle_graph(5)
+    built = []
+    lists = graph_module._neighbour_lists
+
+    def spy(g):
+        if g is pattern:
+            built.append(g)
+        return lists(g)
+
+    monkeypatch.setattr(graph_module, "_neighbour_lists", spy)
+    for host in (complete_graph(7), wheel(6), wheel(8), complete_graph(7)):
+        assert_copies_match_networkx(host, pattern)
+    assert len(built) == 2
+    assert set(pattern._embed_plans) == {(), pattern.symmetry_conditions}
+
+
+def test_plans_with_and_without_conditions_are_kept_apart():
+    # a plan keyed by the pattern alone would give the copies the plan
+    # of the uses without conditions, and find each triangle six times
+    def uses_without_conditions(triangle):
+        assert graphs_isomorphic(triangle, cycle_graph(3))
+        assert check_robust(path_graph(3), [0, 2], triangle).results[0] \
+            .outcome == "fail"                  # the added edge closes it
+
+    first = complete_graph(3)
+    uses_without_conditions(first)
+    assert assert_copies_match_networkx(wheel(8), first)
+    second = complete_graph(3)
+    assert assert_copies_match_networkx(wheel(8), second)
+    uses_without_conditions(second)
+    assert assert_copies_match_networkx(wheel(8), second)
 
 
 def test_serialized_graph_builds_no_adjacency():
