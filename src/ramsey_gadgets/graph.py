@@ -7,13 +7,14 @@ replaying a construction recipe reproduces identical ids.  A graph built
 from many gadgets grows in a `_GraphDraft`, which appends to lists and
 builds the `Graph` once.  Derived structure (degrees, the degree-ranked
 bitset adjacency that copy enumeration runs on, a pattern's symmetry
-conditions) is computed on first read and kept, so a graph that is only
-composed, replayed or serialized never builds it.  A graph keeps one
-bitset adjacency, `Graph.ranked`.  Traversals (distances, girth,
-connectivity) walk neighbour lists built for the call, so measuring a
-large sparse gadget graph never builds its n-bit bitsets.  A copy of a
-pattern is the increasing tuple of its host edge ids, the one form the
-search, the target-freeness test and refutation supports use.
+conditions and embedding plans) is computed on first read and kept, so a
+graph that is only composed, replayed or serialized never builds it.  A
+graph keeps one bitset adjacency, `Graph.ranked`.  Traversals (distances,
+girth, connectivity, far edge pairs) walk neighbour lists built for the
+call, so measuring a large sparse gadget graph never builds its n-bit
+bitsets.  A copy of a pattern is the increasing tuple of its host edge
+ids, the one form the search, the target-freeness test and refutation
+supports use.
 
 Construction runs at list speed.  `Graph` validates in bulk: the edge
 index is `dict(zip(edges, ids))` and a repeat shows as a shorter index,
