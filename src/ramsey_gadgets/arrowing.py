@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
@@ -739,11 +740,9 @@ def min_degree_stats(g: Graph) -> DegreeStats:
     if g.n == 0:
         raise GraphError("empty graph has no degrees")
     degs = g.degrees()
-    hist: dict[int, int] = {}
-    for d in degs:
-        hist[d] = hist.get(d, 0) + 1
     lo = min(degs)
-    return DegreeStats(lo, max(degs), degs.count(lo), tuple(sorted(hist.items())))
+    return DegreeStats(lo, max(degs), degs.count(lo),
+                       tuple(sorted(Counter(degs).items())))
 
 
 def sq_lower_bound(h: Graph, q: int) -> int:

@@ -191,12 +191,11 @@ class AbundanceRecipe:
 
 
 def _blocks_graph(base: Graph, k: int) -> Graph:
-    """k disjoint copies of base; block i holds vertices i*n..(i+1)*n-1
-    and edges i*m..(i+1)*m-1."""
+    """k disjoint unlabelled copies of base; block i holds vertices
+    i*n..(i+1)*n-1 and edges i*m..(i+1)*m-1."""
     return Graph(base.n * k,
                  tuple((u + i * base.n, v + i * base.n)
-                       for i in range(k) for (u, v) in base.edges),
-                 base.labels * k)
+                       for i in range(k) for (u, v) in base.edges))
 
 
 def _block_pattern(g: Graph, base_m: int, k: int, i: int,
@@ -431,10 +430,7 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     g_edges = [eid for eid in range(f.num_edges) if hv in f.edges[eid]]
     drop = set(g_edges) | {he}
     keep = [eid for eid in range(f.num_edges) if eid not in drop]
-    verts = [w for w in range(f.n) if w != hv]
-    pos = {w: i for i, w in enumerate(verts)}
-    fprime = from_edges(
-        f.n - 1, [(pos[a], pos[b]) for (a, b) in (f.edges[e] for e in keep)])
+    fprime = f.delete_edges([he]).induced(w for w in range(f.n) if w != hv)
 
     def local_pattern(colors_by_seed_eid: dict[int, int]) -> ColorPattern:
         return pattern_of(fprime, EdgeColoring.from_map(
@@ -457,9 +453,10 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     f2 = local_pattern({eid: witnesses[he][eid] for eid in keep})
 
     # attachment order follows the seed's edge order at the marked
-    # vertex, so a block's j-th low-degree edge represents g_edges[j]
-    points = [pos[a if b == hv else b]
-              for a, b in (f.edges[e] for e in g_edges)]
+    # vertex, so a block's j-th low-degree edge represents g_edges[j];
+    # its point is the edge's other end, one lower in F' when above the
+    # marked vertex
+    points = [w - (w > hv) for w in (sum(f.edges[e]) - hv for e in g_edges)]
     recipe = _abundance_recipe(h, q, k, fprime, tuple(specials), f2, points,
                                provider, d, inst.budget)
     recipe.extras.update(

@@ -23,11 +23,11 @@ from .arrowing import (DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
                        Budget, BudgetExhausted, arrows, extendable)
 from .coloring import (ColorPattern, EdgeColoring, PatternFamily, _mono_copy,
                        pattern_of)
-from .graph import (Graph, GraphError, _bitsets, _embed,
-                    clique_with_pendant, complete_graph, compose, decode_json,
+from .graph import (Graph, GraphError, _bitsets, _embed, _GraphDraft,
+                    clique_with_pendant, complete_graph, decode_json,
                     disjoint_union, edge_distance, enumerate_copies,
-                    far_edge_pairs, girth, graphs_isomorphic, matching_graph,
-                    single_edge)
+                    far_edge_pairs, from_edges, girth, graphs_isomorphic,
+                    matching_graph, single_edge)
 from .manifest import ConstructionManifest, ManifestBuilder
 
 POSITIVE = "positive"
@@ -182,14 +182,9 @@ def make_stub_sender(h: Graph, q: int, d: int, polarity: str) -> SenderSpec:
     """
     if d < 1:
         raise GraphError("distance must be at least 1")
-    # e = (0,1), f = (2,3), path of d edges from 1 to 2
-    edges = [(0, 1), (2, 3)]
-    prev = 1
-    for i in range(d - 1):
-        edges.append(tuple(sorted((prev, 4 + i))))
-        prev = 4 + i
-    edges.append(tuple(sorted((prev, 2))))
-    g = Graph(3 + d, tuple(edges))
+    # e = (0,1), f = (2,3), path of d edges from 1 through 4..d+2 to 2
+    path = [1, *range(4, d + 3), 2]
+    g = from_edges(3 + d, [(0, 1), (2, 3), *zip(path, path[1:])])
     return SenderSpec(g, 0, 1, polarity, h, q, d, status=STATUS_STUB)
 
 
@@ -212,18 +207,15 @@ def string_senders(senders: Sequence[SenderSpec]) -> SenderSpec:
     if len(senders) == 1:
         return first
 
-    g = first.graph
-    e_id, f_id = first.e, first.f
+    draft, f_id = _GraphDraft(first.graph), first.f
     for s in senders[1:]:
-        hu, hv = g.edges[f_id]
+        hu, hv = draft.edges[f_id]
         gu, gv = s.graph.edges[s.e]
-        res = compose(g, s.graph, {gu: hu, gv: hv})
-        g = res.graph
-        f_id = res.edge_map[s.f]
+        f_id = draft.compose(s.graph, {gu: hu, gv: hv}).edge_map[s.f]
     status = (STATUS_STUB if all(s.status == STATUS_STUB for s in senders)
               else STATUS_UNVERIFIED)
-    return SenderSpec(g, e_id, f_id, senders[-1].polarity, first.h, first.q,
-                      sum(s.d for s in senders), status)
+    return SenderSpec(draft.graph, first.e, f_id, senders[-1].polarity,
+                      first.h, first.q, sum(s.d for s in senders), status)
 
 
 def verify_sender(spec: SenderSpec,
@@ -1094,13 +1086,9 @@ def check_robust(outer: Graph, inner_vertices: Sequence[int], h: Graph,
             raise GraphError(f"inner vertex {v} out of range")
     n = outer.n + min(s_max, h.n - 1)
     pool = inner + list(range(outer.n, n))
-    adj = list(_bitsets(n, outer.edges))
-    added: list[tuple[int, int]] = []
-    for u, v in combinations(pool, 2):
-        if not (adj[u] >> v) & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            added.append((u, v))
+    added = [(u, v) for u, v in combinations(pool, 2)
+             if not outer.has_edge(u, v)]
+    adj = _bitsets(n, chain(outer.edges, added))
     allowed = set(pool)
     found: list[dict[int, int]] = []
 

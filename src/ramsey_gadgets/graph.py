@@ -93,9 +93,11 @@ class Graph:
         object.__setattr__(self, "_edge_index", index)
 
     def _raise_first_fault(self):
-        """Raise the GraphError of the first bad label, then the first bad
-        or repeated edge in edge-id order; run only after the bulk checks
-        of `__post_init__` failed."""
+        """Raise the GraphError of a negative vertex count, then of the
+        first bad label, then of the first bad or repeated edge in edge-id
+        order; run only after the bulk checks of `__post_init__` failed."""
+        if self.n < 0:
+            raise GraphError(f"vertex count {self.n} is negative")
         if len(self.labels) != self.n:
             raise GraphError("labels length must equal vertex count")
         seen_labels = set()

@@ -362,6 +362,21 @@ def test_3connected_recipe_structure():
     assert recipe.manifest.replay().edges == recipe.graph.edges
 
 
+def test_3connected_blocks_drop_the_marked_vertex_and_the_seed_labels():
+    # marked vertex 2 of C5 and the opposite edge (0,4): F' renumbers
+    # vertices 3 and 4 down one, so the neighbours 1 and 3 of vertex 2
+    # are vertices 1 and 2 of each 4-vertex block
+    c5 = cycle_graph(5)
+    seed = ThreeConnectedSeed(c5, 2, c5.edge_id(0, 4), path_graph(3), 2)
+    recipe = build_3connected_abundant(seed, 2, STUB)
+    assert recipe.w_sets == ((1, 2), (5, 6))
+    assert recipe.degrees_ok()
+    named = ThreeConnectedSeed(c5.relabel({v: f"s{v}" for v in range(5)}),
+                               seed.v, seed.e, seed.h, seed.q)
+    assert (build_3connected_abundant(named, 2, STUB).to_json()
+            == recipe.to_json())
+
+
 def _count_enumerations(monkeypatch) -> list:
     """The hosts of every copy enumeration, in whichever module it runs."""
     calls = []

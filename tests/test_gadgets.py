@@ -116,6 +116,28 @@ def test_search_sender_skips_graphs_without_a_far_pair(monkeypatch):
     assert calls == []
 
 
+def test_search_sender_skips_supplied_graphs_above_max_order(monkeypatch):
+    # K7 has edge pairs at distance 1, so only its order keeps it out
+    calls = _count_instances(monkeypatch)
+    assert search_sender(P3, 2, 1, POSITIVE, 5,
+                         corpus=[complete_graph(7)]) is None
+    assert calls == []
+
+
+def test_search_provider_serves_a_found_sender_once(monkeypatch):
+    searches = []
+    search = gadgets.search_sender
+    monkeypatch.setattr(gadgets, "search_sender",
+                        lambda *args, **kw: searches.append(args)
+                        or search(*args, **kw))
+    provider = gadgets.SearchSenderProvider(5)
+    spec = provider.get(POSITIVE, P3, 2, 1)
+    assert spec.status == STATUS_FULL and spec.polarity == POSITIVE
+    assert verify_sender(spec).fully_verified
+    assert provider.get(POSITIVE, P3, 2, 1) is spec
+    assert len(searches) == 1
+
+
 def test_search_sender_keeps_one_clock():
     # K9 ->2 C5 is far beyond 0.05 s; each of the 20 graphs once got the
     # whole budget afresh (about 1.2 s in all) and the search then
