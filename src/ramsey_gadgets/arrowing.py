@@ -718,9 +718,9 @@ def _automorphic(g: Graph, e: tuple[int, int], f: tuple[int, int],
     if sorted(deg[v] for v in e) != sorted(deg[v] for v in f):
         return False
     order, adj = g.ranked
-    rank = {v: r for r, v in enumerate(order)}
     (u, v), (a, b) = e, f
-    starts = ({u: rank[a], v: rank[b]}, {u: rank[b], v: rank[a]})
+    ra, rb = order.index(a), order.index(b)
+    starts = ({u: ra, v: rb}, {u: rb, v: ra})
     return (_embed(adj, g, starts, lambda image: True, deadline=budget.deadline)
             and not budget.expired())
 

@@ -579,27 +579,25 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
     Each partial map in `starts` (pattern vertex -> host vertex) is
     extended to injective maps of every non-isolated pattern vertex that
     send pattern edges onto host edges and satisfy every condition
-    `(a, b)` of `conditions`: image[a] < image[b].  Vertices are placed
-    in an order that grows from the pinned ones along pattern edges
-    (each later component from its vertex of largest degree), and
-    candidates are tried in increasing host vertex number, which is
-    rank order when `adj` is a `Graph.ranked` adjacency.  A condition
-    masks the candidates of whichever of its two vertices is placed
-    second.  The pattern side (degrees, neighbour lists, condition lists,
-    placement orders) comes from the pattern's kept `_EmbedPlan` for
-    these conditions, so only the host side is set up per call; callers
-    pass no conditions or `pattern.symmetry_conditions`.  `visit(image)`
-    is called on each full map; when it returns True the search stops
-    and returns True.  It also stops and returns True when, before a
-    candidate for the first unpinned vertex is tried, the clock
-    (`time.monotonic`) is past `deadline`."""
+    `(a, b)` of `conditions` (none or `pattern.symmetry_conditions`):
+    image[a] < image[b].  Vertices are placed in the order of the
+    pattern's kept `_EmbedPlan`, grown from the pinned ones along pattern
+    edges, and candidates are tried in increasing host vertex number
+    (rank order on a `Graph.ranked` adjacency).  Candidates are cut only
+    by bitmasks: unused, adjacent to each placed neighbour's image, and
+    on the required side of a placed condition partner's image.  A host
+    vertex of lower degree than its pattern vertex needs no test of its
+    own: some pattern neighbour then finds no candidate, so it completes
+    no map.  `visit(image)` is called on each full map; when it returns
+    True the search stops and returns True.  It also stops and returns
+    True when, before a candidate for the first unpinned vertex is
+    tried, the clock (`time.monotonic`) is past `deadline`."""
     key = tuple(conditions)
     plan = pattern._embed_plans.get(key)
     if plan is None:
         plan = pattern._embed_plans[key] = _EmbedPlan(pattern, key)
-    pat_deg, nbrs, below, above = plan.deg, plan.nbrs, plan.below, plan.above
+    nbrs, below, above = plan.nbrs, plan.below, plan.above
     full = (1 << len(adj)) - 1
-    host_deg = [a.bit_count() for a in adj]
 
     def extend(idx: int, used: int) -> bool:
         if idx == len(order):
@@ -619,13 +617,12 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
         while cand:
             hv = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if host_deg[hv] >= pat_deg[p]:
-                if timed and time.monotonic() > deadline:
-                    return True
-                image[p] = hv
-                if extend(idx + 1, used | 1 << hv):
-                    return True
-                del image[p]
+            if timed and time.monotonic() > deadline:
+                return True
+            image[p] = hv
+            if extend(idx + 1, used | 1 << hv):
+                return True
+            del image[p]
         return False
 
     for start in starts:

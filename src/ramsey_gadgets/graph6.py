@@ -42,8 +42,6 @@ def _pack(bits: str) -> bytes:
 
 
 def _encode_n(n: int) -> bytes:
-    if n < 0:
-        raise FormatError("negative vertex count")
     if n <= 62:
         return _pack(f"{n:06b}")
     if n <= 258047:

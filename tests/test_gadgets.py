@@ -4,6 +4,7 @@ import time
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from ramsey_gadgets import (DOES_NOT_ARROW, EXACT, Budget, BudgetExhausted,
                             string_senders, verify_gni, verify_indicator,
                             verify_pattern_gadget, verify_sender,
                             verify_witness, UP_TO_ISO)
-from ramsey_gadgets import gadgets
+from ramsey_gadgets import arrowing, gadgets
+from ramsey_gadgets import graph as graph_module
 from ramsey_gadgets.gadgets import (EXHAUSTED, FAIL, NEGATIVE, PASS, POSITIVE,
                                     SKIPPED_STUB, STATUS_FULL, STATUS_STUB,
                                     STATUS_STRUCTURAL, STATUS_UNVERIFIED)
@@ -625,14 +627,17 @@ def test_gi3_splits_a_class_only_against_its_first_edge(graph, f_eids, cls,
     assert (new_calls, len(made)) == calls
     assert gi3.to_json() == old.to_json()
 
-def counting_product(monkeypatch) -> list:
-    """Records each coloring the verifiers draw from `gadgets.product`."""
+def counting_product(monkeypatch, on_draw=None) -> list:
+    """Records each coloring the verifiers draw from `gadgets.product`,
+    calling `on_draw(item)` after each if given."""
     drawn = []
     product = gadgets.product
 
     def counted(*args, **kwargs):
         for item in product(*args, **kwargs):
             drawn.append(item)
+            if on_draw is not None:
+                on_draw(item)
             yield item
 
     monkeypatch.setattr(gadgets, "product", counted)
@@ -642,9 +647,24 @@ def counting_product(monkeypatch) -> list:
 def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
     # a 15-edge subgraph has 2^15 - 2 non-constant colorings; out of
     # time, the verifiers report the closed-form count without drawing
-    # more colorings than the cases they reach (at most max_cases)
-    drawn = counting_product(monkeypatch)
+    # more colorings than the cases they reach (at most max_cases).  The
+    # clock is the test's: it stands still until the case loop has drawn
+    # three subgraph colorings, then jumps past the deadline, so the
+    # outcome does not depend on the machine's speed
     f = path_graph(16)
+    clock = [0.0]
+    fake_time = SimpleNamespace(monotonic=lambda: clock[0])
+    monkeypatch.setattr(arrowing, "time", fake_time)
+    monkeypatch.setattr(graph_module, "time", fake_time)
+    subgraph_draws = []
+
+    def expire_after_three(item):
+        if len(item) == f.num_edges:
+            subgraph_draws.append(item)
+            if len(subgraph_draws) == 3:
+                clock[0] += 1.0
+
+    drawn = counting_product(monkeypatch, expire_after_three)
     for spec, verify, name in (
             (build_indicator(K3, f, 2, POSITIVE, STUB), verify_indicator,
              "I4"),
@@ -652,6 +672,7 @@ def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
              "GI4")):
         spec.senders_status = "unverified"
         drawn.clear()
+        subgraph_draws.clear()
         result = next(r for r in verify(spec, Budget(max_seconds=0.01)).results
                       if r.name == name)
         assert result.outcome == EXHAUSTED

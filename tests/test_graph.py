@@ -268,7 +268,9 @@ PATTERNS = [path_graph(3), path_graph(4), complete_graph(3), cycle_graph(4),
             star_graph(3), matching_graph(2), from_edges(4, [(1, 2), (2, 3)]),
             complete_graph(4), cycle_graph(5), clique_with_pendant(3),
             complete_graph(4).delete_edge(0),
-            from_edges(4, [(0, 2), (1, 2), (1, 3)])]
+            from_edges(4, [(0, 2), (1, 2), (1, 3)]),
+            # a degree-4 vertex: most small hosts have few candidates for it
+            star_graph(4), clique_with_pendant(4)]
 
 
 @settings(max_examples=150, deadline=None)

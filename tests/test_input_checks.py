@@ -22,7 +22,6 @@ from ramsey_gadgets import (EXACT, POSITIVE, ArrowInstance, Budget,
                             min_degree_stats, path_graph, pattern_of,
                             single_edge, star_arrow_predicate, string_senders,
                             write_sparse6)
-from ramsey_gadgets import graph6
 from ramsey_gadgets.cli import main
 from ramsey_gadgets.graph import MAX_ORDER
 
@@ -139,10 +138,6 @@ CASES = [
      GraphError, "vertex count -2 is negative"),
     ("negative-matching", lambda: matching_graph(-1),
      GraphError, "vertex count -2 is negative"),
-    # graph6: a Graph never has a negative order, so only the private
-    # size-field encoder can be handed one
-    ("size-field-negative", lambda: graph6._encode_n(-1),
-     FormatError, "negative vertex count"),
     ("size-field-too-large", lambda: write_sparse6(Graph(MAX_ORDER + 1, ())),
      FormatError, f"vertex count {MAX_ORDER + 1} exceeds the limit"),
     # manifest
