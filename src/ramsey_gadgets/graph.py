@@ -583,20 +583,20 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
     image[a] < image[b].  Vertices are placed in the order of the
     pattern's kept `_EmbedPlan`, grown from the pinned ones along pattern
     edges, and candidates are tried in increasing host vertex number
-    (rank order on a `Graph.ranked` adjacency).  Candidates are cut only
-    by bitmasks: unused, adjacent to each placed neighbour's image, and
-    on the required side of a placed condition partner's image.  A host
-    vertex of lower degree than its pattern vertex needs no test of its
-    own: some pattern neighbour then finds no candidate, so it completes
-    no map.  `visit(image)` is called on each full map; when it returns
-    True the search stops and returns True.  It also stops and returns
-    True when, before a candidate for the first unpinned vertex is
-    tried, the clock (`time.monotonic`) is past `deadline`."""
+    (rank order on a `Graph.ranked` adjacency).  Candidates are cut by
+    bitmasks (unused, adjacent to each placed neighbour's image, on the
+    required side of a placed condition partner's image) and by degree,
+    read from the candidate's own mask: a vertex of too low degree would
+    fail anyway, but only after its pattern neighbours were placed in
+    every order.  `visit(image)` is called on each full map; when it
+    returns True the search stops and returns True.  It also stops and
+    returns True when, before a candidate for the first unpinned vertex
+    is tried, the clock (`time.monotonic`) is past `deadline`."""
     key = tuple(conditions)
     plan = pattern._embed_plans.get(key)
     if plan is None:
         plan = pattern._embed_plans[key] = _EmbedPlan(pattern, key)
-    nbrs, below, above = plan.nbrs, plan.below, plan.above
+    deg, nbrs, below, above = plan.deg, plan.nbrs, plan.below, plan.above
     full = (1 << len(adj)) - 1
 
     def extend(idx: int, used: int) -> bool:
@@ -613,10 +613,12 @@ def _embed(adj: Sequence[int], pattern: Graph, starts: Iterable[dict],
         for w in above[p]:
             if w in image:
                 cand &= (1 << image[w]) - 1
-        timed = deadline is not None and idx == first
+        timed, need = deadline is not None and idx == first, deg[p]
         while cand:
             hv = (cand & -cand).bit_length() - 1
             cand &= cand - 1
+            if adj[hv].bit_count() < need:
+                continue
             if timed and time.monotonic() > deadline:
                 return True
             image[p] = hv

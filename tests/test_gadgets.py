@@ -627,17 +627,14 @@ def test_gi3_splits_a_class_only_against_its_first_edge(graph, f_eids, cls,
     assert (new_calls, len(made)) == calls
     assert gi3.to_json() == old.to_json()
 
-def counting_product(monkeypatch, on_draw=None) -> list:
-    """Records each coloring the verifiers draw from `gadgets.product`,
-    calling `on_draw(item)` after each if given."""
+def counting_product(monkeypatch) -> list:
+    """Records each coloring the verifiers draw from `gadgets.product`."""
     drawn = []
     product = gadgets.product
 
     def counted(*args, **kwargs):
         for item in product(*args, **kwargs):
             drawn.append(item)
-            if on_draw is not None:
-                on_draw(item)
             yield item
 
     monkeypatch.setattr(gadgets, "product", counted)
@@ -652,19 +649,11 @@ def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
     # three subgraph colorings, then jumps past the deadline, so the
     # outcome does not depend on the machine's speed
     f = path_graph(16)
-    clock = [0.0]
-    fake_time = SimpleNamespace(monotonic=lambda: clock[0])
+    drawn = counting_product(monkeypatch)
+    fake_time = SimpleNamespace(monotonic=lambda: float(
+        sum(len(item) == f.num_edges for item in drawn) >= 3))
     monkeypatch.setattr(arrowing, "time", fake_time)
     monkeypatch.setattr(graph_module, "time", fake_time)
-    subgraph_draws = []
-
-    def expire_after_three(item):
-        if len(item) == f.num_edges:
-            subgraph_draws.append(item)
-            if len(subgraph_draws) == 3:
-                clock[0] += 1.0
-
-    drawn = counting_product(monkeypatch, expire_after_three)
     for spec, verify, name in (
             (build_indicator(K3, f, 2, POSITIVE, STUB), verify_indicator,
              "I4"),
@@ -672,7 +661,6 @@ def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
              "GI4")):
         spec.senders_status = "unverified"
         drawn.clear()
-        subgraph_draws.clear()
         result = next(r for r in verify(spec, Budget(max_seconds=0.01)).results
                       if r.name == name)
         assert result.outcome == EXHAUSTED

@@ -384,6 +384,25 @@ def test_each_copy_is_visited_once_in_a_non_regular_host(monkeypatch, host,
     assert len(visits) == count
 
 
+def test_too_low_degree_candidates_are_cut_before_their_neighbours(
+        monkeypatch):
+    # the ranked K_{8,9} lists its nine degree-8 vertices first, and none
+    # can image the pattern's degree-9 root; each is cut on its degree,
+    # not after the root's neighbours are placed in all 8! orders
+    g = from_edges(17, [(u, 8 + v) for u in range(8) for v in range(9)])
+    reads = []
+
+    class CountedAdj(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+    embed = graph_module._embed
+    monkeypatch.setattr(graph_module, "_embed",
+                        lambda adj, *rest: embed(CountedAdj(adj), *rest))
+    assert graphs_isomorphic(g, g)
+    assert len(reads) < 1000
+
+
 def test_ranked_orders_by_degree_then_id():
     host = star_graph(3)                            # degrees 3, 1, 1, 1
     order, adj = host.ranked
