@@ -19,19 +19,22 @@ re-verified before it is returned.  A call keeps one clock: its budget
 is started once (`Budget.start`), and every enumeration and search in
 it, nested calls included, stops at that one deadline.
 
-A subgraph check filters one copy list instead of enumerating copies
+Every copy list in the package comes from `ArrowInstance.create`, the
+one caller of `graph.enumerate_copies`, under its budget's clock.  A
+subgraph check filters one copy list instead of enumerating copies
 again: the copies in the host minus some edges are the host's copies
 that avoid them (`_avoiding`), and the copies inside an edge set are
 those it contains; `coloring._mono_copy` tests a coloring against that
-list.  `minimalize`, the seed conditions, the GNI verifier and the
-pattern gadget's family check work this way.  A refutation also names
-its support, the copies it used (`ArrowResult.support`): every
-subgraph that keeps them arrows, so minimality searches only the edges
-they cover, and `is_minimal` builds one instance per edge-deleted
-subgraph for those edges only.  When `minimalize` finds an edge
-needed, every later edge that an automorphism of the current graph maps
-onto it is needed too (deleting either leaves isomorphic graphs), now
-and after later deletions, so it is kept with no search.
+list.  `minimalize`, the seed conditions, the GNI verifier and every
+target-freeness check of a builder or verifier work this way.  A
+refutation also names its support, the copies it used
+(`ArrowResult.support`): every subgraph that keeps them arrows, so
+minimality searches only the edges they cover, and `is_minimal` builds
+one instance per edge-deleted subgraph for those edges only.  When
+`minimalize` finds an edge needed, every later edge that an
+automorphism of the current graph maps onto it is needed too (deleting
+either leaves isomorphic graphs), now and after later deletions, so it
+is kept with no search.
 """
 
 from __future__ import annotations
@@ -748,6 +751,8 @@ def min_degree_stats(g: Graph) -> DegreeStats:
 def sq_lower_bound(h: Graph, q: int) -> int:
     """q(delta - 1) + 1, the universal floor for the smallest minimum
     degree over minimal graphs arrowing h with q colors."""
+    if q < 2:
+        raise GraphError("need at least 2 colors")
     degs = h.degrees()
     if not degs or min(degs) == 0:
         raise GraphError("target must have no isolated vertices")

@@ -251,7 +251,8 @@ def cmd_construct_3conn(args) -> int:
 
 
 def cmd_construct_clique(args) -> int:
-    spec = build_clique_gtilde(args.t, args.q, _provider(args), d=args.d)
+    spec = build_clique_gtilde(args.t, args.q, _provider(args), d=args.d,
+                               budget=args.budget)
     return _emit_built(args, "construct clique", spec, spec.graph)
 
 
@@ -279,7 +280,7 @@ def cmd_construct_coloring(args, coloring, extra_vertices: int) -> int:
 def cmd_construct_indicator(args) -> int:
     spec = build_indicator(_load_graph(args.target),
                            _load_graph(args.subgraph), args.q, args.polarity,
-                           _provider(args), args.d)
+                           _provider(args), args.d, args.budget)
     return _emit_built(args, "construct indicator", spec)
 
 
@@ -288,7 +289,7 @@ def cmd_construct_gni(args) -> int:
                             _load_json(args.partition), "--partition")
     spec = build_gni(_load_graph(args.target), _load_graph(args.subgraph),
                      _load_graph(args.classes_graph), partition, args.q,
-                     _provider(args), args.d)
+                     _provider(args), args.d, args.budget)
     return _emit_built(args, "construct gni", spec)
 
 

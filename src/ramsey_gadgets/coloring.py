@@ -1,7 +1,9 @@
 """Edge colorings, color patterns, and pattern families.
 
 `_mono_copy` is the one monochromatic-copy test: every target-freeness
-check runs it on one copy list (edge-id tuples) per graph and target."""
+check runs it on one copy list (edge-id tuples) per graph and target,
+an `arrowing.ArrowInstance`'s, under that instance's clock.  This module
+lists no copies itself: `arrowing` imports it."""
 
 from __future__ import annotations
 
@@ -9,8 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Mapping, Optional
 
-from .graph import (Graph, GraphError, decode_json, enumerate_copies,
-                    graphs_isomorphic)
+from .graph import Graph, GraphError, decode_json, graphs_isomorphic
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,6 @@ class ColorPattern:
         """Total coloring assigning color i+1 to class i."""
         return EdgeColoring.from_map(self.q, {
             e: i + 1 for i, cls in enumerate(self.classes) for e in cls})
-
-    def is_h_free(self, h: Graph) -> bool:
-        return self.monochromatic_copy(h) is None
-
-    def monochromatic_copy(self, h: Graph) -> Optional[tuple[int, ...]]:
-        """The edge ids of the first monochromatic copy of h, or None."""
-        copies = enumerate_copies(self.graph, h)
-        return _mono_copy([emb.edge_set for emb in copies], self.to_coloring())
 
 
 def _mono_copy(copy_list, coloring: EdgeColoring) -> Optional[tuple[int, ...]]:

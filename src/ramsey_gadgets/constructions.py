@@ -24,7 +24,7 @@ from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
                        ArrowInstance, Budget, BudgetExhausted, _avoiding,
                        arrows, extendable, is_minimal)
 from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
-                       pattern_of)
+                       _mono_copy, pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
                       _Assembly, _gadget_distance, build_pattern_gadget)
 from .graph import (Graph, GraphError, InternalError, clique_with_pendant,
@@ -498,11 +498,12 @@ class CliqueGtildeSpec:
 
 def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
                         base_pattern: Optional[ColorPattern] = None,
-                        d: Optional[int] = None) -> CliqueGtildeSpec:
+                        d: Optional[int] = None,
+                        budget: Budget = NO_BUDGET) -> CliqueGtildeSpec:
     """Complete-graph base with a clique-free pattern, one signal edge
     per color tied to its class by positive senders, pairwise negative
     senders between the signal edges, and a new vertex joined to the
-    whole base."""
+    whole base.  `budget` bounds the base pattern's check."""
     if t < 3 or q < 2:
         raise GraphError("need clique size >= 3 and q >= 2")
     h = complete_graph(t)
@@ -514,7 +515,10 @@ def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
         base = base_pattern.graph
         if base_pattern.q != q:
             raise GraphError("base pattern has wrong color count")
-    if not base_pattern.is_h_free(h):
+    copies = ArrowInstance.create(base, h, q, budget).copies
+    if copies is None:
+        raise BudgetExhausted("base pattern check undecided")
+    if _mono_copy(copies, base_pattern.to_coloring()):
         raise GraphError("base pattern must be clique-free")
 
     asm = _Assembly(base.relabel({w: f"G{w}" for w in range(base.n)}),

@@ -25,9 +25,9 @@ from .coloring import (ColorPattern, EdgeColoring, PatternFamily, _mono_copy,
                        pattern_of)
 from .graph import (Graph, GraphError, _bitsets, _embed, _GraphDraft,
                     clique_with_pendant, complete_graph, decode_json,
-                    disjoint_union, edge_distance, enumerate_copies,
-                    far_edge_pairs, from_edges, girth, graphs_isomorphic,
-                    matching_graph, single_edge)
+                    disjoint_union, edge_distance, far_edge_pairs,
+                    from_edges, girth, graphs_isomorphic, matching_graph,
+                    single_edge)
 from .manifest import ConstructionManifest, ManifestBuilder
 
 POSITIVE = "positive"
@@ -130,15 +130,27 @@ def _spec_from_json(cls, data):
     return spec
 
 
-def _check_ids(spec, vertices, edges):
+# the values a spec field of one of these names may take
+_KNOWN_VALUES = {"status": tuple(_STATUS_ORDER),
+                 "senders_status": tuple(_STATUS_ORDER),
+                 "polarity": (POSITIVE, NEGATIVE)}
+
+
+def _check_spec(spec, vertices, edges):
     """Raise GraphError unless the spec's graph has these vertex and edge
-    ids; each spec checks the ids it names when it is made."""
+    ids and its status and polarity fields hold known values; each spec
+    checks them when it is made."""
     for ids, bound, what in ((vertices, spec.graph.n, "vertex"),
                              (edges, spec.graph.num_edges, "edge")):
         bad = [i for i in ids if not 0 <= i < bound]
         if bad:
             raise GraphError(f"{spec.KIND} spec names {what} {bad[0]}, "
                              "which its graph lacks")
+    for f in fields(spec):
+        known, value = _KNOWN_VALUES.get(f.name), getattr(spec, f.name)
+        if known and value not in known:
+            raise GraphError(f"{spec.KIND} spec has unknown {f.name} "
+                             f"{value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +169,9 @@ class SenderSpec:
     status: str = STATUS_UNVERIFIED
 
     def __post_init__(self):
-        _check_ids(self, (), (self.e, self.f))
+        _check_spec(self, (), (self.e, self.f))
         if self.e == self.f:
             raise GraphError("signal edges must differ")
-        if self.polarity not in (POSITIVE, NEGATIVE):
-            raise GraphError(f"unknown polarity {self.polarity!r}")
 
     def signal_distance(self) -> float:
         return edge_distance(self.graph, [self.e], [self.f])
@@ -362,7 +372,7 @@ class IndicatorSpec:
     manifest: Optional[ConstructionManifest] = None
 
     def __post_init__(self):
-        _check_ids(self, self.f_vertices, (*self.f_eids, self.e))
+        _check_spec(self, self.f_vertices, (*self.f_eids, self.e))
 
     def to_json(self) -> dict:
         return _spec_to_json(self)
@@ -434,11 +444,12 @@ class _Assembly:
 
 
 def _indicator(h: Graph, f: Graph, q: int, d: int, polarity: str,
-               provider: SenderProvider) -> IndicatorSpec:
-    """A standalone indicator for f; a single-edge f degenerates to a bare
-    sender.  Its senders' status counts once a copy is attached."""
+               provider: SenderProvider, budget: Budget) -> IndicatorSpec:
+    """A standalone indicator for f, under the caller's started budget; a
+    single-edge f degenerates to a bare sender.  Its senders' status
+    counts once a copy is attached."""
     if f.num_edges >= 2:
-        return build_indicator(h, f, q, polarity, provider, d)
+        return build_indicator(h, f, q, polarity, provider, d, budget)
     s = provider.get(polarity, h, q, d)
     return _promote(IndicatorSpec(
         s.graph, s.graph.edges[s.e], (s.e,), s.f, polarity, h, q, d,
@@ -520,14 +531,15 @@ def _indicate_pair(asm: _Assembly, f1: int, f2: int) -> int:
 
 
 def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
-                    provider: SenderProvider,
-                    d: Optional[int] = None) -> IndicatorSpec:
+                    provider: SenderProvider, d: Optional[int] = None,
+                    budget: Budget = NO_BUDGET) -> IndicatorSpec:
     """An indicator for f (at least two edges): when f is monochromatic
     its edge e must take f's color (positive) or another one (negative).
     The positive core is a left fold of the two-edge base: it indicates
     f's edges 0 and 1, then each further edge together with the previous
     indicator edge (counted as `recursive_steps`).  A negative indicator
-    adds one negative sender from that core's edge to a fresh edge."""
+    adds one negative sender from that core's edge to a fresh edge.
+    `budget` bounds the check that f does not contain the target."""
     if q < 2:
         raise GraphError("need q >= 2")
     d = _gadget_distance(h, d)
@@ -535,14 +547,17 @@ def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
         raise GraphError("indicator subgraph needs at least 2 edges")
     if h.num_edges < 2:
         raise GraphError("target needs at least 2 edges")
-    if f.num_edges >= h.num_edges and enumerate_copies(f, h):
-        raise GraphError("indicator subgraph must not contain the target")
     if _is_cycle(h) and girth(f) <= h.n:
         raise GraphError(
             f"cycle target of length {h.n} needs indicator subgraph of "
             f"girth > {h.n}")
     if polarity not in (POSITIVE, NEGATIVE):
         raise GraphError(f"unknown polarity {polarity!r}")
+    copies = ArrowInstance.create(f, h, q, budget).copies
+    if copies is None:
+        raise BudgetExhausted("indicator subgraph check undecided")
+    if copies:
+        raise GraphError("indicator subgraph must not contain the target")
 
     asm = _Assembly(f.relabel({v: f"F{v}" for v in range(f.n)}),
                     "indicator subgraph", h, q, d, provider)
@@ -708,9 +723,9 @@ class GNISpec:
     manifest: Optional[ConstructionManifest] = None
 
     def __post_init__(self):
-        _check_ids(self, self.f_vertices + self.g_vertices,
-                   self.f_eids + self.g_eids + self.e_k
-                   + sum(self.m_edges + self.p_edges, ()))
+        _check_spec(self, self.f_vertices + self.g_vertices,
+                    self.f_eids + self.g_eids + self.e_k
+                    + sum(self.m_edges + self.p_edges, ()))
 
     @property
     def g_eids(self) -> tuple[int, ...]:
@@ -726,25 +741,29 @@ class GNISpec:
 
 def build_gni(h: Graph, f: Graph, g: Graph,
               partition: Sequence[Sequence[int]], q: int,
-              provider: SenderProvider,
-              d: Optional[int] = None) -> GNISpec:
+              provider: SenderProvider, d: Optional[int] = None,
+              budget: Budget = NO_BUDGET) -> GNISpec:
     """Rainbow-forcing gadget: when the subgraph f is monochromatic, the
     classes of g (checked as a `ColorPattern` of g) must each be
     monochromatic and use all remaining colors.  Its indicators check f
-    and the target."""
+    and the target.  One clock bounds the class check and the
+    indicators' checks."""
     if q < 2:
         raise GraphError("need q >= 2")
     d = _gadget_distance(h, d)
     if len(partition) != q - 1:
         raise GraphError(f"partition must have exactly {q - 1} classes")
     pattern = ColorPattern(g, tuple(partition))
-    if any(len(cls) >= h.num_edges for cls in pattern.classes) and \
-            not pattern.is_h_free(h):
+    inst = ArrowInstance.create(g, h, q, budget)
+    if inst.copies is None:
+        raise BudgetExhausted("class check undecided")
+    if _mono_copy(inst.copies, pattern.to_coloring()):
         raise GraphError("a declared class of g contains the target")
     return _promote(_gni(h, f, g, partition, q, provider, d,
-                         _indicator(h, f, q, d, NEGATIVE, provider),
+                         _indicator(h, f, q, d, NEGATIVE, provider,
+                                    inst.budget),
                          _indicator(h, matching_graph(2), q, d, POSITIVE,
-                                    provider)), _gni_gi1)
+                                    provider, inst.budget)), _gni_gi1)
 
 
 def _gni(h: Graph, f: Graph, g: Graph, partition: Sequence[Sequence[int]],
@@ -888,7 +907,7 @@ class PatternGadgetSpec:
     manifest: Optional[ConstructionManifest] = None
 
     def __post_init__(self):
-        _check_ids(self, self.g_vertices, self.g_eids + self.m_eids)
+        _check_spec(self, self.g_vertices, self.g_eids + self.m_eids)
         # base edge i is edge g_eids[i] of the graph, under g_vertices
         base, v = self.family.base, self.g_vertices
         if len(v) != base.n or len(self.g_eids) != base.num_edges or any(
@@ -953,7 +972,7 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
     m_eids = asm.fresh(matching_graph(m_size), "pattern matching M")
 
     sub_f = matching_graph(r)
-    pos_ind = _indicator(h, sub_f, q, d, POSITIVE, provider)
+    pos_ind = _indicator(h, sub_f, q, d, POSITIVE, provider, inst.budget)
     gni_cache: dict[int, tuple] = {}
 
     for sub, pat_idx in surjection:
@@ -972,9 +991,11 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
             continue
         if pat_idx not in gni_cache:
             if not gni_cache:   # the first rainbow gadget: build its pieces
-                neg_ind = _indicator(h, sub_f, q, d, NEGATIVE, provider)
+                neg_ind = _indicator(h, sub_f, q, d, NEGATIVE, provider,
+                                     inst.budget)
                 pair_ind = pos_ind if r == 2 else _indicator(
-                    h, matching_graph(2), q, d, POSITIVE, provider)
+                    h, matching_graph(2), q, d, POSITIVE, provider,
+                    inst.budget)
             sub_g = g.edge_induced(rest)
             vert_list = sorted(g.edge_vertices(rest))
             local_pos = {e: i for i, e in enumerate(rest)}
@@ -1035,10 +1056,10 @@ def verify_pattern_gadget(spec: PatternGadgetSpec,
         # monochromatic clique copies touching the base graph must lie
         # inside it
         gset, k = set(spec.g_vertices), spec.h.n - 1
-        cliques = enumerate_copies(spec.graph, complete_graph(k),
-                                   inst.budget.deadline)
-        straddling = [emb.edge_set for emb in cliques or () if 0 < len(
-            gset & spec.graph.edge_vertices(emb.edge_set)) < k]
+        cliques = ArrowInstance.create(spec.graph, complete_graph(k), q,
+                                       inst.budget).copies
+        straddling = [es for es in cliques or () if 0 < len(
+            gset & spec.graph.edge_vertices(es)) < k]
         special_ok = all(_mono_copy(straddling, w) is None for w in witnesses)
         p3 = replace(p3, outcome=EXHAUSTED if cliques is None else PASS,
                      detail=p3.detail + "; clique-copy containment flag " + (

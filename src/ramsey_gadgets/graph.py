@@ -671,7 +671,8 @@ def enumerate_copies(host: Graph, pattern: Graph,
     pattern side of the search (`_EmbedPlan`) is built on the pattern's
     first enumeration and kept on it, so a later call sets up only the
     host side.  None if the clock (`time.monotonic`) passes `deadline`
-    first."""
+    first.  In the package, `arrowing.ArrowInstance.create` is its one
+    caller: every copy list comes from an instance."""
     if pattern.num_edges == 0:
         raise GraphError("pattern must have at least one edge")
     order, adj = host.ranked

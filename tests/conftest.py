@@ -1,12 +1,31 @@
 """Shared oracles.  The exhaustive colorer and the networkx-based copy
 enumerator are deliberately independent of the package's own engine so
-unit tests cross-check rather than echo it."""
+unit tests cross-check rather than echo it.  `fake_clock` lets a test
+run a budget's clock itself, so no outcome depends on the machine's
+speed."""
 
 import itertools
+from types import SimpleNamespace
 
 import networkx as nx
 
-from ramsey_gadgets import ARROWS, DOES_NOT_ARROW, Graph
+from ramsey_gadgets import ARROWS, DOES_NOT_ARROW, Graph, arrowing
+from ramsey_gadgets import graph as graph_module
+
+
+def fake_clock(monkeypatch, jumped) -> None:
+    """Give `arrowing` and `graph`, the modules that read the clock, one
+    that stands at 0 while `jumped()` is false and at 1 once it is true."""
+    fake_time = SimpleNamespace(monotonic=lambda: float(jumped()))
+    monkeypatch.setattr(arrowing, "time", fake_time)
+    monkeypatch.setattr(graph_module, "time", fake_time)
+
+
+def after_first_read(monkeypatch) -> None:
+    """A fake clock that jumps right after its first read: a budget
+    started then (the first read) has run out at every later one."""
+    reads = itertools.count()
+    fake_clock(monkeypatch, lambda: next(reads) > 0)
 
 
 def to_networkx(g: Graph) -> nx.Graph:

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from conftest import after_first_read
+
 from ramsey_gadgets import (ArrowInstance, ConstructionManifest, EdgeColoring,
                             GNISpec, IndicatorSpec, PatternGadgetSpec,
                             StubSenderProvider, arrows,
@@ -367,10 +369,22 @@ def test_search_sender_out_of_budget_is_unknown(capsys):
     ["construct", "3conn", "--k", "1", "--max-seconds", "1e-9"],
     ["construct", "cycle", "--q", "2", "--t", "4", "--k", "1",
      "--max-seconds", "1e-9"],
+    ["construct", "clique", "--t", "3", "--q", "8", "--max-seconds", "0.5"],
+    ["construct", "indicator", "--target", "K3", "--subgraph", "P4",
+     "--max-seconds", "0.5"],
+    ["construct", "gni", "--target", "K3", "--subgraph", "P3",
+     "--classes-graph", "K3", "--partition", "[[0,1,2]]",
+     "--max-seconds", "0.5"],
 ])
-def test_budget_spent_inside_a_construction_exits_unknown(argv, capsys):
+def test_budget_spent_inside_a_construction_exits_unknown(argv, monkeypatch,
+                                                          capsys):
     # once a usage error (3): the count check's minimality, the seed
-    # conditions and the pattern gadget's base check ran out of budget
+    # conditions and the pattern gadget's base check ran out of budget;
+    # once run with no deadline: the target-freeness checks of the
+    # clique (about 15 s for q = 8), indicator and gni builds.  The
+    # command starts its clock (the clock's first read), which then
+    # jumps past the deadline
+    after_first_read(monkeypatch)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("unknown: ")
@@ -391,6 +405,12 @@ def test_stats(capsys):
     assert code == 0
     assert report["min_degree"] == 1 and report["min_degree_count"] == 5
     assert report["degree_lower_bound"] == 1
+
+
+def test_stats_degree_bound_needs_two_colors(capsys):
+    # the bound once read 0 for q = -1, with exit 0
+    assert main(["stats", "--graph", "K6", "--target", "K3", "--q", "-1"]) == 3
+    assert "need at least 2 colors" in capsys.readouterr().err
 
 
 def test_construct_phi_psi(capsys):
@@ -512,6 +532,37 @@ def test_senders_from_a_file(tmp_path, capsys):
                                                  POSITIVE).to_json()]))
     assert main(argv) == 3
     assert "no negative sender available" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("status", "bogus"),
+                                          ("polarity", "sideways")])
+def test_unknown_spec_field_in_a_senders_file_exits_usage(field, value,
+                                                          tmp_path, capsys):
+    # an unknown status was once a KeyError in the status ranking (exit 4)
+    path = tmp_path / "senders.json"
+    senders = [make_stub_sender(complete_graph(3), 2, 4, pol).to_json()
+               for pol in (POSITIVE, NEGATIVE)]
+    senders[0][field] = value
+    path.write_text(json.dumps(senders))
+    assert main(["construct", "indicator", "--target", "K3", "--subgraph",
+                 "P3", "--senders", str(path)]) == 3
+    assert (f"sender spec has unknown {field} {value!r}"
+            in capsys.readouterr().err)
+
+
+def test_indicator_spec_with_an_unknown_polarity_exits_usage(tmp_path,
+                                                             capsys):
+    # it once loaded and was checked as a negative indicator
+    spec_path = tmp_path / "spec.json"
+    assert main(["construct", "indicator", "--target", "K3", "--subgraph",
+                 "P3", "--out", str(spec_path)]) == 0
+    data = json.loads(spec_path.read_text())
+    data["polarity"] = "sideways"
+    spec_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "indicator", "--spec", str(spec_path)]) == 3
+    assert ("indicator spec has unknown polarity 'sideways'"
+            in capsys.readouterr().err)
 
 
 SPEC_COMMANDS = {

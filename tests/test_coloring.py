@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramsey_gadgets import (EXACT, UP_TO_ISO, ColorPattern, EdgeColoring,
-                            GraphError, PatternFamily, complete_graph,
-                            cycle_graph, path_graph, pattern_of,
-                            patterns_isomorphic, star_graph)
+from ramsey_gadgets import (EXACT, UP_TO_ISO, ArrowInstance, ColorPattern,
+                            EdgeColoring, GraphError, PatternFamily,
+                            complete_graph, cycle_graph, path_graph,
+                            pattern_of, patterns_isomorphic, star_graph)
+from ramsey_gadgets.coloring import _mono_copy
 
 
 def test_coloring_basics():
@@ -44,14 +45,20 @@ def test_pattern_requires_total_coloring():
 
 
 def test_h_free_and_witness():
+    # a pattern is h-free when `_mono_copy` finds no one-colored copy in
+    # the instance's copy list of h in the pattern's graph
+    def mono_copy(pattern, h):
+        copies = ArrowInstance.create(pattern.graph, h, 2).copies
+        return _mono_copy(copies, pattern.to_coloring())
+
     g = complete_graph(3)
     mono = pattern_of(g, EdgeColoring.from_map(2, {0: 1, 1: 1, 2: 1}))
     split = pattern_of(g, EdgeColoring.from_map(2, {0: 1, 1: 1, 2: 2}))
-    assert not mono.is_h_free(g)
-    assert split.is_h_free(g)
-    assert split.is_h_free(path_graph(3)) is False   # 0,1 same color share a vertex
-    assert mono.monochromatic_copy(g) == (0, 1, 2)
-    assert split.monochromatic_copy(g) is None
+    assert mono_copy(mono, g) is not None
+    assert mono_copy(split, g) is None
+    assert mono_copy(split, path_graph(3)) is not None   # 0,1 same color share a vertex
+    assert mono_copy(mono, g) == (0, 1, 2)
+    assert mono_copy(split, g) is None
 
 
 def test_class_graph():

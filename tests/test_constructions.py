@@ -4,7 +4,7 @@ import pytest
 
 from conftest import nx_copies
 
-from ramsey_gadgets import arrowing, coloring, gadgets, graph
+from ramsey_gadgets import arrowing, gadgets
 from ramsey_gadgets import (EXACT, ARROWS, Budget, EdgeColoring, GraphError,
                             PatternFamily, StubSenderProvider,
                             ThreeConnectedSeed,
@@ -18,6 +18,7 @@ from ramsey_gadgets import (EXACT, ARROWS, Budget, EdgeColoring, GraphError,
                             load_corpus, p4_abundant, path_graph, pattern_of,
                             phi_coloring, psi_coloring, star_arrow_predicate,
                             star_degree_one_count_check, star_graph)
+from ramsey_gadgets.coloring import _mono_copy
 from ramsey_gadgets.constructions import _cycle_base, _cycle_patterns
 
 STUB = StubSenderProvider()
@@ -235,8 +236,9 @@ def test_cycle_base_patterns_are_target_free(q, t):
     f, pair_paths = _cycle_base(q, t)
     f1, f2 = _cycle_patterns(q, f, pair_paths)
     h = cycle_graph(t)
-    assert f1.is_h_free(h)
-    assert f2.is_h_free(h)
+    copies = ArrowInstance.create(f, h, q).copies
+    assert _mono_copy(copies, f1.to_coloring()) is None
+    assert _mono_copy(copies, f2.to_coloring()) is None
     # f1: each path monochromatic; f2: no path monochromatic
     for per_pair in pair_paths:
         c1, c2 = f1.to_coloring().as_dict(), f2.to_coloring().as_dict()
@@ -335,8 +337,9 @@ def test_seed_f2_failure_is_named():
 
 
 def test_seed_checks_and_the_recipe_share_one_deadline(monkeypatch):
-    # check_seed and the pattern gadget's base check enumerate under one
-    # clock; the extension re-check reuses the seed's instance
+    # check_seed, the pattern gadget's base check and its two indicators'
+    # containment checks enumerate under one clock; the extension
+    # re-check reuses the seed's instance
     deadlines = []
     real = arrowing.enumerate_copies
     monkeypatch.setattr(arrowing, "enumerate_copies",
@@ -344,12 +347,12 @@ def test_seed_checks_and_the_recipe_share_one_deadline(monkeypatch):
                             deadline) or real(host, pattern, deadline))
     build_3connected_abundant(default_three_connected_seed(), 1, STUB,
                               budget=Budget(max_seconds=60))
-    assert len(deadlines) == 2
+    assert len(deadlines) == 4
     assert deadlines[0] is not None and len(set(deadlines)) == 1
     # a started budget is passed on: check_seed keeps its caller's clock
     started = Budget(max_seconds=60).start()
     check_seed(default_three_connected_seed(), started)
-    assert deadlines[2:] == [started.deadline]
+    assert deadlines[4:] == [started.deadline]
 
 
 def test_3connected_recipe_structure():
@@ -378,15 +381,15 @@ def test_3connected_blocks_drop_the_marked_vertex_and_the_seed_labels():
 
 
 def _count_enumerations(monkeypatch) -> list:
-    """The hosts of every copy enumeration, in whichever module it runs."""
+    """The hosts of every copy enumeration; `ArrowInstance.create` makes
+    them all."""
     calls = []
-    real = graph.enumerate_copies
+    real = arrowing.enumerate_copies
 
     def spy(host, pattern, deadline=None):
         calls.append(host)
         return real(host, pattern, deadline)
-    for module in (arrowing, coloring, gadgets):
-        monkeypatch.setattr(module, "enumerate_copies", spy)
+    monkeypatch.setattr(arrowing, "enumerate_copies", spy)
     return calls
 
 

@@ -4,13 +4,12 @@ import time
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nx_copies
+from conftest import after_first_read, fake_clock, nx_copies
 
 from ramsey_gadgets import (DOES_NOT_ARROW, EXACT, Budget, BudgetExhausted,
                             EdgeColoring, GNISpec, Graph, GraphError,
@@ -31,7 +30,6 @@ from ramsey_gadgets import (DOES_NOT_ARROW, EXACT, Budget, BudgetExhausted,
                             verify_pattern_gadget, verify_sender,
                             verify_witness, UP_TO_ISO)
 from ramsey_gadgets import arrowing, gadgets
-from ramsey_gadgets import graph as graph_module
 from ramsey_gadgets.gadgets import (EXHAUSTED, FAIL, NEGATIVE, PASS, POSITIVE,
                                     SKIPPED_STUB, STATUS_FULL, STATUS_STUB,
                                     STATUS_STRUCTURAL, STATUS_UNVERIFIED)
@@ -650,10 +648,8 @@ def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
     # outcome does not depend on the machine's speed
     f = path_graph(16)
     drawn = counting_product(monkeypatch)
-    fake_time = SimpleNamespace(monotonic=lambda: float(
-        sum(len(item) == f.num_edges for item in drawn) >= 3))
-    monkeypatch.setattr(arrowing, "time", fake_time)
-    monkeypatch.setattr(graph_module, "time", fake_time)
+    fake_clock(monkeypatch, lambda: sum(
+        len(item) == f.num_edges for item in drawn) >= 3)
     for spec, verify, name in (
             (build_indicator(K3, f, 2, POSITIVE, STUB), verify_indicator,
              "I4"),
@@ -670,14 +666,22 @@ def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
 
 def test_gi4_reads_the_clock_while_listing_class_colorings(monkeypatch):
     # one 16-edge matching class has 2^16 colorings to test for target
-    # copies before the first case; out of time, the scan stops early
-    # (one coloring takes microseconds, so 10 ms reach far fewer than 2^14)
+    # copies before the first case; the clock stands still until the
+    # scan has drawn 100 of them, then jumps past the deadline, and the
+    # scan stops at once
     drawn = counting_product(monkeypatch)
     spec = build_gni(K3, P3, matching_graph(16), [list(range(16))], 2, STUB)
     spec.senders_status = "unverified"
-    gi4 = verify_gni(spec, Budget(max_seconds=0.01)).results[3]
+
+    def class_colorings() -> int:
+        return sum(len(item) == 16 for item in drawn)
+
+    fake_clock(monkeypatch, lambda: class_colorings() >= 100)
+    gi4 = verify_gni(spec, Budget(max_seconds=0.5)).results[3]
     assert (gi4.name, gi4.outcome) == ("GI4", EXHAUSTED)
-    assert len(drawn) < 2 ** 14
+    assert gi4.detail == ("covered 0 cases: out of time listing the class "
+                          "colorings")
+    assert class_colorings() == 100
 
 
 def _clique_pendant_gadget() -> PatternGadgetSpec:
@@ -695,30 +699,57 @@ def _clique_pendant_gadget() -> PatternGadgetSpec:
 
 
 def test_clique_copy_flag_enumerates_cliques_once(monkeypatch):
+    # the verifier's instance lists the target's copies, then the flag's
+    # instance the clique copies, once
     spec = _clique_pendant_gadget()
     calls = []
-    enumerate_copies = gadgets.enumerate_copies
-    monkeypatch.setattr(gadgets, "enumerate_copies",
+    enumerate_copies = arrowing.enumerate_copies
+    monkeypatch.setattr(arrowing, "enumerate_copies",
                         lambda host, pattern, deadline: calls.append(pattern)
                         or enumerate_copies(host, pattern, deadline))
     p3 = verify_pattern_gadget(spec).results[2]
     assert p3.name == "P3" and p3.outcome == PASS
     assert p3.detail.endswith("clique-copy containment flag holds")
-    assert calls == [complete_graph(3)]
+    assert calls == [spec.h, complete_graph(3)]
 
 
 def test_clique_copy_flag_out_of_time_is_unknown(monkeypatch):
     # the clique copies are enumerated under the verifier's clock; when
     # it runs out there, P3 is unknown, not passed
     deadlines = []
-    monkeypatch.setattr(gadgets, "enumerate_copies",
-                        lambda host, pattern, deadline:
-                        deadlines.append(deadline))
+    enumerate_copies = arrowing.enumerate_copies
+
+    def out_of_time_on_cliques(host, pattern, deadline):
+        deadlines.append(deadline)
+        if pattern != complete_graph(3):
+            return enumerate_copies(host, pattern, deadline)
+
+    monkeypatch.setattr(arrowing, "enumerate_copies", out_of_time_on_cliques)
     budget = Budget(max_seconds=60)
     p3 = verify_pattern_gadget(_clique_pendant_gadget(), budget).results[2]
     assert (p3.name, p3.outcome) == ("P3", EXHAUSTED)
     assert p3.detail.endswith("clique-copy containment flag undecided")
-    assert len(deadlines) == 1 and deadlines[0] is not None
+    assert len(deadlines) == 2 and deadlines[0] is not None
+    assert len(set(deadlines)) == 1
+
+
+@pytest.mark.parametrize("build, check", [
+    (lambda budget: build_indicator(K3, path_graph(4), 2, POSITIVE, STUB,
+                                    budget=budget), "indicator subgraph"),
+    (lambda budget: build_gni(K3, P3, K3, [[0, 1, 2]], 2, STUB,
+                              budget=budget), "class"),
+    (lambda budget: build_clique_gtilde(3, 2, STUB, budget=budget),
+     "base pattern"),
+], ids=["indicator", "gni", "clique"])
+def test_builders_target_checks_keep_the_callers_clock(build, check,
+                                                       monkeypatch):
+    # each builder's target-freeness check runs on an instance under the
+    # given budget: once its clock has run out, the check is unknown,
+    # neither a pass nor a usage error
+    after_first_read(monkeypatch)
+    spent = Budget(max_seconds=0.5).start()
+    with pytest.raises(BudgetExhausted, match=f"^{check} check undecided$"):
+        build(spent)
 
 
 def test_check_robust_clean_case():

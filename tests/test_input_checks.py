@@ -3,24 +3,28 @@ message, reached through a public entry point where one exists; and a
 result's truth-value accessors raise BudgetExhausted on an unknown
 verdict, never a guess."""
 
+from dataclasses import replace
+
 import pytest
 
 from ramsey_gadgets import (EXACT, POSITIVE, ArrowInstance, Budget,
                             BudgetExhausted, ComposeError,
                             ConstructionManifest, EdgeColoring, FormatError,
-                            Graph, GraphError, ManifestStep, PatternFamily,
-                            SenderSpec, StubSenderProvider, ThreeConnectedSeed,
-                            arrows, build_3connected_abundant,
-                            build_clique_gtilde, build_cycle_abundant,
-                            build_indicator, build_ktk2_abundant,
-                            build_pattern_gadget, check_robust, check_seed,
+                            Graph, GraphError, IndicatorSpec, ManifestStep,
+                            PatternFamily, SenderSpec, StubSenderProvider,
+                            ThreeConnectedSeed, arrows,
+                            build_3connected_abundant, build_clique_gtilde,
+                            build_cycle_abundant, build_gni, build_indicator,
+                            build_ktk2_abundant, build_pattern_gadget,
+                            check_robust, check_seed,
                             clique_ladder, complete_graph, compose,
                             cycle_graph, default_three_connected_seed,
                             disjoint_union, distance, enumerate_copies,
                             extendable, graph_from_name, is_k_connected,
                             is_minimal, make_stub_sender, matching_graph,
                             min_degree_stats, path_graph, pattern_of,
-                            single_edge, star_arrow_predicate, string_senders,
+                            single_edge, sq_lower_bound,
+                            star_arrow_predicate, string_senders,
                             write_sparse6)
 from ramsey_gadgets.cli import main
 from ramsey_gadgets.graph import MAX_ORDER
@@ -58,6 +62,8 @@ CASES = [
      GraphError, "partial coloring mentions unknown edge 7"),
     ("degree-stats-empty", lambda: min_degree_stats(Graph(0, ())),
      GraphError, "empty graph has no degrees"),
+    ("degree-bound-one-color", lambda: sq_lower_bound(K3, 1),
+     GraphError, "need at least 2 colors"),
     # coloring
     ("edge-colored-twice", lambda: EdgeColoring(2, ((0, 1), (0, 2))),
      GraphError, "edge colored twice"),
@@ -112,6 +118,27 @@ CASES = [
      GraphError, "signal edges must differ"),
     ("sender-polarity", lambda: SenderSpec(P3, 0, 1, "sideways", P3, 2, 1),
      GraphError, "unknown polarity 'sideways'"),
+    ("sender-status",
+     lambda: SenderSpec(P3, 0, 1, POSITIVE, P3, 2, 1, status="bogus"),
+     GraphError, "sender spec has unknown status 'bogus'"),
+    ("indicator-spec-polarity",
+     lambda: IndicatorSpec(disjoint_union(P3, single_edge()), (0, 1, 2),
+                           (0, 1), 2, "sideways", K3, 2, 1),
+     GraphError, "indicator spec has unknown polarity 'sideways'"),
+    ("indicator-spec-status",
+     lambda: replace(build_indicator(K3, P3, 2, POSITIVE, STUB),
+                     status="bogus"),
+     GraphError, "indicator spec has unknown status 'bogus'"),
+    ("gni-spec-senders-status",
+     lambda: replace(build_gni(K3, P3, single_edge(), [[0]], 2, STUB),
+                     senders_status="bogus"),
+     GraphError, "generalized_negative_indicator spec has unknown "
+     "senders_status 'bogus'"),
+    ("pattern-gadget-spec-status",
+     lambda: replace(build_pattern_gadget(
+         K3, C4, PatternFamily(C4, (_c4_pattern(2),), EXACT), 2, STUB),
+         status="bogus"),
+     GraphError, "pattern_gadget spec has unknown status 'bogus'"),
     ("string-other-target",
      lambda: string_senders([make_stub_sender(P3, 2, 1, POSITIVE),
                              make_stub_sender(K3, 2, 1, POSITIVE)]),
