@@ -581,22 +581,16 @@ def arrows(instance: ArrowInstance) -> ArrowResult:
 
 
 def extendable(host: Graph, partial: EdgeColoring, target: Graph, q: int,
-               budget: Budget = NO_BUDGET,
-               instance: Optional[ArrowInstance] = None) -> ExtendResult:
+               budget: Budget = NO_BUDGET) -> ExtendResult:
     """Whether `partial` extends to a coloring of `host` with no
-    monochromatic `target`.  A given `instance` must be the one of `host`,
-    `target` and `q`; it saves enumerating the copies again."""
+    monochromatic `target`, on its own instance.  The verifiers search
+    the instance they share with `_verified_search` instead."""
     if partial.q != q:
         raise GraphError("partial coloring has wrong color count")
     for eid, _ in partial.colors:
         if not (0 <= eid < host.num_edges):
             raise GraphError(f"partial coloring mentions unknown edge {eid}")
-    if instance is None:
-        instance = ArrowInstance.create(host, target, q, budget)
-    elif (instance.host is not host and instance.host != host
-          or instance.target is not target and instance.target != target
-          or instance.q != q):
-        raise GraphError("instance is for another host, target or q")
+    instance = ArrowInstance.create(host, target, q, budget)
     if instance.copies is None:
         return ExtendResult(UNKNOWN, None, None, _NO_SEARCH)
     cert = _mono_copy(instance.copies, partial)
@@ -622,9 +616,8 @@ class MinimalityResult:
 def _avoiding(instance: ArrowInstance, dropped) -> ArrowInstance:
     """The instance of the host minus the `dropped` edges: the copies of
     the target there are exactly the host's copies that avoid them.  The
-    host and its edge ids stay, so every edge is still colored."""
-    if instance.copies is None:
-        return instance
+    host and its edge ids stay, so every edge is still colored.  The
+    instance's copies must have been listed in time."""
     return replace(instance, copies=tuple(
         es for es in instance.copies if dropped.isdisjoint(es)))
 

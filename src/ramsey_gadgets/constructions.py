@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
                        ArrowInstance, Budget, BudgetExhausted, _avoiding,
-                       arrows, extendable, is_minimal)
+                       _verified_search, arrows, is_minimal)
 from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
                        _mono_copy, pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
@@ -442,11 +442,11 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     specials = []
     for g_eid in g_edges:
         part_seed = {eid: witnesses[g_eid][eid] for eid in keep}
-        ext = extendable(f, EdgeColoring.from_map(q, part_seed), h, q,
-                         instance=_avoiding(inst, {he}))
-        if ext.verdict == UNKNOWN:
+        extends, *_ = _verified_search(_avoiding(inst, {he}), part_seed,
+                                       True, False)
+        if extends == UNKNOWN:
             raise BudgetExhausted("extension re-check undecided")
-        if ext.extendable:
+        if extends:
             raise InternalError("derived coloring fails its extension "
                                 f"contract for edge {g_eid}")
         specials.append(local_pattern(part_seed))

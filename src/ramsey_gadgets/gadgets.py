@@ -20,7 +20,7 @@ from typing import ClassVar, Optional, Protocol, Sequence, get_type_hints
 
 from . import graph6
 from .arrowing import (DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
-                       Budget, BudgetExhausted, arrows, extendable)
+                       Budget, BudgetExhausted, _verified_search, arrows)
 from .coloring import (ColorPattern, EdgeColoring, PatternFamily, _mono_copy,
                        pattern_of)
 from .graph import (Graph, GraphError, _bitsets, _embed, _GraphDraft,
@@ -619,11 +619,10 @@ def _stub_report(subject: str, results: list, names: Sequence[str],
 
 
 def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
-                 pass_detail: str = "", max_cases: Optional[int] = None,
-                 total: Optional[int] = None,
+                 pass_detail: str = "", total: Optional[int] = None,
                  witnesses: Optional[list] = None) -> PropertyResult:
-    """Decide one property by running `extendable` on each case, in order,
-    against the shared instance and its one clock.
+    """Decide one property by searching each case, in order, on the
+    shared instance and under its one clock.
 
     `cases` yields (partial coloring as {edge: color}, failure detail).
     The property holds when every case extends to a target-free coloring
@@ -631,30 +630,30 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
     otherwise is a FAIL, with the extension as a "coloring"
     counterexample or the stuck case as a "partial" one.  An unknown case
     does not stop the loop; with no failure it makes the result
-    budget_exhausted, as does stopping after `max_cases` cases or once
-    the clock has run out.  `cases` may be lazy; given their number,
-    `total`, the details count the cases.  Each extending case's witness
-    is appended to `witnesses` if given.
+    budget_exhausted, as does the clock running out, its only other stop.
+    `cases` may be lazy; given their number, `total`, the details count
+    the cases.  Each extending case's witness is appended to `witnesses`
+    if given.
     """
     covered = 0
     unknown = False
     for partial, fail_detail in cases:
-        if covered == max_cases or inst.budget.expired():
+        if inst.budget.expired():
             unknown = True
             break
         covered += 1
-        ext = extendable(inst.host, EdgeColoring.from_map(inst.q, partial),
-                         inst.target, inst.q, instance=inst)
-        if ext.verdict == UNKNOWN:
+        # the verdict is True when the case extends, False when not
+        extends, witness, _, _ = _verified_search(inst, partial, True, False)
+        if extends == UNKNOWN:
             unknown = True
-        elif ext.extendable != want_extendable:
-            if ext.extendable:
-                cex = {"coloring": ext.witness.to_json()}
+        elif extends != want_extendable:
+            if extends:
+                cex = {"coloring": witness.to_json()}
             else:
                 cex = {"partial": [[e, c] for e, c in partial.items()]}
             return PropertyResult(name, FAIL, "search", fail_detail, cex)
-        elif ext.extendable and witnesses is not None:
-            witnesses.append(ext.witness)
+        elif extends and witnesses is not None:
+            witnesses.append(witness)
     if unknown:
         detail = "" if total is None else f"covered {covered} of {total} cases"
         return PropertyResult(name, EXHAUSTED, "search", detail)
@@ -662,8 +661,10 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
                           else f"all {total} cases extend")
 
 
-def verify_indicator(spec: IndicatorSpec, budget: Budget = NO_BUDGET,
-                     max_cases: int = 512) -> VerificationReport:
+def verify_indicator(spec: IndicatorSpec,
+                     budget: Budget = NO_BUDGET) -> VerificationReport:
+    """I2 to I4 search under one clock; with no budget all (q^k - q) * q
+    cases of I4 (k subgraph edges) are decided, however many there are."""
     results = [_indicator_i1(spec)]
 
     if spec.senders_status == STATUS_STUB:
@@ -688,8 +689,7 @@ def verify_indicator(spec: IndicatorSpec, budget: Budget = NO_BUDGET,
     cases = (({**dict(zip(spec.f_eids, assign)), spec.e: k},
               f"subgraph colors {assign} block edge color {k}")
              for assign in assigns for k in range(1, q + 1))
-    results.append(_check_cases("I4", inst, cases, True,
-                                max_cases=max_cases, total=count * q))
+    results.append(_check_cases("I4", inst, cases, True, total=count * q))
     return VerificationReport("indicator", tuple(results))
 
 
@@ -829,8 +829,11 @@ def gni_expected_counts(q: int, class_sizes: Sequence[int]) -> dict:
     }
 
 
-def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
-               max_cases: int = 256) -> VerificationReport:
+def verify_gni(spec: GNISpec,
+               budget: Budget = NO_BUDGET) -> VerificationReport:
+    """GI2 to GI4 search under one clock; with no budget every GI4 case
+    (each non-constant subgraph coloring with each target-free class
+    coloring) is decided."""
     results = [_gni_gi1(spec)]
 
     if spec.senders_status == STATUS_STUB:
@@ -880,7 +883,7 @@ def verify_gni(spec: GNISpec, budget: Budget = NO_BUDGET,
               f"subgraph colors {phi_f} with class coloring {phi_g} "
               "do not extend")
              for phi_f in phi_fs for phi_g in phi_gs)
-    results.append(_check_cases("GI4", inst, cases, True, max_cases=max_cases,
+    results.append(_check_cases("GI4", inst, cases, True,
                                 total=count * len(phi_gs)))
     return VerificationReport("generalized_negative_indicator", tuple(results))
 

@@ -304,30 +304,6 @@ def test_extendable_respects_partial():
         res.witness)
 
 
-
-@pytest.mark.parametrize("host, partial, target, q", [
-    # K5 ->2 P3: no coloring extends (once answered extendable)
-    (complete_graph(5), EdgeColoring.from_map(2, {}), path_graph(3), 2),
-    # K6's edge 12 is not an edge of K5 (once an IndexError, CLI exit 4)
-    (complete_graph(6), EdgeColoring.from_map(2, {12: 1}), complete_graph(3),
-     2),
-    # three colors on a two-color instance (once found after the search)
-    (complete_graph(5), EdgeColoring.from_map(3, {0: 3}), complete_graph(3),
-     3),
-], ids=["target", "host", "q"])
-def test_extendable_rejects_an_instance_of_other_arguments(
-        host, partial, target, q, monkeypatch):
-    inst = ArrowInstance.create(complete_graph(5), complete_graph(3), 2)
-    # equal arguments need not be the instance's own objects
-    assert extendable(complete_graph(5), EdgeColoring.from_map(2, {}),
-                      complete_graph(3), 2, instance=inst).extendable
-
-    def no_search(*args):
-        raise AssertionError("searched")
-    monkeypatch.setattr(arrowing, "_solve", no_search)
-    with pytest.raises(GraphError, match="instance is for another"):
-        extendable(host, partial, target, q, instance=inst)
-
 def test_is_minimal():
     # K_6 arrows K_3 and every edge is needed
     assert is_minimal(complete_graph(6), complete_graph(3), 2)
@@ -637,8 +613,7 @@ def test_alternating_phases_match_naive_oracle(data):
         mp.setattr(arrowing, "_LS_SHARE", 1)
         inst = ArrowInstance.create(host, target, q)
         res = arrows(inst)
-        ext = extendable(host, EdgeColoring.from_map(q, fixed), target, q,
-                         instance=inst)
+        ext = extendable(host, EdgeColoring.from_map(q, fixed), target, q)
     assert res.verdict == naive_arrows(host, target, q)
     if res.verdict == DOES_NOT_ARROW:
         assert verify_witness(inst, res.witness)

@@ -75,6 +75,11 @@ def test_patterns_isomorphic():
     adjacent = pattern_of(c4, EdgeColoring.from_map(2, {0: 1, 1: 1, 2: 2, 3: 2}))
     assert patterns_isomorphic(opposite, rotated)
     assert not patterns_isomorphic(opposite, adjacent)
+    # another color count, or other class sizes, with no isomorphism test
+    three = pattern_of(c4, EdgeColoring.from_map(3, {0: 1, 1: 2, 2: 1, 3: 2}))
+    lopsided = pattern_of(c4, EdgeColoring.from_map(2, {0: 1, 1: 2, 2: 2, 3: 2}))
+    assert not patterns_isomorphic(opposite, three)
+    assert not patterns_isomorphic(opposite, lopsided)
 
 
 def test_family_modes():

@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from conftest import nx_copies
+from conftest import fake_clock, nx_copies
 
-from ramsey_gadgets import arrowing, gadgets
-from ramsey_gadgets import (EXACT, ARROWS, Budget, EdgeColoring, GraphError,
+from ramsey_gadgets import arrowing, constructions, gadgets
+from ramsey_gadgets import (EXACT, ARROWS, Budget, BudgetExhausted,
+                            EdgeColoring, GraphError,
                             PatternFamily, StubSenderProvider,
                             ThreeConnectedSeed,
                             ArrowInstance, arrows, build_3connected_abundant,
@@ -353,6 +354,30 @@ def test_seed_checks_and_the_recipe_share_one_deadline(monkeypatch):
     started = Budget(max_seconds=60).start()
     check_seed(default_three_connected_seed(), started)
     assert deadlines[4:] == [started.deadline]
+
+
+@pytest.mark.parametrize("searches, message", [
+    (1, "seed condition F3 undecided"),
+    (2, "seed condition F4 undecided"),
+    # after F3's one and F4's two, the first extension re-check
+    (4, "extension re-check undecided"),
+])
+def test_3connected_search_out_of_time_is_named(searches, message,
+                                                monkeypatch):
+    # each check after F1 searches an instance that `_avoiding` filters;
+    # the clock stands still until the given one is made, then runs out
+    made = []
+    avoiding = constructions._avoiding
+
+    def counted(*args):
+        made.append(args)
+        return avoiding(*args)
+    monkeypatch.setattr(constructions, "_avoiding", counted)
+    fake_clock(monkeypatch, lambda: len(made) >= searches)
+    with pytest.raises(BudgetExhausted, match=message):
+        build_3connected_abundant(default_three_connected_seed(), 1, STUB,
+                                  budget=Budget(max_seconds=0.5))
+    assert len(made) == searches
 
 
 def test_3connected_recipe_structure():

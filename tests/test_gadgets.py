@@ -302,25 +302,58 @@ def test_verify_indicator_stuck_case_names_its_partial():
     assert extendable(g, partial, K3, 2).verdict == "not_extendable"
 
 
+def searched_cases(monkeypatch) -> dict:
+    """Records, per property name, the partial coloring of each case a
+    verifier's case loop (`gadgets._check_cases`) has searched, once its
+    search has returned."""
+    made: dict[str, list] = {}
+    names = []
+    check, search = gadgets._check_cases, gadgets._verified_search
+
+    def checked(name, *args, **kwargs):
+        names.append(name)
+        try:
+            return check(name, *args, **kwargs)
+        finally:
+            names.pop()
+
+    def searched(inst, partial, *args):
+        result = search(inst, partial, *args)
+        made.setdefault(names[-1], []).append(partial)
+        return result
+
+    monkeypatch.setattr(gadgets, "_check_cases", checked)
+    monkeypatch.setattr(gadgets, "_verified_search", searched)
+    return made
+
+
 def test_verifier_stops_its_case_loop_on_an_expired_clock(monkeypatch):
-    # every case is slowed to 0.05 s; the 72 I4 cases once all ran
-    # (about 3.7 s), each search given the time left afresh
+    # the clock stands still until the fifth of the 72 I4 cases has been
+    # searched, then jumps past the deadline: the loop makes no sixth
     spec = build_indicator(K3, path_graph(4), 3, POSITIVE, STUB)
     spec.senders_status = "unverified"
-    extend = gadgets.extendable
-
-    def slow(*args, **kwargs):
-        time.sleep(0.05)
-        return extend(*args, **kwargs)
-
-    monkeypatch.setattr(gadgets, "extendable", slow)
-    start = time.monotonic()
-    report = verify_indicator(spec, Budget(max_seconds=0.3))
-    assert time.monotonic() - start < 1.5
+    made = searched_cases(monkeypatch)
+    fake_clock(monkeypatch, lambda: len(made.get("I4", ())) >= 5)
+    report = verify_indicator(spec, Budget(max_seconds=0.5))
     i4 = next(r for r in report.results if r.name == "I4")
-    assert i4.outcome == EXHAUSTED
-    covered = int(i4.detail.split()[1])
-    assert i4.detail == f"covered {covered} of 72 cases" and covered < 72
+    assert (i4.outcome, i4.detail) == (EXHAUSTED, "covered 5 of 72 cases")
+    assert len(made["I4"]) == 5
+
+
+@pytest.mark.parametrize("build, verify, name, detail", [
+    # q = 3 on P6: 3^5 - 3 subgraph colorings times 3 indicator edge colors
+    (lambda: build_indicator(K3, path_graph(6), 3, POSITIVE, STUB),
+     verify_indicator, "I4", "all 720 cases extend"),
+    # 2^9 - 2 subgraph colorings times both class colorings
+    (lambda: build_gni(K3, path_graph(10), single_edge(), [[0]], 2, STUB),
+     verify_gni, "GI4", "all 1020 cases extend"),
+], ids=["indicator", "gni"])
+def test_verifier_with_no_budget_decides_every_case(build, verify, name,
+                                                    detail):
+    spec = build()
+    spec.senders_status = "unverified"
+    result = next(r for r in verify(spec).results if r.name == name)
+    assert (result.outcome, result.detail) == (PASS, detail)
 
 
 def test_indicator_json_round_trip():
@@ -588,7 +621,6 @@ def test_gi3_fails_on_a_class_that_can_be_split():
                    for copy in nx_copies(graph, K3))
 
 
-
 @pytest.mark.parametrize("graph, f_eids, cls, calls", [
     # K4, f the star at vertex 0, one class the triangle 1-2-3: with f
     # colored 1 a class edge of color 1 closes a triangle, so GI3 passes
@@ -603,15 +635,9 @@ def test_gi3_splits_a_class_only_against_its_first_edge(graph, f_eids, cls,
                                                        calls, monkeypatch):
     spec = GNISpec(graph, tuple(range(graph.n)), f_eids, (), (cls,), K3, 2,
                    1, (), (), ())
-    made = []
-
-    def counted(*args, **kwargs):
-        made.append(args[1])
-        return extendable(*args, **kwargs)
-    monkeypatch.setattr(gadgets, "extendable", counted)
-    # GI2 makes one case and GI4, with max_cases 0, none
-    gi3 = verify_gni(spec, max_cases=0).results[2]
-    new_calls = len(made) - 1
+    made = searched_cases(monkeypatch)
+    gi3 = verify_gni(spec).results[2]
+    new_calls = len(made["GI3"])
     # the loop over every pair of class edges that this one replaced
     mono = {e: 1 for e in f_eids}
     pairwise = [({**mono, **{e: 1 for e in cls}},
@@ -622,8 +648,9 @@ def test_gi3_splits_a_class_only_against_its_first_edge(graph, f_eids, cls,
     made.clear()
     old = gadgets._check_cases("GI3", ArrowInstance.create(graph, K3, 2),
                                pairwise, False)
-    assert (new_calls, len(made)) == calls
+    assert (new_calls, len(made["GI3"])) == calls
     assert gi3.to_json() == old.to_json()
+
 
 def counting_product(monkeypatch) -> list:
     """Records each coloring the verifiers draw from `gadgets.product`."""
@@ -642,7 +669,7 @@ def counting_product(monkeypatch) -> list:
 def test_i4_and_gi4_make_cases_only_as_the_loop_reaches_them(monkeypatch):
     # a 15-edge subgraph has 2^15 - 2 non-constant colorings; out of
     # time, the verifiers report the closed-form count without drawing
-    # more colorings than the cases they reach (at most max_cases).  The
+    # more colorings than the cases they reach.  The
     # clock is the test's: it stands still until the case loop has drawn
     # three subgraph colorings, then jumps past the deadline, so the
     # outcome does not depend on the machine's speed
@@ -854,8 +881,10 @@ def test_check_robust_matches_exhaustive_oracle(data):
 # senders so that every coloring-level property runs.  Stubs do not have
 # the coloring semantics, so the reports mix passes and refutations with
 # counterexamples; a one-decision node budget turns every search property
-# into budget_exhausted, and max_cases caps the two largest case loops (I4
-# with 72 cases, GI4 with 54).  The expected reports were recorded before
+# into budget_exhausted, and a clock that runs out after the tenth case
+# stops the two largest case loops (I4 with 72 cases, GI4 with 54).  Those
+# two reports were recorded with a cap of ten cases, which the clock now
+# stands in for.  The expected reports were recorded before
 # the verifiers shared one case loop and before the search propagated.
 # `pattern q=3 family=2` is checked on its own below.
 
@@ -879,14 +908,28 @@ def _pinned_builds():
                    verify_pattern_gadget)
 
 
+# the builds whose largest case loop also runs out of time, and its name
+_STOPPED_LOOPS = {"indicator q=3 F=P4": "I4", "gni q=3": "GI4"}
+
+
+def _out_of_time_after(spec, verify, name: str, cases: int) -> dict:
+    """`verify`'s report on a clock that stands still until `cases` cases
+    of the property `name` have been searched, then runs out."""
+    with pytest.MonkeyPatch.context() as mp:
+        made = searched_cases(mp)
+        fake_clock(mp, lambda: len(made.get(name, ())) >= cases)
+        return verify(spec, Budget(max_seconds=0.5)).to_json()
+
+
 def pinned_reports() -> dict:
     out = {}
     for key, spec, verify in _pinned_builds():
         spec.senders_status = "unverified"
         out[key] = verify(spec).to_json()
         out[f"{key} max_nodes=1"] = verify(spec, Budget(max_nodes=1)).to_json()
-        if key in ("indicator q=3 F=P4", "gni q=3"):
-            out[f"{key} max_cases=10"] = verify(spec, max_cases=10).to_json()
+        if key in _STOPPED_LOOPS:
+            out[f"{key} out of time after 10 cases"] = _out_of_time_after(
+                spec, verify, _STOPPED_LOOPS[key], 10)
     return json.loads(json.dumps(out))
 
 

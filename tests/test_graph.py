@@ -72,6 +72,14 @@ def test_json_form_keeps_edge_ids_and_labels():
     assert Graph.from_json({"n": 2, "edges": [[0, 1]]}) == single_edge()
 
 
+def test_graph_equality_and_repr():
+    assert complete_graph(3) == complete_graph(3)
+    assert complete_graph(3) != "K3"
+    assert complete_graph(3).__eq__((3, ((0, 1), (0, 2), (1, 2)))) \
+        is NotImplemented
+    assert repr(complete_graph(4)) == "Graph(n=4, m=6)"
+
+
 @pytest.mark.parametrize("data", [
     None, [], {"edges": []}, {"n": "3", "edges": []}, {"n": 3},
     {"n": 3, "edges": [[0, 1, 2]]}, {"n": 3, "edges": [[0, "1"]]},
