@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
-                       ArrowInstance, Budget, BudgetExhausted, _avoiding,
-                       _verified_search, arrows, is_minimal)
+from .arrowing import (ARROWS, DOES_NOT_ARROW, EXTENDABLE, MINIMAL,
+                       NO_BUDGET, NOT_EXTENDABLE, UNKNOWN, ArrowInstance,
+                       Budget, BudgetExhausted, _avoiding, _verified_search,
+                       arrows, is_minimal)
 from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
                        _mono_copy, pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
@@ -442,11 +443,11 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     specials = []
     for g_eid in g_edges:
         part_seed = {eid: witnesses[g_eid][eid] for eid in keep}
-        extends, *_ = _verified_search(_avoiding(inst, {he}), part_seed,
-                                       True, False)
-        if extends == UNKNOWN:
+        verdict, *_ = _verified_search(_avoiding(inst, {he}), part_seed,
+                                       EXTENDABLE, NOT_EXTENDABLE)
+        if verdict == UNKNOWN:
             raise BudgetExhausted("extension re-check undecided")
-        if extends:
+        if verdict == EXTENDABLE:
             raise InternalError("derived coloring fails its extension "
                                 f"contract for edge {g_eid}")
         specials.append(local_pattern(part_seed))

@@ -19,8 +19,9 @@ from math import comb
 from typing import ClassVar, Optional, Protocol, Sequence, get_type_hints
 
 from . import graph6
-from .arrowing import (DOES_NOT_ARROW, NO_BUDGET, UNKNOWN, ArrowInstance,
-                       Budget, BudgetExhausted, _verified_search, arrows)
+from .arrowing import (DOES_NOT_ARROW, EXTENDABLE, NO_BUDGET, NOT_EXTENDABLE,
+                       UNKNOWN, ArrowInstance, Budget, BudgetExhausted,
+                       _verified_search, arrows)
 from .coloring import (ColorPattern, EdgeColoring, PatternFamily, _mono_copy,
                        pattern_of)
 from .graph import (Graph, GraphError, _bitsets, _embed, _GraphDraft,
@@ -642,15 +643,14 @@ def _check_cases(name: str, inst: ArrowInstance, cases, want_extendable: bool,
             unknown = True
             break
         covered += 1
-        # the verdict is True when the case extends, False when not
-        extends, witness, _, _ = _verified_search(inst, partial, True, False)
-        if extends == UNKNOWN:
+        verdict, witness, _, _ = _verified_search(inst, partial, EXTENDABLE,
+                                                  NOT_EXTENDABLE)
+        extends = verdict == EXTENDABLE
+        if verdict == UNKNOWN:
             unknown = True
         elif extends != want_extendable:
-            if extends:
-                cex = {"coloring": witness.to_json()}
-            else:
-                cex = {"partial": [[e, c] for e, c in partial.items()]}
+            cex = ({"coloring": witness.to_json()} if extends else
+                   {"partial": [[e, c] for e, c in partial.items()]})
             return PropertyResult(name, FAIL, "search", fail_detail, cex)
         elif extends and witnesses is not None:
             witnesses.append(witness)
@@ -918,6 +918,8 @@ class PatternGadgetSpec:
                 for e, (a, b) in zip(self.g_eids, base.edges)):
             raise GraphError(f"{self.KIND} spec's family base differs "
                              "from its g_eids edges")
+        if any(m.q != self.q for m in self.family.members):
+            raise GraphError("family pattern has wrong color count")
 
     def to_json(self) -> dict:
         return _spec_to_json(self)

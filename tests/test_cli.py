@@ -574,6 +574,22 @@ SPEC_COMMANDS = {
 }
 
 
+def test_pattern_spec_member_with_another_color_count_exits_usage(
+        tmp_path, capsys):
+    # a member with q + 1 classes once reached P3's search with color q + 1
+    spec_path = tmp_path / "spec.json"
+    assert main(["construct", "pattern-gadget", "--target", "K3",
+                 *SPEC_COMMANDS["pattern-gadget"][1],
+                 "--out", str(spec_path)]) == 0
+    data = json.loads(spec_path.read_text())
+    data["family"]["members"] = [[[0], [1, 3], [2]]]
+    spec_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "pattern-gadget", "--spec", str(spec_path)]) == 3
+    assert ("family pattern has wrong color count"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("kind", sorted(SPEC_COMMANDS))
 def test_spec_commands_write_their_manifest(kind, tmp_path, capsys):
     spec_cls, argv = SPEC_COMMANDS[kind]

@@ -113,6 +113,11 @@ CASES = [
      lambda: build_pattern_gadget(
          K3, C4, PatternFamily(C4, (_c4_pattern(3),), EXACT), 2, STUB),
      GraphError, "family pattern has wrong color count"),
+    ("pattern-gadget-spec-other-q",
+     lambda: replace(build_pattern_gadget(
+         K3, C4, PatternFamily(C4, (_c4_pattern(2),), EXACT), 2, STUB),
+         family=PatternFamily(C4, (_c4_pattern(3),), EXACT)),
+     GraphError, "family pattern has wrong color count"),
     ("sender-one-signal-edge",
      lambda: SenderSpec(P3, 0, 0, POSITIVE, P3, 2, 1),
      GraphError, "signal edges must differ"),
