@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .arrowing import (ARROWS, DOES_NOT_ARROW, EXTENDABLE, MINIMAL,
-                       NO_BUDGET, NOT_EXTENDABLE, UNKNOWN, ArrowInstance,
-                       Budget, BudgetExhausted, _avoiding, _verified_search,
+from .arrowing import (ARROWS, DOES_NOT_ARROW, MINIMAL, NO_BUDGET, UNKNOWN,
+                       ArrowInstance, Budget, BudgetExhausted, _avoiding,
                        arrows, is_minimal)
 from .coloring import (EXACT, ColorPattern, EdgeColoring, PatternFamily,
-                       _mono_copy, pattern_of)
+                       pattern_of)
 from .gadgets import (NEGATIVE, POSITIVE, PatternGadgetSpec, SenderProvider,
                       _Assembly, _gadget_distance, build_pattern_gadget)
 from .graph import (Graph, GraphError, InternalError, clique_with_pendant,
@@ -422,6 +421,17 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
                               provider: SenderProvider,
                               d: Optional[int] = None,
                               budget: Budget = NO_BUDGET) -> AbundanceRecipe:
+    """Blocks of F' = F - he - v (he the marked edge, v the marked
+    vertex).  Each edge g at v gives one special pattern, the F4 witness
+    of F - g on F'; every other block takes the F3 witness of F - he.
+
+    `check_seed` proves all that the patterns need, so nothing is
+    searched again.  No special pattern extends to a free coloring psi
+    of F - he: give he its color in the witness of F - g.  A copy through
+    he misses every edge at v (F2), so it lies in F - g, where psi agrees
+    with that witness, and is not monochromatic; every other copy lies in
+    F - he, where psi is free.  That makes a free coloring of F, against
+    F1."""
     if k < 1:
         raise GraphError("need k >= 1")
     f, hv, he, h, q = seed.f, seed.v, seed.e, seed.h, seed.q
@@ -437,28 +447,15 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
         return pattern_of(fprime, EdgeColoring.from_map(
             q, {j: colors_by_seed_eid[keep[j]] for j in range(len(keep))}))
 
-    # a per-edge coloring survives removing its own edge plus the marked
-    # one (its verified F4 witness is such an extension), but never the
-    # marked one alone; re-verify that second claim
-    specials = []
-    for g_eid in g_edges:
-        part_seed = {eid: witnesses[g_eid][eid] for eid in keep}
-        verdict, *_ = _verified_search(_avoiding(inst, {he}), part_seed,
-                                       EXTENDABLE, NOT_EXTENDABLE)
-        if verdict == UNKNOWN:
-            raise BudgetExhausted("extension re-check undecided")
-        if verdict == EXTENDABLE:
-            raise InternalError("derived coloring fails its extension "
-                                f"contract for edge {g_eid}")
-        specials.append(local_pattern(part_seed))
-    f2 = local_pattern({eid: witnesses[he][eid] for eid in keep})
+    specials = tuple(local_pattern(witnesses[g]) for g in g_edges)
+    f2 = local_pattern(witnesses[he])
 
     # attachment order follows the seed's edge order at the marked
     # vertex, so a block's j-th low-degree edge represents g_edges[j];
     # its point is the edge's other end, one lower in F' when above the
     # marked vertex
     points = [w - (w > hv) for w in (sum(f.edges[e]) - hv for e in g_edges)]
-    recipe = _abundance_recipe(h, q, k, fprime, tuple(specials), f2, points,
+    recipe = _abundance_recipe(h, q, k, fprime, specials, f2, points,
                                provider, d, inst.budget)
     recipe.extras.update(
         target_hypothesis_ok=(is_k_connected(h, 3)
@@ -498,32 +495,25 @@ class CliqueGtildeSpec:
 
 
 def build_clique_gtilde(t: int, q: int, provider: SenderProvider,
-                        base_pattern: Optional[ColorPattern] = None,
                         d: Optional[int] = None,
                         budget: Budget = NO_BUDGET) -> CliqueGtildeSpec:
-    """Complete-graph base with a clique-free pattern, one signal edge
-    per color tied to its class by positive senders, pairwise negative
-    senders between the signal edges, and a new vertex joined to the
-    whole base.  `budget` bounds the base pattern's check."""
+    """The complete graph on n = (t-1)^q vertices colored by
+    `phi_coloring`, one signal edge per color tied to its class by
+    positive senders, pairwise negative senders between the signal
+    edges, and a new vertex joined to the whole base.  `budget` bounds
+    the assembly.
+
+    The base needs no check: phi colors uw by 1 plus the highest
+    base-(t-1) digit where u and w differ, so a K_t of color c would need
+    t distinct values of one base-(t-1) digit, which has only t-1."""
     if t < 3 or q < 2:
         raise GraphError("need clique size >= 3 and q >= 2")
     h = complete_graph(t)
     d = _gadget_distance(h, d)
-    if base_pattern is None:
-        base = complete_graph(_ladder_order(q, t))
-        base_pattern = pattern_of(base, phi_coloring(q, t))
-    else:
-        base = base_pattern.graph
-        if base_pattern.q != q:
-            raise GraphError("base pattern has wrong color count")
-    copies = ArrowInstance.create(base, h, q, budget).copies
-    if copies is None:
-        raise BudgetExhausted("base pattern check undecided")
-    if _mono_copy(copies, base_pattern.to_coloring()):
-        raise GraphError("base pattern must be clique-free")
-
+    base = complete_graph(_ladder_order(q, t))
+    base_pattern = pattern_of(base, phi_coloring(q, t))
     asm = _Assembly(base.relabel({w: f"G{w}" for w in range(base.n)}),
-                    "base graph", h, q, d, provider)
+                    "base graph", h, q, d, provider, budget.start())
     m_eids = asm.fresh(matching_graph(q), "signal matching")
     for i, j in combinations(range(q), 2):
         asm.attach_sender(NEGATIVE, m_eids[i], m_eids[j],

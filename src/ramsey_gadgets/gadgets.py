@@ -154,6 +154,14 @@ def _check_spec(spec, vertices, edges):
                              f"{value!r}")
 
 
+def _check_distinct(spec, eids):
+    """Raise GraphError if an edge id repeats in `eids`: the verifiers
+    read each as one edge of the subgraphs they color."""
+    repeated = [e for e, n in Counter(eids).items() if n > 1]
+    if repeated:
+        raise GraphError(f"{spec.KIND} spec repeats edge {repeated[0]}")
+
+
 # ---------------------------------------------------------------------------
 # signal senders
 
@@ -320,9 +328,15 @@ class StubSenderProvider:
 
 class FixedSenderProvider:
     """Serves pre-supplied senders, stringing stubs is not attempted;
-    raises when no compatible sender is known."""
+    raises when no compatible sender is known.  A sender whose signal
+    edges lie closer than its claimed d (S3 fails) is rejected here."""
 
     def __init__(self, senders: Sequence[SenderSpec]):
+        for s in senders:
+            dist = s.signal_distance()
+            if dist < s.d:
+                raise GraphError(f"sender claims d = {s.d} but its signal "
+                                 f"edges lie {dist} apart (S3 fails)")
         self.senders = list(senders)
 
     def get(self, polarity: str, h: Graph, q: int, d: int) -> SenderSpec:
@@ -374,6 +388,7 @@ class IndicatorSpec:
 
     def __post_init__(self):
         _check_spec(self, self.f_vertices, (*self.f_eids, self.e))
+        _check_distinct(self, self.f_eids)
 
     def to_json(self) -> dict:
         return _spec_to_json(self)
@@ -387,15 +402,22 @@ class _Assembly:
     """A gadget under construction, the one path every builder takes: the
     manifest builder, the sender provider with the target `h`, color
     count `q` and distance `d`, the tally of pieces, and the status of
-    every sender used, directly or inside a smaller gadget."""
+    every sender used, directly or inside a smaller gadget.  Attaching a
+    sender or a gadget copy raises BudgetExhausted once the builder's
+    started `budget` has run out."""
 
     def __init__(self, base: Graph, note: str, h: Graph, q: int, d: int,
-                 provider: SenderProvider):
+                 provider: SenderProvider, budget: Budget):
         self.builder = ManifestBuilder(base, note=note)
         self.provider = provider
         self.h, self.q, self.d = h, q, d
+        self.budget = budget
         self.counts: Counter = Counter()
         self.statuses: set = set()
+
+    def _in_time(self):
+        if self.budget.expired():
+            raise BudgetExhausted("construction out of time")
 
     def sender(self, polarity: str) -> SenderSpec:
         """A sender from the provider, counted, with its status noted."""
@@ -407,6 +429,7 @@ class _Assembly:
     def attach_sender(self, polarity: str, host_a: int, host_b: int,
                       note: str = ""):
         """Compose a fresh sender copy, signal edges onto two host edges."""
+        self._in_time()
         s = self.sender(polarity)
         au, av = s.graph.edges[s.e]
         bu, bv = s.graph.edges[s.f]
@@ -423,6 +446,7 @@ class _Assembly:
     def attach_copy(self, spec, ident: dict[int, int], key: str, note: str):
         """Compose a copy of a built gadget glued on by `ident`; its pieces
         and senders count towards this gadget, plus one `key`."""
+        self._in_time()
         self.builder.compose(spec.graph, ident, note=note)
         self.counts.update(spec.counts)
         self.counts[key] += 1
@@ -540,7 +564,8 @@ def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
     f's edges 0 and 1, then each further edge together with the previous
     indicator edge (counted as `recursive_steps`).  A negative indicator
     adds one negative sender from that core's edge to a fresh edge.
-    `budget` bounds the check that f does not contain the target."""
+    `budget` bounds the check that f does not contain the target and the
+    assembly."""
     if q < 2:
         raise GraphError("need q >= 2")
     d = _gadget_distance(h, d)
@@ -554,14 +579,14 @@ def build_indicator(h: Graph, f: Graph, q: int, polarity: str,
             f"girth > {h.n}")
     if polarity not in (POSITIVE, NEGATIVE):
         raise GraphError(f"unknown polarity {polarity!r}")
-    copies = ArrowInstance.create(f, h, q, budget).copies
-    if copies is None:
+    inst = ArrowInstance.create(f, h, q, budget)
+    if inst.copies is None:
         raise BudgetExhausted("indicator subgraph check undecided")
-    if copies:
+    if inst.copies:
         raise GraphError("indicator subgraph must not contain the target")
 
     asm = _Assembly(f.relabel({v: f"F{v}" for v in range(f.n)}),
-                    "indicator subgraph", h, q, d, provider)
+                    "indicator subgraph", h, q, d, provider, inst.budget)
     if f.num_edges > 2:
         asm.counts["recursive_steps"] = f.num_edges - 2
     e = _indicate_pair(asm, 0, 1)
@@ -726,6 +751,10 @@ class GNISpec:
         _check_spec(self, self.f_vertices + self.g_vertices,
                     self.f_eids + self.g_eids + self.e_k
                     + sum(self.m_edges + self.p_edges, ()))
+        if len(self.g_classes) != self.q - 1:
+            raise GraphError(f"{self.KIND} spec needs q - 1 = {self.q - 1} "
+                             f"edge classes, not {len(self.g_classes)}")
+        _check_distinct(self, self.f_eids + self.g_eids)
 
     @property
     def g_eids(self) -> tuple[int, ...]:
@@ -746,8 +775,8 @@ def build_gni(h: Graph, f: Graph, g: Graph,
     """Rainbow-forcing gadget: when the subgraph f is monochromatic, the
     classes of g (checked as a `ColorPattern` of g) must each be
     monochromatic and use all remaining colors.  Its indicators check f
-    and the target.  One clock bounds the class check and the
-    indicators' checks."""
+    and the target.  One clock bounds the class check, the indicators'
+    checks and the assembly."""
     if q < 2:
         raise GraphError("need q >= 2")
     d = _gadget_distance(h, d)
@@ -763,18 +792,20 @@ def build_gni(h: Graph, f: Graph, g: Graph,
                          _indicator(h, f, q, d, NEGATIVE, provider,
                                     inst.budget),
                          _indicator(h, matching_graph(2), q, d, POSITIVE,
-                                    provider, inst.budget)), _gni_gi1)
+                                    provider, inst.budget), inst.budget),
+                    _gni_gi1)
 
 
 def _gni(h: Graph, f: Graph, g: Graph, partition: Sequence[Sequence[int]],
          q: int, provider: SenderProvider, d: int, neg_ind: IndicatorSpec,
-         pair_ind: IndicatorSpec) -> GNISpec:
+         pair_ind: IndicatorSpec, budget: Budget) -> GNISpec:
     """The rainbow gadget from its standalone indicators (for f and for a
-    2-edge matching); the caller checks it and sets its status."""
+    2-edge matching), assembled under the caller's started budget; the
+    caller checks it and sets its status."""
     asm = _Assembly(disjoint_union(
         f.relabel({v: f"F{v}" for v in range(f.n)}),
         g.relabel({v: f"G{v}" for v in range(g.n)})),
-        "indicator subgraphs", h, q, d, provider)
+        "indicator subgraphs", h, q, d, provider, budget)
     f_vertices = tuple(range(f.n))
     f_eids = tuple(range(f.num_edges))
     g_vertices = tuple(range(f.n, f.n + g.n))
@@ -946,7 +977,8 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
     indicators onto its pattern's last class and one rainbow gadget for
     the rest.  The family check covers every class, so the rainbow
     gadgets share two indicators, built with the first one needed; for
-    r = 2 the pair indicator is the positive one."""
+    r = 2 the pair indicator is the positive one.  One clock bounds the
+    family check, the indicators' checks and the assembly."""
     d = _gadget_distance(h, d)
     if len(family) == 0:
         raise GraphError("pattern family must be nonempty")
@@ -971,7 +1003,7 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
         (sub, i if i < t else 0) for i, sub in enumerate(subsets))
 
     asm = _Assembly(g.relabel({v: f"G{v}" for v in range(g.n)}),
-                    "pattern base graph", h, q, d, provider)
+                    "pattern base graph", h, q, d, provider, inst.budget)
     g_vertices = tuple(range(g.n))
     g_eids = tuple(range(g.num_edges))
     m_eids = asm.fresh(matching_graph(m_size), "pattern matching M")
@@ -1008,7 +1040,7 @@ def build_pattern_gadget(h: Graph, g: Graph, family: PatternFamily, q: int,
                 sorted(local_pos[e] for e in cls)
                 for cls in pattern.classes[:q - 1]]
             gni = _gni(h, sub_f, sub_g, sub_partition, q, provider, d,
-                       neg_ind, pair_ind)
+                       neg_ind, pair_ind, inst.budget)
             gni_cache[pat_idx] = (gni, vert_list)
         gni, vert_list = gni_cache[pat_idx]
         ident = dict(zip(gni.f_vertices, host_f))

@@ -25,7 +25,8 @@ in one pass and extends the edge list and index in bulk.
 `decode_json` builds one decoder per type hint (cached), so decoding a
 list makes no typing introspection per item, and a list of scalars or
 of edges is type-checked in bulk.  `Graph.from_json` rejects a vertex
-count above `MAX_ORDER` before it allocates anything.
+count above `MAX_ORDER`, and `graph_from_name` a vertex or edge count
+above it, before either allocates anything.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from typing import (Callable, Iterable, Mapping, Optional, Sequence, Union,
 
 INFINITY = math.inf
 # The largest vertex count a graph read from JSON, graph6 or sparse6 may
-# have: labels and the edge index are built in memory, so a larger count
-# is rejected before anything is allocated.  Far above the 24 174
+# have, and the largest vertex or edge count of a named graph: labels
+# and the edge index are built in memory, so a larger count is rejected
+# before anything is allocated.  Far above the 24 174
 # vertices of the largest graph the library builds.
 MAX_ORDER = 1 << 22
 
@@ -375,32 +377,49 @@ def single_edge() -> Graph:
 
 _NAMED_HINT = "expected Kt, Ct, Pn, K1,m / Sm, KtK2 / Kt.K2, or g6:<token>"
 
+# each named family's (vertex count, edge count) for its parameter
+_NAMED_SIZES = {
+    star_graph: lambda k: (k + 1, k),
+    clique_with_pendant: lambda k: (k + 1, k * (k - 1) // 2 + 1),
+    complete_graph: lambda k: (k, k * (k - 1) // 2),
+    cycle_graph: lambda k: (k, k),
+    path_graph: lambda k: (k, k - 1),
+}
+
 
 def graph_from_name(name: str) -> Graph:
     """Parse a named graph family ("K6", "C4", "P4", "K1,3", "K4K2")
-    or a graph6 literal ("g6:D?{")."""
+    or a graph6 literal ("g6:D?{").  A named graph with more than
+    `MAX_ORDER` vertices or edges is refused before it is built."""
     from . import graph6 as g6mod
 
     s = name.strip()
     if s.startswith("g6:"):
         return g6mod.parse_graph6(s[3:])
     up = s.upper().replace(".", "")
+    if up.startswith("K1,"):
+        make, arg = star_graph, up[3:]
+    elif up.startswith("S") and up[1:].isdigit():
+        make, arg = star_graph, up[1:]
+    elif up.endswith("K2") and up.startswith("K") and len(up) > 3:
+        make, arg = clique_with_pendant, up[1:-2]
+    elif up.startswith("K") and up[1:].isdigit():
+        make, arg = complete_graph, up[1:]
+    elif up.startswith("C") and up[1:].isdigit():
+        make, arg = cycle_graph, up[1:]
+    elif up.startswith("P") and up[1:].isdigit():
+        make, arg = path_graph, up[1:]
+    else:
+        raise GraphError(f"unknown graph name {name!r}: {_NAMED_HINT}")
     try:
-        if up.startswith("K1,"):
-            return star_graph(int(up[3:]))
-        if up.startswith("S") and up[1:].isdigit():
-            return star_graph(int(up[1:]))
-        if up.endswith("K2") and up.startswith("K") and len(up) > 3:
-            return clique_with_pendant(int(up[1:-2]))
-        if up.startswith("K") and up[1:].isdigit():
-            return complete_graph(int(up[1:]))
-        if up.startswith("C") and up[1:].isdigit():
-            return cycle_graph(int(up[1:]))
-        if up.startswith("P") and up[1:].isdigit():
-            return path_graph(int(up[1:]))
+        k = int(arg)
+        n, m = _NAMED_SIZES[make](k)
+        if max(n, m) <= MAX_ORDER:
+            return make(k)
     except ValueError as exc:
         raise GraphError(f"cannot parse graph name {name!r}: {_NAMED_HINT}") from exc
-    raise GraphError(f"unknown graph name {name!r}: {_NAMED_HINT}")
+    raise GraphError(f"graph name {name!r} gives {n} vertices and {m} edges, "
+                     f"above the limit {MAX_ORDER}")
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

@@ -49,6 +49,23 @@ def nx_copies(host: Graph, pattern: Graph) -> set[frozenset[int]]:
     return out
 
 
+def free_of(coloring, copies) -> bool:
+    """No copy (edge ids) is monochromatic under `coloring`."""
+    return not any(len({coloring[e] for e in copy}) == 1 for copy in copies)
+
+
+def free_extension_exists(host: Graph, target: Graph, q: int, fixed,
+                          copies=None) -> bool:
+    """Some coloring of the edges outside `fixed` by 1..q leaves no
+    copy monochromatic: plain q^(free edges) enumeration."""
+    if copies is None:
+        copies = nx_copies(host, target)
+    free = [e for e in range(host.num_edges) if e not in fixed]
+    return any(free_of({**fixed, **dict(zip(free, colors))}, copies)
+               for colors in itertools.product(range(1, q + 1),
+                                               repeat=len(free)))
+
+
 def naive_arrows(host: Graph, target: Graph, q: int) -> str:
     """Plain q^|E| enumeration; desk sizes only."""
     copies = [tuple(c) for c in nx_copies(host, target)]

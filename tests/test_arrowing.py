@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (naive_arrows, naive_is_minimal, naive_minimalize,
-                      nx_copies)
+from conftest import (free_extension_exists, free_of, naive_arrows,
+                      naive_is_minimal, naive_minimalize, nx_copies)
 from ramsey_gadgets import arrowing
 from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             NO_BUDGET, UNKNOWN, ArrowInstance, Budget,
@@ -545,10 +545,6 @@ def small_host(data, q):
     return from_edges(n, sorted(chosen))
 
 
-def free_of(coloring, copies):
-    return not any(len({coloring[e] for e in copy}) == 1 for copy in copies)
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_arrows_matches_naive_oracle(data):
@@ -561,15 +557,6 @@ def test_arrows_matches_naive_oracle(data):
     if res.verdict == DOES_NOT_ARROW:
         assert verify_witness(inst, res.witness)
         assert free_of(res.witness.as_dict(), nx_copies(host, target))
-
-
-def free_extension_exists(host, target, q, fixed, copies=None):
-    if copies is None:
-        copies = nx_copies(host, target)
-    free = [e for e in range(host.num_edges) if e not in fixed]
-    return any(free_of({**fixed, **dict(zip(free, colors))}, copies)
-               for colors in itertools.product(range(1, q + 1),
-                                               repeat=len(free)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -632,10 +619,7 @@ def test_extendable_matches_brute_force(data):
     fixed = data.draw(st.dictionaries(
         st.integers(0, host.num_edges - 1), st.integers(1, q)))
     copies = nx_copies(host, target)
-    free = [e for e in range(host.num_edges) if e not in fixed]
-    truth = any(free_of({**fixed, **dict(zip(free, colors))}, copies)
-                for colors in itertools.product(range(1, q + 1),
-                                                repeat=len(free)))
+    truth = free_extension_exists(host, target, q, fixed, copies)
     res = extendable(host, EdgeColoring.from_map(q, fixed), target, q)
     assert res.extendable == truth
     if truth:

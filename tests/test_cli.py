@@ -183,6 +183,12 @@ def test_spec_graph_over_the_order_cap_exits_usage(n, tmp_path, capsys):
     assert f"vertex count {n} is outside" in capsys.readouterr().err
 
 
+def test_named_graph_over_the_cap_exits_usage(capsys):
+    # K100000 (5 * 10^9 edges) once ran out of memory (exit 4)
+    assert main(["stats", "--graph", "K100000"]) == 3
+    assert "'K100000' gives 100000 vertices" in capsys.readouterr().err
+
+
 def test_failed_witness_check_exits_internal(monkeypatch, capsys):
     # a witness that fails its re-check is a bug, not a usage error (3)
     # and not a refutation (1)
@@ -381,9 +387,9 @@ def test_budget_spent_inside_a_construction_exits_unknown(argv, monkeypatch,
     # once a usage error (3): the count check's minimality, the seed
     # conditions and the pattern gadget's base check ran out of budget;
     # once run with no deadline: the target-freeness checks of the
-    # clique (about 15 s for q = 8), indicator and gni builds.  The
-    # command starts its clock (the clock's first read), which then
-    # jumps past the deadline
+    # indicator and gni builds; the clique build runs out in its assembly
+    # (q = 8 attaches 32 668 senders).  The command starts its clock (the
+    # clock's first read), which then jumps past the deadline
     after_first_read(monkeypatch)
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -534,6 +540,21 @@ def test_senders_from_a_file(tmp_path, capsys):
     assert "no negative sender available" in capsys.readouterr().err
 
 
+def test_sender_failing_its_own_s3_in_a_senders_file_exits_usage(tmp_path,
+                                                                capsys):
+    # P5's signal edges 0 and 3 lie 2 apart, not the 100 each claims; the
+    # clique build once took them and stopped at its own distance check
+    # with an internal error (exit 4)
+    path = tmp_path / "senders.json"
+    path.write_text(json.dumps([
+        SenderSpec(path_graph(5), 0, 3, pol, complete_graph(3), 2,
+                   100).to_json() for pol in (POSITIVE, NEGATIVE)]))
+    assert main(["construct", "clique", "--t", "3", "--q", "2",
+                 "--senders", str(path)]) == 3
+    assert ("sender claims d = 100 but its signal edges lie 2 apart"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("field, value", [("status", "bogus"),
                                           ("polarity", "sideways")])
 def test_unknown_spec_field_in_a_senders_file_exits_usage(field, value,
@@ -588,6 +609,31 @@ def test_pattern_spec_member_with_another_color_count_exits_usage(
     assert main(["verify", "pattern-gadget", "--spec", str(spec_path)]) == 3
     assert ("family pattern has wrong color count"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("kind, argv, field, value, message", [
+    # q = 3, classes [2] and [3] after the subgraph's edges 0 and 1: once
+    # GI4 read "all 54 cases extend" and "all 18 cases extend"
+    ("gni", ["--subgraph", "P3", "--classes-graph", "P3", "--partition",
+             "[[0],[1]]", "--q", "3"], "g_classes", [[2, 3]],
+     "needs q - 1 = 2 edge classes, not 1"),
+    ("gni", ["--subgraph", "P3", "--classes-graph", "P3", "--partition",
+             "[[0],[1]]", "--q", "3"], "g_classes", [[2, 2], [3]],
+     "repeats edge 2"),
+    # once I4 read "all 4 cases extend" over a one-edge subgraph
+    ("indicator", ["--subgraph", "P3"], "f_eids", [0, 0], "repeats edge 0"),
+])
+def test_spec_edges_in_another_shape_exit_usage(kind, argv, field, value,
+                                                message, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    assert main(["construct", kind, "--target", "K3", *argv,
+                 "--out", str(spec_path)]) == 0
+    data = json.loads(spec_path.read_text())
+    data.update({field: value, "senders_status": "unverified"})
+    spec_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", kind, "--spec", str(spec_path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", sorted(SPEC_COMMANDS))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import fake_clock, nx_copies
+from conftest import fake_clock, free_extension_exists, nx_copies
 
 from ramsey_gadgets import arrowing, constructions, gadgets
 from ramsey_gadgets import (EXACT, ARROWS, Budget, BudgetExhausted,
@@ -69,16 +69,24 @@ def test_phi_2_3_structure():
     assert mono_clique_free(4, col, 3)
 
 
-@pytest.mark.parametrize("q,t", [(2, 3), (3, 3), (2, 4)])
+# the clique builder checks no base, so these own its clique-freeness;
+# the stuck check tries all q^n colorings of a new vertex's edges, so it
+# runs only up to 3^8 of them: on (2, 3), (3, 3) and (2, 4)
+CLIQUE_FREE_LADDERS = [(2, 3), (3, 3), (2, 4), (4, 3), (5, 3), (6, 3),
+                       (3, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("q,t", CLIQUE_FREE_LADDERS)
 def test_phi_is_clique_free_and_stuck(q, t):
     n = (t - 1) ** q
     col = phi_coloring(q, t)
     assert col.is_total(complete_graph(n))
     assert mono_clique_free(n, col, t)
-    assert no_extension_avoids_clique(n, col, t, q)
+    if q ** n <= 3 ** 8:
+        assert no_extension_avoids_clique(n, col, t, q)
 
 
-@pytest.mark.parametrize("q,t", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("q,t", CLIQUE_FREE_LADDERS)
 def test_psi_is_clique_free(q, t):
     n = (t - 1) ** q + 1
     col = psi_coloring(q, t)
@@ -339,8 +347,7 @@ def test_seed_f2_failure_is_named():
 
 def test_seed_checks_and_the_recipe_share_one_deadline(monkeypatch):
     # check_seed, the pattern gadget's base check and its two indicators'
-    # containment checks enumerate under one clock; the extension
-    # re-check reuses the seed's instance
+    # containment checks enumerate under one clock
     deadlines = []
     real = arrowing.enumerate_copies
     monkeypatch.setattr(arrowing, "enumerate_copies",
@@ -359,8 +366,6 @@ def test_seed_checks_and_the_recipe_share_one_deadline(monkeypatch):
 @pytest.mark.parametrize("searches, message", [
     (1, "seed condition F3 undecided"),
     (2, "seed condition F4 undecided"),
-    # after F3's one and F4's two, the first extension re-check
-    (4, "extension re-check undecided"),
 ])
 def test_3connected_search_out_of_time_is_named(searches, message,
                                                 monkeypatch):
@@ -378,6 +383,74 @@ def test_3connected_search_out_of_time_is_named(searches, message,
         build_3connected_abundant(default_three_connected_seed(), 1, STUB,
                                   budget=Budget(max_seconds=0.5))
     assert len(made) == searches
+
+
+def _corpus_seeds() -> list:
+    """Every seed on a corpus graph (its marked vertex and an edge away
+    from it) that passes `check_seed` for P3, K3 or K1,3 with q = 2."""
+    seeds = []
+    for h in (path_graph(3), complete_graph(3), star_graph(3)):
+        for f in load_corpus(max_order=6):
+            if arrows(ArrowInstance.create(f, h, 2)).verdict != ARROWS:
+                continue
+            for v, e in itertools.product(range(f.n), range(f.num_edges)):
+                seed = ThreeConnectedSeed(f, v, e, h, 2)
+                try:
+                    check_seed(seed)
+                except GraphError:
+                    continue
+                seeds.append(seed)
+    return seeds
+
+
+def test_no_special_pattern_extends_without_the_marked_edge():
+    # the recipe's special patterns, one per edge g at the marked
+    # vertex, are the seed's F4 witnesses of F - g off the marked vertex
+    # and edge; brute force confirms that none extends to a free coloring
+    # of F - he, which the builder no longer searches
+    corpus = _corpus_seeds()
+    # the five on the corpus's 5-cycle, one per marked vertex, for P3
+    assert [(s.f.n, s.h.num_edges) for s in corpus] == [(5, 2)] * 5
+    c7 = cycle_graph(7)
+    for seed in [default_three_connected_seed(),
+                 ThreeConnectedSeed(c7, 0, c7.edge_id(3, 4), path_graph(3), 2),
+                 *corpus]:
+        f, he = seed.f, seed.e
+        witnesses = check_seed(seed)
+        g_edges = [e for e in range(f.num_edges) if seed.v in f.edges[e]]
+        without_he = f.delete_edge(he)
+        for g in g_edges:
+            special = {e - (e > he): c for e, c in witnesses[g].items()
+                       if e not in g_edges and e != he}
+            assert not free_extension_exists(without_he, seed.h, seed.q,
+                                             special)
+
+
+@pytest.mark.parametrize("build", [
+    lambda budget: build_clique_gtilde(3, 2, STUB, budget=budget),
+    lambda budget: build_cycle_abundant(2, 5, 3, STUB, budget=budget),
+], ids=["clique", "cycle"])
+def test_assembly_runs_out_after_the_senders_it_attached(build, monkeypatch):
+    # the clock stands still until the fifth sender is attached, where
+    # the assembly reads it and stops; the clique build has no other step
+    # that reads it
+    attached = []
+    attach = gadgets._Assembly.attach_sender
+    monkeypatch.setattr(gadgets._Assembly, "attach_sender",
+                        lambda self, *a, **k: attached.append(a)
+                        or attach(self, *a, **k))
+    fake_clock(monkeypatch, lambda: len(attached) >= 5)
+    with pytest.raises(BudgetExhausted, match="^construction out of time$"):
+        build(Budget(max_seconds=0.5))
+    assert len(attached) == 5
+
+
+def test_assembly_with_no_budget_reads_no_clock(monkeypatch):
+    reads = []
+    fake_clock(monkeypatch, lambda: reads.append(1) or False)
+    build_clique_gtilde(3, 2, STUB)
+    build_cycle_abundant(2, 5, 3, STUB)
+    assert reads == []
 
 
 def test_3connected_recipe_structure():
@@ -446,15 +519,15 @@ def _count_solves(monkeypatch) -> list:
     (lambda: build_cycle_abundant(2, 5, 3, STUB), 0, 1, 2),
     (lambda: build_ktk2_abundant(3, 2, STUB), 0, 1, 2),
     (lambda: build_3connected_abundant(default_three_connected_seed(), 2,
-                                       STUB), 6, 5, 3),
+                                       STUB), 4, 5, 3),
     (_two_pattern_k3_gadget, 0, 1, 2),
 ], ids=["cycle", "ktk2", "3connected", "two_pattern_k3"])
 def test_builds_enumerate_each_graph_target_pair_once(build, searches, count,
                                                       indicators, monkeypatch):
     # each (graph, target) pair once: the family check reads the base
-    # instance's copies, and the seed's instance serves its re-check; each
-    # fact is searched once: the family check proves the base check, and
-    # a verified seed witness needs no second search; and the rainbow
+    # instance's copies; each fact is searched once: the family check
+    # proves the base check, and the seed's four searches (F1, F3 and F4
+    # at the marked vertex's two edges) prove its patterns; and the rainbow
     # gadgets share their indicators, whose classes the family check
     # already covered; with r = 2 the positive indicator, for a 2-edge
     # matching, is also the pair indicator (the 3-connected recipe has
@@ -491,17 +564,3 @@ def test_clique_gtilde_structure():
     assert spec.counts["dist_v_matching"] > 3
     assert spec.optimal_base is False
     assert spec.manifest.replay().edges == spec.graph.edges
-
-
-def test_clique_gtilde_custom_base_must_be_clique_free():
-    base = complete_graph(3)
-    mono = pattern_of(base, EdgeColoring.from_map(2, {0: 1, 1: 1, 2: 1}))
-    with pytest.raises(GraphError, match="clique-free"):
-        build_clique_gtilde(3, 2, STUB, base_pattern=mono)
-
-
-def test_clique_gtilde_accepts_custom_base():
-    base = complete_graph(4)
-    col = phi_coloring(2, 3)
-    spec = build_clique_gtilde(3, 2, STUB, base_pattern=pattern_of(base, col))
-    assert spec.graph.degree(spec.v) == 4

@@ -765,9 +765,7 @@ def test_clique_copy_flag_out_of_time_is_unknown(monkeypatch):
                                     budget=budget), "indicator subgraph"),
     (lambda budget: build_gni(K3, P3, K3, [[0, 1, 2]], 2, STUB,
                               budget=budget), "class"),
-    (lambda budget: build_clique_gtilde(3, 2, STUB, budget=budget),
-     "base pattern"),
-], ids=["indicator", "gni", "clique"])
+], ids=["indicator", "gni"])
 def test_builders_target_checks_keep_the_callers_clock(build, check,
                                                        monkeypatch):
     # each builder's target-freeness check runs on an instance under the

@@ -9,8 +9,9 @@ import pytest
 
 from ramsey_gadgets import (EXACT, POSITIVE, ArrowInstance, Budget,
                             BudgetExhausted, ComposeError,
-                            ConstructionManifest, EdgeColoring, FormatError,
-                            Graph, GraphError, IndicatorSpec, ManifestStep,
+                            ConstructionManifest, EdgeColoring,
+                            FixedSenderProvider, FormatError, Graph,
+                            GraphError, IndicatorSpec, ManifestStep,
                             PatternFamily, SenderSpec, StubSenderProvider,
                             ThreeConnectedSeed, arrows,
                             build_3connected_abundant, build_clique_gtilde,
@@ -36,6 +37,11 @@ STUB = StubSenderProvider()
 
 def _c4_pattern(q):
     return pattern_of(C4, EdgeColoring.from_map(q, {0: 1, 1: 2, 2: 1, 3: 2}))
+
+
+def _q3_gni():
+    # two one-edge classes, ids 2 and 3 after P3's edges 0 and 1
+    return build_gni(K3, P3, P3, [[0], [1]], 3, STUB)
 
 
 def _two_c5_seed():
@@ -87,9 +93,6 @@ CASES = [
      GraphError, "need k >= 1"),
     ("gtilde-small-clique", lambda: build_clique_gtilde(2, 2, STUB),
      GraphError, "need clique size >= 3 and q >= 2"),
-    ("gtilde-base-other-q",
-     lambda: build_clique_gtilde(3, 2, STUB, base_pattern=_c4_pattern(3)),
-     GraphError, "base pattern has wrong color count"),
     # gadgets
     ("report-unknown-property",
      lambda: check_robust(C5, [0, 1], K3).outcome_of("S1"),
@@ -134,6 +137,20 @@ CASES = [
      lambda: replace(build_indicator(K3, P3, 2, POSITIVE, STUB),
                      status="bogus"),
      GraphError, "indicator spec has unknown status 'bogus'"),
+    ("indicator-spec-repeated-edge",
+     lambda: replace(build_indicator(K3, P3, 2, POSITIVE, STUB),
+                     f_eids=(0, 0)),
+     GraphError, "indicator spec repeats edge 0"),
+    ("gni-spec-merged-classes",
+     lambda: replace(_q3_gni(), g_classes=((2, 3),)),
+     GraphError, "generalized_negative_indicator spec needs q - 1 = 2 "
+     "edge classes, not 1"),
+    ("gni-spec-class-edge-twice",
+     lambda: replace(_q3_gni(), g_classes=((2, 2), (3,))),
+     GraphError, "generalized_negative_indicator spec repeats edge 2"),
+    ("gni-spec-subgraph-edge-in-a-class",
+     lambda: replace(_q3_gni(), g_classes=((2,), (1,))),
+     GraphError, "generalized_negative_indicator spec repeats edge 1"),
     ("gni-spec-senders-status",
      lambda: replace(build_gni(K3, P3, single_edge(), [[0]], 2, STUB),
                      senders_status="bogus"),
@@ -144,6 +161,11 @@ CASES = [
          K3, C4, PatternFamily(C4, (_c4_pattern(2),), EXACT), 2, STUB),
          status="bogus"),
      GraphError, "pattern_gadget spec has unknown status 'bogus'"),
+    ("fixed-sender-fails-s3",
+     # P5's edges 0 and 3 lie 2 apart
+     lambda: FixedSenderProvider([SenderSpec(path_graph(5), 0, 3, POSITIVE,
+                                             P3, 2, 100)]),
+     GraphError, "sender claims d = 100 but its signal edges lie 2 apart"),
     ("string-other-target",
      lambda: string_senders([make_stub_sender(P3, 2, 1, POSITIVE),
                              make_stub_sender(K3, 2, 1, POSITIVE)]),
@@ -160,6 +182,14 @@ CASES = [
      GraphError, "pattern must have at least one edge"),
     ("star-name-not-a-number", lambda: graph_from_name("K1,x"),
      GraphError, "cannot parse graph name 'K1,x'"),
+    # refused before they are built: K2896 is the largest complete graph
+    ("named-complete-too-large", lambda: graph_from_name("K3000"),
+     GraphError, f"'K3000' gives 3000 vertices and 4498500 edges, above "
+     f"the limit {MAX_ORDER}"),
+    ("named-cycle-too-large", lambda: graph_from_name("C5000000"),
+     GraphError, "'C5000000' gives 5000000 vertices"),
+    ("named-star-too-large", lambda: graph_from_name("K1,5000000"),
+     GraphError, "'K1,5000000' gives 5000001 vertices"),
     ("compose-out-of-range", lambda: compose(K3, single_edge(), {0: 5}),
      ComposeError, "identification 0->5 out of range"),
     ("negative-order", lambda: Graph(-1, ()),
