@@ -6,10 +6,12 @@ ids are assigned in construction order and never renumbered, so
 replaying a construction recipe reproduces identical ids.  A graph built
 from many gadgets grows in a `_GraphDraft`, which appends to lists and
 builds the `Graph` once.  Derived structure (degrees, the degree-ranked
-bitset adjacency that copy enumeration runs on, a pattern's symmetry
-conditions and embedding plans) is computed on first read and kept, so a
-graph that is only composed, replayed or serialized never builds it.  A
-graph keeps one bitset adjacency, `Graph.ranked`.  Traversals (distances,
+bitset adjacency, a pattern's symmetry conditions and embedding plans)
+is computed on first read and kept, so a graph that is only composed,
+replayed or serialized never builds it.  A graph keeps one bitset
+adjacency, `Graph.ranked`; copy enumeration runs on it, or on the
+adjacency of the host pruned to where a copy can lie, which is built
+for the call and not kept.  Traversals (distances,
 girth, connectivity, far edge pairs) walk neighbour lists built for the
 call, so measuring a large sparse gadget graph never builds its n-bit
 bitsets.  A copy of a pattern is the increasing tuple of its host edge
@@ -675,16 +677,73 @@ def _symmetry_conditions(pattern: Graph) -> list[tuple[int, int]]:
     return conditions
 
 
+def _search_host(host: Graph, pattern: Graph
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`host.ranked`'s (order, ranked_adj), built for one call over only
+    the host vertices that can lie in a copy of `pattern`.  When every
+    non-isolated pattern vertex has degree >= delta >= 2, no copy leaves
+    the host's delta-core, and a copy that uses one inner vertex of a
+    maximal chain of degree-2 vertices uses the whole chain and its ends
+    (one end when both coincide), so a chain with at least v(pattern)
+    inner vertices and an end lies in no copy; a cycle with no end is
+    kept.  The core is peeled and such chains dropped until none is
+    left.  `host.ranked` itself when delta < 2, when every host vertex
+    has degree >= max(delta, 3), read from the cached degrees before any
+    work, or when nothing was dropped."""
+    used = [d for d in pattern._degrees if d]
+    delta = min(used)
+    if delta < 2 or min(host._degrees, default=3) >= max(delta, 3):
+        return host.ranked
+    nbrs, deg = _neighbour_lists(host), list(host._degrees)
+    other = [0] * host.n            # the xor of each vertex's kept neighbours
+    for u, v in host.edges:
+        other[u] ^= v
+        other[v] ^= u
+    gone = [False] * host.n
+    drop = [v for v in range(host.n) if deg[v] < delta]
+    while drop:
+        for v in drop:                          # drop, then peel the core
+            if not gone[v]:
+                gone[v] = True
+                for w in nbrs[v]:
+                    deg[w] -= 1
+                    other[w] ^= v
+                    if deg[w] < delta and not gone[w]:
+                        drop.append(w)
+        drop = []
+        for end in range(host.n):               # walk each chain from its ends
+            if deg[end] < 3 or gone[end]:
+                continue
+            for w in nbrs[end]:
+                chain, prev = [], end
+                while deg[w] == 2 and not gone[w]:
+                    chain.append(w)
+                    prev, w = w, other[w] ^ prev
+                if len(chain) >= len(used):
+                    drop += chain
+    if not any(gone):
+        return host.ranked
+    order = tuple(sorted((v for v in range(host.n) if not gone[v]),
+                         key=deg.__getitem__))
+    rank = dict(zip(order, range(len(order))))
+    return order, _bitsets(len(order), ((rank[u], rank[w]) for u in order
+                                        for w in nbrs[u]
+                                        if u < w and not gone[w]))
+
+
 def enumerate_copies(host: Graph, pattern: Graph,
                      deadline: Optional[float] = None
                      ) -> Optional[list[Embedding]]:
     """All distinct copies of `pattern` in `host`.  A copy is its host
     edge ids in increasing order (isolated pattern vertices are ignored),
     and the copies come in increasing order, the order the search
-    branches in.  The search runs on `host.ranked`, the host relabelled
-    by increasing degree, so the symmetry conditions root each copy at
-    its lowest-degree vertex and the few high-degree vertices are placed
-    last (Chiba & Nishizeki, SIAM J. Comput. 1985).  It meets
+    branches in.  The search runs on `_search_host`: the host without
+    the vertices no copy can use (outside the pattern's minimum-degree
+    core, or inside a long chain of degree-2 vertices), relabelled by
+    increasing degree, so the symmetry conditions root each copy at its
+    lowest-degree vertex and the few high-degree vertices are placed
+    last (Chiba & Nishizeki, SIAM J. Comput. 1985).  Where nothing can
+    be dropped, that is `host.ranked` itself.  It meets
     `pattern.symmetry_conditions`, so it finds each copy exactly once; a
     second visit of one edge set is a bug and raises InternalError.  The
     pattern side of the search (`_EmbedPlan`) is built on the pattern's
@@ -694,7 +753,7 @@ def enumerate_copies(host: Graph, pattern: Graph,
     caller: every copy list comes from an instance."""
     if pattern.num_edges == 0:
         raise GraphError("pattern must have at least one edge")
-    order, adj = host.ranked
+    order, adj = _search_host(host, pattern)
     index = host._edge_index
     found: list[tuple[int, ...]] = []
 

@@ -14,9 +14,8 @@ from ramsey_gadgets import arrowing
 from ramsey_gadgets import (ARROWS, DOES_NOT_ARROW, MINIMAL, NOT_MINIMAL,
                             NO_BUDGET, UNKNOWN, ArrowInstance, Budget,
                             BudgetExhausted, EdgeColoring, Graph, GraphError,
-                            StubSenderProvider,
-                            arrows, build_cycle_abundant, complete_graph,
-                            cycle_graph, disjoint_union, extendable,
+                            arrows, complete_graph, cycle_graph,
+                            disjoint_union, extendable,
                             from_edges, is_minimal, min_degree_stats,
                             minimalize, path_graph, phi_coloring,
                             single_edge, sq_lower_bound, star_graph,
@@ -149,20 +148,21 @@ def test_max_seconds_holds_on_a_sparse_host():
 
 
 def test_max_seconds_covers_copy_enumeration(monkeypatch):
-    # 24 174 vertices and 1152 copies of C4: enumerating them takes
-    # several times the budget, so the verdict is unknown with no search
-    host = build_cycle_abundant(3, 4, 2, StubSenderProvider()).graph
-    c4, budget = cycle_graph(4), Budget(max_seconds=0.05)
+    # 91 390 copies of K4 in K40, a host no prune shrinks: enumerating
+    # them takes several times the budget, so the verdict is unknown with
+    # no search
+    host, k4 = complete_graph(40), complete_graph(4)
+    budget = Budget(max_seconds=0.05)
     start = time.monotonic()
-    res = run(host, c4, 2, budget)
+    res = run(host, k4, 2, budget)
     assert time.monotonic() - start < 0.5
     assert res.verdict == UNKNOWN and res.stats.nodes == 0
     start = time.monotonic()
-    ext = extendable(host, EdgeColoring.from_map(2, {0: 1}), c4, 2, budget)
+    ext = extendable(host, EdgeColoring.from_map(2, {0: 1}), k4, 2, budget)
     assert time.monotonic() - start < 0.5
     assert ext.verdict == UNKNOWN and ext.stats.nodes == 0
     with pytest.raises(GraphError):
-        to_dimacs(ArrowInstance.create(host, c4, 2, budget))
+        to_dimacs(ArrowInstance.create(host, k4, 2, budget))
     # with time to spare the instance keeps the budget started before
     # the enumeration: its deadline is the one the enumeration got
     given, enumerate_copies = [], arrowing.enumerate_copies

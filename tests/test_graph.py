@@ -345,16 +345,18 @@ def test_traversals_match_networkx(data):
             nxg, to_networkx(moved))
 
 
-def counting_embed(monkeypatch, host) -> list:
-    """Counts the full maps `graph._embed` visits in `host`, whose
-    adjacency, `host.ranked`, it recognises by size."""
+def counting_embed(monkeypatch, pattern) -> list:
+    """Counts the full maps `graph._embed` visits from now on.  The
+    pattern's symmetry conditions, its own search, are computed first, so
+    every counted map is one of a host's search, whatever adjacency that
+    search runs on."""
+    pattern.symmetry_conditions                 # kept on the pattern
     visits = []
     embed = graph_module._embed
 
     def counted(adj, pattern, starts, visit, *rest):
         def seen(image):
-            if len(adj) == host.n:
-                visits.append(1)
+            visits.append(1)
             return visit(image)
         return embed(adj, pattern, starts, seen, *rest)
     monkeypatch.setattr(graph_module, "_embed", counted)
@@ -363,9 +365,9 @@ def counting_embed(monkeypatch, host) -> list:
 
 @pytest.mark.parametrize("n,t,count", [(10, 5, 252), (17, 4, 2380)])
 def test_each_copy_is_visited_once(monkeypatch, n, t, count):
-    host = complete_graph(n)
-    visits = counting_embed(monkeypatch, host)
-    assert len(enumerate_copies(host, complete_graph(t))) == count
+    pattern = complete_graph(t)
+    visits = counting_embed(monkeypatch, pattern)
+    assert len(enumerate_copies(complete_graph(n), pattern)) == count
     assert len(visits) == count            # not |Aut(K_t)| times as many
 
 
@@ -386,7 +388,7 @@ STUB_INDICATOR = build_indicator(complete_graph(4), complete_graph(3), 2,
 def test_each_copy_is_visited_once_in_a_non_regular_host(monkeypatch, host,
                                                          pattern):
     assert host.ranked[0] != tuple(range(host.n))    # the hubs move last
-    visits = counting_embed(monkeypatch, host)
+    visits = counting_embed(monkeypatch, pattern)
     count = len(nx_copies(host, pattern))
     assert len(enumerate_copies(host, pattern)) == count > 0
     assert len(visits) == count
@@ -430,6 +432,90 @@ def test_copies_in_stub_gadgets_match_networkx(host, pattern):
     # hundreds of vertices, most of degree 2, a few hubs of degree 13-28
     assert host.n > 150 and max(host.degrees()) > 12
     assert assert_copies_match_networkx(host, pattern)
+
+
+# minimum degree 2 or more, which the host is pruned for, and one with a
+# degree-1 vertex, which leaves the host whole
+PRUNED_PATTERNS = [cycle_graph(3), cycle_graph(4), cycle_graph(5),
+                   cycle_graph(6), complete_graph(4), clique_with_pendant(3)]
+
+
+def chained_host(data, pattern: Graph) -> Graph:
+    """A small random graph grown by chains of degree-2 vertices between
+    two of its vertices or back to one, pendant paths and lone cycles.
+    A chain's inner vertex count is often v(pattern) - 1, v(pattern) or
+    v(pattern) + 1, where whether a chain can hold a copy turns."""
+    size = sum(1 for d in pattern.degrees() if d)
+    n = data.draw(st.integers(2, 6))
+    edges = list(random_graph(data, n).edges)
+    inner = st.one_of(st.sampled_from([size - 1, size, size + 1]),
+                      st.integers(1, 8))
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["chain", "loop", "pendant",
+                                          "cycle"]))
+        a, b = (data.draw(st.integers(0, n - 1)) for _ in "ab")
+        if kind == "loop":
+            b = a
+        length = data.draw(inner)
+        if a == b or kind == "cycle":           # no repeated edge
+            length = max(length, 2 + (kind == "cycle"))
+        new = list(range(n, n + length))
+        n += length
+        path = {"chain": [a, *new, b], "loop": [a, *new, a],
+                "pendant": [a, *new], "cycle": [*new, new[0]]}[kind]
+        edges += zip(path, path[1:])
+    return from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_copies_in_chained_hosts_match_networkx(data):
+    pattern = data.draw(st.sampled_from(PRUNED_PATTERNS))
+    assert_copies_match_networkx(chained_host(data, pattern), pattern)
+
+
+def test_long_chains_of_a_recipe_graph_are_not_searched():
+    host = build_cycle_abundant(2, 5, 3, STUB).graph
+    c5 = cycle_graph(5)
+    order, adj = graph_module._search_host(host, c5)
+    assert (host.n, len(order), len(adj)) == (5340, 918, 918)
+    # the copies, in their order, are those of a plain search over the
+    # whole host
+    whole, ranked = host.ranked
+    plain = []
+    graph_module._embed(ranked, c5, [{}], lambda image: plain.append(tuple(
+        sorted(host.edge_id(whole[image[u]], whole[image[v]])
+               for u, v in c5.edges))), c5.symmetry_conditions)
+    assert [c.edge_set for c in enumerate_copies(host, c5)] == sorted(plain)
+    assert len(plain) == len(set(plain)) == 192
+
+
+@pytest.mark.parametrize("host,pattern", [
+    (cycle_graph(7), path_graph(3)),                # a degree-1 vertex
+    (wheel(6), star_graph(3)),
+    (build_cycle_abundant(2, 4, 1, STUB).graph, clique_with_pendant(3)),
+    (complete_graph(6), cycle_graph(4)),            # minimum degree >= 3
+    (wheel(6), cycle_graph(5)),
+    (complete_graph(6), complete_graph(4)),
+    (cycle_graph(5), cycle_graph(6)),               # too few of degree 2
+    (wheel(6).delete_edge(0), cycle_graph(4)),
+    (cycle_graph(6), cycle_graph(6))])              # a cycle with no end
+def test_the_search_host_is_the_whole_host_where_nothing_can_go(host,
+                                                                pattern):
+    assert graph_module._search_host(host, pattern) is host.ranked
+
+
+def test_a_pruned_host_keeps_its_vertex_ranking():
+    # a triangle with a pendant vertex and a chain of two inner vertices
+    # from its top back to itself: the pendant goes, the chain and the
+    # triangle stay, ranked by their degrees in what is kept
+    host = from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4), (4, 5),
+                          (5, 0)])
+    order, adj = graph_module._search_host(host, cycle_graph(3))
+    assert order == (1, 2, 4, 5, 0)
+    assert [a.bit_count() for a in adj] == [2, 2, 2, 2, 4]
+    assert graph_module._search_host(cycle_graph(4), complete_graph(4)) \
+        == ((), ())
 
 
 def test_symmetry_conditions_are_computed_once_per_pattern(monkeypatch):
