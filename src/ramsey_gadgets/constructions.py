@@ -378,11 +378,6 @@ def check_seed(seed: ThreeConnectedSeed,
     clock; raises a named error on the first failure (BudgetExhausted
     on one left undecided), returns the found colorings (in seed edge
     ids) keyed by the deleted edge."""
-    return _check_seed(seed, budget)[1]
-
-
-def _check_seed(seed: ThreeConnectedSeed, budget: Budget):
-    """`check_seed`, returning (the seed's instance, the colorings)."""
     f, hv, he, h, q = seed.f, seed.v, seed.e, seed.h, seed.q
     if not (0 <= hv < f.n) or not (0 <= he < f.num_edges):
         raise GraphError("marked vertex or edge out of range")
@@ -414,7 +409,7 @@ def _check_seed(seed: ThreeConnectedSeed, budget: Budget):
                     f"condition {name} fails: removing edge {eid} still "
                     "forces the target")
             witnesses[eid] = {e: c for e, c in res.witness.colors if e != eid}
-    return inst, witnesses
+    return witnesses
 
 
 def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
@@ -436,7 +431,8 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
         raise GraphError("need k >= 1")
     f, hv, he, h, q = seed.f, seed.v, seed.e, seed.h, seed.q
     d = _gadget_distance(h, d)
-    inst, witnesses = _check_seed(seed, budget)
+    budget = budget.start()
+    witnesses = check_seed(seed, budget)
 
     g_edges = [eid for eid in range(f.num_edges) if hv in f.edges[eid]]
     drop = set(g_edges) | {he}
@@ -456,7 +452,7 @@ def build_3connected_abundant(seed: ThreeConnectedSeed, k: int,
     # marked vertex
     points = [w - (w > hv) for w in (sum(f.edges[e]) - hv for e in g_edges)]
     recipe = _abundance_recipe(h, q, k, fprime, specials, f2, points,
-                               provider, d, inst.budget)
+                               provider, d, budget)
     recipe.extras.update(
         target_hypothesis_ok=(is_k_connected(h, 3)
                               or graphs_isomorphic(h, complete_graph(3))))

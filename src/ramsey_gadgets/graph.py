@@ -679,56 +679,38 @@ def _symmetry_conditions(pattern: Graph) -> list[tuple[int, int]]:
 
 def _search_host(host: Graph, pattern: Graph
                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`host.ranked`'s (order, ranked_adj), built for one call over only
-    the host vertices that can lie in a copy of `pattern`.  When every
-    non-isolated pattern vertex has degree >= delta >= 2, no copy leaves
-    the host's delta-core, and a copy that uses one inner vertex of a
-    maximal chain of degree-2 vertices uses the whole chain and its ends
-    (one end when both coincide), so a chain with at least v(pattern)
-    inner vertices and an end lies in no copy; a cycle with no end is
-    kept.  The core is peeled and such chains dropped until none is
-    left.  `host.ranked` itself when delta < 2, when every host vertex
-    has degree >= max(delta, 3), read from the cached degrees before any
-    work, or when nothing was dropped."""
-    used = [d for d in pattern._degrees if d]
-    delta = min(used)
-    if delta < 2 or min(host._degrees, default=3) >= max(delta, 3):
+    """`host.ranked`'s (order, ranked_adj) over only the host vertices
+    that can lie in a copy of `pattern`.  When every non-isolated
+    pattern vertex has degree >= 2, a copy that uses one inner vertex of
+    a maximal chain of degree-2 host vertices uses the whole chain and
+    its ends (one end when both coincide), so a chain with at least
+    v(pattern) inner vertices and an end lies in no copy; such chains
+    are dropped in one walk from the ends (a chain dropped from one end
+    is not walked from the other), and a cycle with no end is kept.
+    The kept vertices are ranked by `Graph.ranked` on the graph they
+    induce.  `host.ranked` itself when some non-isolated pattern vertex
+    has degree 1, when fewer than v(pattern) host vertices have degree
+    2, or when nothing was dropped."""
+    used, deg = [d for d in pattern._degrees if d], host._degrees
+    if min(used) < 2 or deg.count(2) < len(used):
         return host.ranked
-    nbrs, deg = _neighbour_lists(host), list(host._degrees)
-    other = [0] * host.n            # the xor of each vertex's kept neighbours
-    for u, v in host.edges:
-        other[u] ^= v
-        other[v] ^= u
-    gone = [False] * host.n
-    drop = [v for v in range(host.n) if deg[v] < delta]
-    while drop:
-        for v in drop:                          # drop, then peel the core
-            if not gone[v]:
-                gone[v] = True
-                for w in nbrs[v]:
-                    deg[w] -= 1
-                    other[w] ^= v
-                    if deg[w] < delta and not gone[w]:
-                        drop.append(w)
-        drop = []
-        for end in range(host.n):               # walk each chain from its ends
-            if deg[end] < 3 or gone[end]:
-                continue
-            for w in nbrs[end]:
-                chain, prev = [], end
-                while deg[w] == 2 and not gone[w]:
-                    chain.append(w)
-                    prev, w = w, other[w] ^ prev
-                if len(chain) >= len(used):
-                    drop += chain
-    if not any(gone):
+    nbrs, gone = _neighbour_lists(host), set()
+    for end in range(host.n):
+        if deg[end] < 3:
+            continue
+        for w in nbrs[end]:
+            chain, prev = [], end
+            while deg[w] == 2 and w not in gone:
+                chain.append(w)
+                a, b = nbrs[w]
+                prev, w = w, b if a == prev else a
+            if len(chain) >= len(used):
+                gone.update(chain)
+    if not gone:
         return host.ranked
-    order = tuple(sorted((v for v in range(host.n) if not gone[v]),
-                         key=deg.__getitem__))
-    rank = dict(zip(order, range(len(order))))
-    return order, _bitsets(len(order), ((rank[u], rank[w]) for u in order
-                                        for w in nbrs[u]
-                                        if u < w and not gone[w]))
+    kept = [v for v in range(host.n) if v not in gone]
+    order, adj = host.induced(kept).ranked
+    return tuple(kept[r] for r in order), adj
 
 
 def enumerate_copies(host: Graph, pattern: Graph,
@@ -738,12 +720,12 @@ def enumerate_copies(host: Graph, pattern: Graph,
     edge ids in increasing order (isolated pattern vertices are ignored),
     and the copies come in increasing order, the order the search
     branches in.  The search runs on `_search_host`: the host without
-    the vertices no copy can use (outside the pattern's minimum-degree
-    core, or inside a long chain of degree-2 vertices), relabelled by
-    increasing degree, so the symmetry conditions root each copy at its
-    lowest-degree vertex and the few high-degree vertices are placed
-    last (Chiba & Nishizeki, SIAM J. Comput. 1985).  Where nothing can
-    be dropped, that is `host.ranked` itself.  It meets
+    the vertices no copy can use (inside a long chain of degree-2
+    vertices), relabelled by increasing degree, so the symmetry
+    conditions root each copy at its lowest-degree vertex and the few
+    high-degree vertices are placed last (Chiba & Nishizeki, SIAM J.
+    Comput. 1985).  Where nothing can be dropped, that is `host.ranked`
+    itself.  It meets
     `pattern.symmetry_conditions`, so it finds each copy exactly once; a
     second visit of one edge set is a bug and raises InternalError.  The
     pattern side of the search (`_EmbedPlan`) is built on the pattern's

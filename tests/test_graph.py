@@ -478,7 +478,7 @@ def test_long_chains_of_a_recipe_graph_are_not_searched():
     host = build_cycle_abundant(2, 5, 3, STUB).graph
     c5 = cycle_graph(5)
     order, adj = graph_module._search_host(host, c5)
-    assert (host.n, len(order), len(adj)) == (5340, 918, 918)
+    assert (host.n, len(order), len(adj)) == (5340, 936, 936)
     # the copies, in their order, are those of a plain search over the
     # whole host
     whole, ranked = host.ranked
@@ -499,23 +499,34 @@ def test_long_chains_of_a_recipe_graph_are_not_searched():
     (complete_graph(6), complete_graph(4)),
     (cycle_graph(5), cycle_graph(6)),               # too few of degree 2
     (wheel(6).delete_edge(0), cycle_graph(4)),
-    (cycle_graph(6), cycle_graph(6))])              # a cycle with no end
+    (cycle_graph(6), cycle_graph(6)),               # a cycle with no end
+    # vertices of degree below the pattern's least one but no long chain:
+    # a pendant vertex, a cycle for K4, and K5 with chains of v(K4) - 1
+    # inner vertices between two of its vertices and from one back to it
+    (from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), cycle_graph(3)),
+    (cycle_graph(4), complete_graph(4)),
+    (from_edges(11, [*complete_graph(5).edges, (0, 5), (5, 6), (6, 7),
+                     (7, 1), (2, 8), (8, 9), (9, 10), (10, 2)]),
+     complete_graph(4))])
 def test_the_search_host_is_the_whole_host_where_nothing_can_go(host,
                                                                 pattern):
     assert graph_module._search_host(host, pattern) is host.ranked
 
 
 def test_a_pruned_host_keeps_its_vertex_ranking():
-    # a triangle with a pendant vertex and a chain of two inner vertices
-    # from its top back to itself: the pendant goes, the chain and the
-    # triangle stay, ranked by their degrees in what is kept
-    host = from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4), (4, 5),
-                          (5, 0)])
+    # a triangle 0 1 2 with a chain of three inner vertices from 0 to 1
+    # and one of two from 2 back to itself: the long chain goes, the
+    # short one (a second triangle) stays, and what is kept is ranked by
+    # its own degrees, so 0 and 1 (degree 3 in the host, 2 in what is
+    # kept) come before 6 and 7
+    host = from_edges(8, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5),
+                          (5, 1), (2, 6), (6, 7), (7, 2)])
+    assert host.ranked[0] == (3, 4, 5, 6, 7, 0, 1, 2)
     order, adj = graph_module._search_host(host, cycle_graph(3))
-    assert order == (1, 2, 4, 5, 0)
+    assert order == (0, 1, 6, 7, 2)
     assert [a.bit_count() for a in adj] == [2, 2, 2, 2, 4]
-    assert graph_module._search_host(cycle_graph(4), complete_graph(4)) \
-        == ((), ())
+    assert [c.edge_set for c in enumerate_copies(host, cycle_graph(3))] \
+        == [(0, 1, 2), (7, 8, 9)]
 
 
 def test_symmetry_conditions_are_computed_once_per_pattern(monkeypatch):
