@@ -309,25 +309,10 @@ def cmd_construct_pattern_gadget(args) -> int:
 # ---------------------------------------------------------------------------
 # verify commands
 
-def cmd_verify_sender(args) -> int:
-    if args.spec:
-        if args.graph or args.target:
-            raise GraphError("verify sender takes --spec, or --graph and "
-                             "--target, not both")
-        spec = SenderSpec.from_json(_load_json(args.spec))
-    elif not (args.graph and args.target):
-        raise GraphError("verify sender needs --spec, or --graph and --target")
-    else:
-        spec = SenderSpec(_load_graph(args.graph), args.e, args.f,
-                          args.polarity, _load_graph(args.target), args.q,
-                          args.d)
-    report = verify_sender(spec, args.budget)
-    _emit(args, "verify sender", report.to_json())
-    return _report_exit(report)
-
-
 def cmd_verify_spec(args, spec_cls, verify_fn) -> int:
-    """`verify indicator`, `gni` and `pattern-gadget`: check a spec file."""
+    """`verify sender`, `indicator`, `gni` and `pattern-gadget`: check a
+    spec given as inline JSON or a file, such as the one `search-sender`
+    or `construct` writes with --out."""
     report = verify_fn(spec_cls.from_json(_load_json(args.spec)), args.budget)
     _emit(args, f"verify {args.kind}", report.to_json())
     return _report_exit(report)
@@ -411,14 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     # the engine commands decide one arrowing instance under the budget flags
     engine = [*budget, _option("--host", required=True), target, q]
     graph = _option("--graph", required=True)
-    optional_graph = _option("--graph")
     optional_target = _option("--target")
     t = _option("--t", type=int, required=True)
     k = _option("--k", type=int, required=True)
     subgraph = _option("--subgraph", required=True)
     polarity = _option("--polarity", choices=["positive", "negative"],
                        default="positive")
-    sender_d = _option("--d", type=int, default=1)
 
     p = argparse.ArgumentParser(prog="ramsey-gadgets")
     p.add_argument("--version", action="version", version=__version__)
@@ -470,29 +453,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = top.add_parser("verify").add_subparsers(dest="kind",
                                                      required=True)
-    add(verify, "sender", cmd_verify_sender, *budget,
-        _option("--spec", help="JSON spec (inline or file)"), optional_graph,
-        _option("--e", type=int, default=0),
-        _option("--f", type=int, default=1), polarity, optional_target, q,
-        sender_d)
-    spec = _option("--spec", required=True)
-    add(verify, "indicator", partial(cmd_verify_spec, spec_cls=IndicatorSpec,
-                                     verify_fn=verify_indicator),
-        *budget, spec)
-    add(verify, "gni", partial(cmd_verify_spec, spec_cls=GNISpec,
-                               verify_fn=verify_gni),
-        *budget, spec)
-    add(verify, "pattern-gadget", partial(cmd_verify_spec,
-                                          spec_cls=PatternGadgetSpec,
-                                          verify_fn=verify_pattern_gadget),
-        *budget, spec)
+    spec = _option("--spec", required=True, help="JSON spec (inline or file)")
+    for kind, spec_cls, verify_fn in (
+            ("sender", SenderSpec, verify_sender),
+            ("indicator", IndicatorSpec, verify_indicator),
+            ("gni", GNISpec, verify_gni),
+            ("pattern-gadget", PatternGadgetSpec, verify_pattern_gadget)):
+        add(verify, kind, partial(cmd_verify_spec, spec_cls=spec_cls,
+                                  verify_fn=verify_fn), *budget, spec)
     add(verify, "robust", cmd_verify_robust, graph,
         _option("--inner", required=True,
                 help="comma-separated vertex ids of the inner subgraph"),
         target, _option("--s-max", type=int, default=3))
 
     add(top, "search-sender", cmd_search_sender, *budget, out, target, q,
-        sender_d, polarity, max_order)
+        _option("--d", type=int, default=1), polarity, max_order)
     add(top, "star-check", cmd_star_check, *budget, graph,
         _option("--m", type=int, required=True), q,
         _option("--predicate-only", action="store_true"),

@@ -181,6 +181,7 @@ class SenderSpec:
         _check_spec(self, (), (self.e, self.f))
         if self.e == self.f:
             raise GraphError("signal edges must differ")
+        _check_distance(self.d)
 
     def signal_distance(self) -> float:
         return edge_distance(self.graph, [self.e], [self.f])
@@ -193,14 +194,19 @@ class SenderSpec:
         return _spec_from_json(cls, data)
 
 
+def _check_distance(d: int) -> None:
+    """A sender's distance claim d is at least 1: its signal edges differ."""
+    if d < 1:
+        raise GraphError("distance must be at least 1")
+
+
 def make_stub_sender(h: Graph, q: int, d: int, polarity: str) -> SenderSpec:
     """Two designated edges joined by a path of length exactly d.
 
     Satisfies only the distance axiom; used to exercise composition
     mechanics when no real sender is available.
     """
-    if d < 1:
-        raise GraphError("distance must be at least 1")
+    _check_distance(d)
     # e = (0,1), f = (2,3), path of d edges from 1 through 4..d+2 to 2
     path = [1, *range(4, d + 3), 2]
     g = from_edges(3 + d, [(0, 1), (2, 3), *zip(path, path[1:])])
@@ -285,6 +291,7 @@ def search_sender(h: Graph, q: int, d: int, polarity: str, max_order: int,
     instance.  One clock bounds the whole scan.  If the budget leaves a
     graph or pair undecided and no sender turns up, BudgetExhausted is
     raised instead of returning None."""
+    _check_distance(d)
     budget = budget.start()
     if corpus is None:
         corpus = graph6.load_corpus(max_order=max_order)

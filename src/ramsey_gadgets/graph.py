@@ -414,6 +414,8 @@ def graph_from_name(name: str) -> Graph:
     else:
         raise GraphError(f"unknown graph name {name!r}: {_NAMED_HINT}")
     try:
+        if not arg.isdigit():      # int() would also read a sign, "_" or spaces
+            raise ValueError(arg)
         k = int(arg)
         n, m = _NAMED_SIZES[make](k)
         if max(n, m) <= MAX_ORDER:

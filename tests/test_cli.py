@@ -8,7 +8,8 @@ from ramsey_gadgets import (ArrowInstance, ConstructionManifest, EdgeColoring,
                             GNISpec, IndicatorSpec, PatternGadgetSpec,
                             StubSenderProvider, arrows,
                             build_3connected_abundant, build_indicator,
-                            complete_graph, default_three_connected_seed,
+                            complete_graph, cycle_graph,
+                            default_three_connected_seed,
                             make_stub_sender, path_graph, read_graph_file,
                             to_dimacs, verify_witness)
 from ramsey_gadgets import arrowing, cli
@@ -189,6 +190,33 @@ def test_named_graph_over_the_cap_exits_usage(capsys):
     assert "'K100000' gives 100000 vertices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["stats", "--graph", "K1,-1"],
+                                  ["arrow", "--host", "K1,-1", "--target",
+                                   "K2"]])
+def test_signed_star_name_exits_usage(argv, capsys):
+    # K1,-1 once built the empty graph, which `arrow` refuted (exit 1)
+    assert main(argv) == 3
+    assert "cannot parse graph name 'K1,-1'" in capsys.readouterr().err
+
+
+def test_sender_distance_below_one_exits_usage(tmp_path, capsys):
+    # search-sender --d -2 once found a fully verified sender with d = -2
+    data = make_stub_sender(complete_graph(3), 2, 1, POSITIVE).to_json()
+    data["d"] = 0
+    path, senders = tmp_path / "sender.json", tmp_path / "senders.json"
+    path.write_text(json.dumps(data))
+    senders.write_text(json.dumps([data]))
+    for argv in (["search-sender", "--target", "P3", "--d", "0"],
+                 ["search-sender", "--target", "P3", "--d", "-2",
+                  "--max-order", "4"],
+                 ["verify", "sender", "--spec", str(path)],
+                 ["construct", "indicator", "--target", "K3", "--subgraph",
+                  "P3", "--senders", str(senders)]):
+        assert main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "distance must be at least 1" in err
+
+
 def test_failed_witness_check_exits_internal(monkeypatch, capsys):
     # a witness that fails its re-check is a bug, not a usage error (3)
     # and not a refutation (1)
@@ -307,15 +335,19 @@ def test_verify_sender_rejects_k6(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--graph", "K6"], ["--target", "K3"],
-                                   ["--graph", "K6", "--target", "K3"]])
+                                   ["--e", "5"], ["--f", "9"],
+                                   ["--polarity", "positive"], ["--q", "3"],
+                                   ["--d", "7"]])
 def test_verify_sender_spec_with_sender_flags_exits_usage(tmp_path, capsys,
                                                           flags):
+    # the sender comes from its spec alone: a flag that would name another
+    # sender is refused, not left out of the check and kept in the report
     spec = make_stub_sender(complete_graph(3), 2, 3, POSITIVE)
     path = tmp_path / "sender.json"
     path.write_text(json.dumps(spec.to_json()))
     assert main(["verify", "sender", "--spec", str(path), *flags]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and "not both" in err
+    assert out == "" and "unrecognized arguments" in err
 
 
 def test_partition_repeating_an_edge_exits_usage(capsys):
@@ -512,9 +544,12 @@ def test_search_sender_finding_nothing_exits_refuted(capsys):
     assert (code, report["found"]) == (1, False)
 
 
-def test_verify_out_of_budget_exits_unknown(capsys):
-    code, report = run(capsys, "verify", "sender", "--graph", "K6",
-                       "--target", "K3", "--e", "0", "--f", "14",
+def test_verify_out_of_budget_exits_unknown(tmp_path, capsys):
+    spec = SenderSpec(complete_graph(6), 0, 14, POSITIVE,
+                      complete_graph(3), 2, 1)
+    path = tmp_path / "fake.json"
+    path.write_text(json.dumps(spec.to_json()))
+    code, report = run(capsys, "verify", "sender", "--spec", str(path),
                        "--max-nodes", "1")
     assert code == 2
     outcomes = {r["name"]: r["outcome"] for r in report["results"]}
@@ -649,10 +684,14 @@ def test_spec_commands_write_their_manifest(kind, tmp_path, capsys):
     assert ConstructionManifest.load(str(manifest_path)).replay() == spec.graph
 
 
-def test_sender_edge_outside_its_graph_exits_usage(capsys):
+def test_sender_edge_outside_its_graph_exits_usage(tmp_path, capsys):
     # C5 has edges 0..4: edge 99 is a usage error, not a crash (exit 4)
-    assert main(["verify", "sender", "--graph", "C5", "--target", "P3",
-                 "--e", "0", "--f", "99"]) == 3
+    data = SenderSpec(cycle_graph(5), 0, 1, POSITIVE, path_graph(3), 2,
+                      1).to_json()
+    data["f"] = 99
+    path = tmp_path / "sender.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "sender", "--spec", str(path)]) == 3
     assert "sender spec names edge 99" in capsys.readouterr().err
 
 

@@ -40,5 +40,16 @@ def test_option_table_is_pinned():
         assert got[path] == want[path], path
 
 
+def test_spec_verifiers_share_one_option_table():
+    # each takes its gadget from --spec alone, under the budget flags
+    table = option_table(cli.build_parser())
+    kinds = ("sender", "indicator", "gni", "pattern-gadget")
+    assert [o["flags"] for o in table["verify sender"]] == [
+        ["-h", "--help"], ["--report"], ["--max-nodes"], ["--max-seconds"],
+        ["--spec"]]
+    assert all(table[f"verify {kind}"] == table["verify sender"]
+               for kind in kinds)
+
+
 if __name__ == "__main__":
     print(json.dumps(option_table(cli.build_parser()), indent=1))

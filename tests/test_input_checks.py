@@ -24,7 +24,7 @@ from ramsey_gadgets import (EXACT, POSITIVE, ArrowInstance, Budget,
                             extendable, graph_from_name, is_k_connected,
                             is_minimal, make_stub_sender, matching_graph,
                             min_degree_stats, path_graph, pattern_of,
-                            single_edge, sq_lower_bound,
+                            search_sender, single_edge, sq_lower_bound,
                             star_arrow_predicate, string_senders,
                             write_sparse6)
 from ramsey_gadgets.cli import main
@@ -42,6 +42,12 @@ def _c4_pattern(q):
 def _q3_gni():
     # two one-edge classes, ids 2 and 3 after P3's edges 0 and 1
     return build_gni(K3, P3, P3, [[0], [1]], 3, STUB)
+
+
+def _unread_corpus():
+    # the distance claim is checked before any corpus graph is read
+    raise AssertionError("the corpus was read")
+    yield
 
 
 def _two_c5_seed():
@@ -126,6 +132,16 @@ CASES = [
      GraphError, "signal edges must differ"),
     ("sender-polarity", lambda: SenderSpec(P3, 0, 1, "sideways", P3, 2, 1),
      GraphError, "unknown polarity 'sideways'"),
+    ("sender-distance-zero",
+     lambda: SenderSpec(P3, 0, 1, POSITIVE, P3, 2, 0),
+     GraphError, "distance must be at least 1"),
+    ("sender-spec-file-negative-distance",
+     lambda: SenderSpec.from_json(
+         {**make_stub_sender(P3, 2, 1, POSITIVE).to_json(), "d": -2}),
+     GraphError, "distance must be at least 1"),
+    ("search-sender-negative-distance",
+     lambda: search_sender(P3, 2, -2, POSITIVE, 4, corpus=_unread_corpus()),
+     GraphError, "distance must be at least 1"),
     ("sender-status",
      lambda: SenderSpec(P3, 0, 1, POSITIVE, P3, 2, 1, status="bogus"),
      GraphError, "sender spec has unknown status 'bogus'"),
@@ -182,6 +198,12 @@ CASES = [
      GraphError, "pattern must have at least one edge"),
     ("star-name-not-a-number", lambda: graph_from_name("K1,x"),
      GraphError, "cannot parse graph name 'K1,x'"),
+    # a sign is not part of a named family's parameter: K1,-1 was the
+    # empty graph and K1,-0 was K1,0
+    ("star-name-negative", lambda: graph_from_name("K1,-1"),
+     GraphError, "cannot parse graph name 'K1,-1'"),
+    ("star-name-minus-zero", lambda: graph_from_name("K1,-0"),
+     GraphError, "cannot parse graph name 'K1,-0'"),
     # refused before they are built: K2896 is the largest complete graph
     ("named-complete-too-large", lambda: graph_from_name("K3000"),
      GraphError, f"'K3000' gives 3000 vertices and 4498500 edges, above "
